@@ -152,13 +152,11 @@ def _classification_dict(cls: solver.MaximumClassification) -> dict:
 def cmd_solve(args) -> int:
     doc = _load_config(args.config)
     m = _model_from_config(doc)
-    opts = _solver_options(doc, args.threads)
-    points = solver.solve_fixed_points(m, opts)
-    result = solver.pressure_limit(m, opts)
+    result = solver.pressure_limit(m, _solver_options(doc, args.threads))
     report = {
         "fixed_points": [{"x": p.x, "residual": p.residual,
                           "f_value": p.f_value, "fbar_value": p.fbar_value}
-                         for p in points],
+                         for p in result.fixed_points],
         "pressure_limit": result.limit_value,
         "method_agreement": result.method_agreement,
         "maxima": [_classification_dict(c) for c in result.maxima],
@@ -212,15 +210,16 @@ def cmd_limits(args) -> int:
         radius = float(cond["radius"])
         cls = min(result.maxima,
                   key=lambda c: float(np.linalg.norm(c.point.x - center)))
-        law = limits.build_limit_law(m, cls, conditioned=True, opts=opts)
         ball = radius
     else:
         if len(result.maxima) != 1:
             raise PreconditionError(
                 "several global maxima: pass a conditioning ball")
         cls = result.maxima[0]
-        law = limits.build_limit_law(m, cls, opts=opts)
         ball = None
+    # The unique global maximum is already established, so the
+    # unconditioned law needs no second pressure_limit.
+    law = limits.build_limit_law(m, cls, conditioned=True, opts=opts)
     zlaw = exact.normalized_sum_law(m, sizes, cls.point.x, cls.k,
                                     condition_ball=ball)
     report = {
@@ -308,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (stdout when omitted)")
     common.add_argument("--seed", type=int, help="RNG seed for sampling commands")
     common.add_argument("--threads", type=int,
-                        help="worker count; never changes numerical results")
+                        help="accepted for config compatibility; no effect")
     parser = argparse.ArgumentParser(
         prog="meanfield-lab",
         description="Forward and inverse toolkit for multi-species "

@@ -83,10 +83,6 @@ class MagnetizationLaw:
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def to_discrete(self) -> "DiscreteLaw":
-        return DiscreteLaw(points=self.points(),
-                           probs=self.probabilities().ravel())
-
 
 @dataclass(frozen=True)
 class ExactMoments:

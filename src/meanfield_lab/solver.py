@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +28,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp, xlogy
 
 from .errors import (
+    ConfigParse,
     DomainError,
     NoConvergence,
     NotAMaximum,
@@ -43,7 +44,10 @@ _SPHERE_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the multistart fixed-point search."""
+    """Knobs for the multistart fixed-point search.
+
+    ``threads`` is accepted for config compatibility and has no effect.
+    """
 
     grid_points: int = 11
     damping: float = 0.7
@@ -55,10 +59,17 @@ class SolverOptions:
     newton_max_iter: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError("damping must lie in (0, 1]")
-        if self.grid_points < 1 or self.max_iter < 1:
-            raise DomainError("grid_points and max_iter must be positive")
+        for name, least in (("grid_points", 1), ("max_iter", 1),
+                            ("newton_max_iter", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigParse(f"{name} must be an integer >= {least}")
+        for name in ("tol", "dedup_radius", "newton_trigger"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+                raise ConfigParse(f"{name} must be finite and positive")
+        if not isinstance(self.damping, numbers.Real) or not 0.0 < self.damping <= 1.0:
+            raise ConfigParse("damping must lie in (0, 1]")
 
     @staticmethod
     def from_dict(doc: dict) -> "SolverOptions":
@@ -116,6 +127,7 @@ class PressureResult:
     limit_value: float
     maxima: list[MaximumClassification]
     method_agreement: float
+    fixed_points: list[StationaryPoint]
 
 
 # --- elementary pieces ---------------------------------------------------
@@ -203,17 +215,6 @@ def mean_field_map(model: ValidatedModel, x) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _map_jacobian(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the map at a single point: diag(var) @ J @ diag(alpha)."""
-    u = _fields(model, x[None, :])[0]
-    if model.is_binary:
-        var = _sech2(u)
-    else:
-        m = _tilted_moments(model, u, 2)
-        var = m[1] - m[0] ** 2
-    return var[:, None] * (model.J * model.alpha[None, :])
-
-
 def functional_fbar(model: ValidatedModel, x) -> float:
     """Enumeration-route functional g(x) - sum_l alpha_l entropy_I(x_l)."""
     model = _require_validated(model)
@@ -268,140 +269,143 @@ def _start_grid(model: ValidatedModel, opts: SolverOptions) -> np.ndarray:
     return np.array(list(pts))
 
 
-def _damp_block(model, X, opts):
-    """Damped iteration on a block of starts until the Newton trigger."""
-    theta = opts.damping
-    active = np.ones(len(X), dtype=bool)
+def _damp(model, X, opts):
+    """Damped iteration on all starts (in place) until the Newton trigger."""
+    live = np.arange(len(X))
     for _ in range(opts.max_iter):
-        if not active.any():
+        if not len(live):
             break
-        mapped = np.atleast_2d(mean_field_map(model, X[active]))
-        res = np.max(np.abs(X[active] - mapped), axis=1)
-        X[active] = (1.0 - theta) * X[active] + theta * mapped
-        still = res > opts.newton_trigger
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
+        x = X[live]
+        mapped = np.atleast_2d(mean_field_map(model, x))
+        X[live] = (1.0 - opts.damping) * x + opts.damping * mapped
+        live = live[np.max(np.abs(x - mapped), axis=1) > opts.newton_trigger]
     return X
 
 
-def _map_defect(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
-    """x - map(x) at a single point, compensated against cancellation.
+def _map_rows(model: ValidatedModel, X: np.ndarray):
+    """Map values and their variances var_l at a batch of rows.
+
+    Each row is multiplied as its own matrix, which is bitwise equal to
+    evaluating one point at a time; a (P, n) @ (n, n) product is not.
+    """
+    u = np.matmul(X[:, None, :], (model.J * model.alpha[None, :]).T)[:, 0] + model.h
+    if model.is_binary:
+        return np.tanh(u), _sech2(u)
+    m = _tilted_moments(model, u, 2)
+    return m[0], m[1] - m[0] ** 2
+
+
+def _map_defect(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
+    """X - map(X) for a batch of rows, compensated against cancellation.
 
     For binary spins, x - tanh(u) is regrouped as (I - B)x - h + r(u)
     with r(u) = u - tanh(u) evaluated by series: near degenerate roots
     the naive difference rounds to zero long before the root is located.
     """
     if not model.is_binary:
-        return x - mean_field_map(model, x)
+        return X - _map_rows(model, X)[0]
     B = model.J * model.alpha[None, :]
-    u = B @ x + model.h
-    return (x - B @ x) - model.h + _u_minus_tanh(u)
+    BX = np.matmul(B, X[:, :, None])[:, :, 0]
+    return (X - BX) - model.h + _u_minus_tanh(BX + model.h)
 
 
-def _newton_polish(model, x, opts):
-    """Newton on x - map(x) = 0; returns (x, residual) or None on failure.
+def _newton_polish(model, X, opts):
+    """Newton on x - map(x) = 0 for a batch of rows.
 
-    The stop requires a small defect AND a small last step: at a
-    degenerate root the defect is cubically flat in x, so a residual
-    test alone would accept points far from the root.
+    Returns the rows that converge and their residuals.  Each row takes
+    exactly the steps it would take alone.  A row stops once both its
+    defect and its last step are small: at a degenerate root the defect
+    is cubically flat in x, so a residual test alone would accept points
+    far from the root.  A row also stops at an exactly singular Jacobian.
+    It is dropped on a non-finite step or a final residual above tol.
     """
-    n = model.n
-    step_norm = np.inf
+    X = X.copy()
+    B = model.J * model.alpha[None, :]
+    step_norm = np.full(len(X), np.inf)
+    live = np.arange(len(X))
     for _ in range(opts.newton_max_iter):
+        x = X[live]
         F = _map_defect(model, x)
-        res = float(np.max(np.abs(F)))
-        if res <= opts.tol and step_norm <= opts.tol * (1.0 + np.max(np.abs(x))):
+        small = opts.tol * (1.0 + np.max(np.abs(x), axis=1))
+        go = (np.max(np.abs(F), axis=1) > opts.tol) | (step_norm[live] > small)
+        JF = np.eye(model.n) - _map_rows(model, x[go])[1][:, :, None] * B
+        regular = np.linalg.slogdet(JF)[0] != 0
+        live, F, JF = live[go][regular], F[go][regular], JF[regular]
+        if not len(live):
             break
-        JF = np.eye(n) - _map_jacobian(model, x)
-        try:
-            step = np.linalg.solve(JF, F)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            return None
-        x = x - step
-        step_norm = float(np.max(np.abs(step)))
-    res = float(np.max(np.abs(x - mean_field_map(model, x))))
-    return (x, res) if res <= opts.tol else None
+        step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
+        finite = np.all(np.isfinite(step), axis=1)
+        X[live[~finite]] = np.nan      # fails the final residual test
+        live, step = live[finite], step[finite]
+        X[live] -= step
+        step_norm[live] = np.max(np.abs(step), axis=1)
+    res = np.max(np.abs(X - _map_rows(model, X)[0]), axis=1)
+    keep = res <= opts.tol
+    return X[keep], res[keep]
 
 
 def solve_fixed_points(model: ValidatedModel,
                        opts: SolverOptions | None = None) -> list[StationaryPoint]:
     """All distinct solutions of the self-consistency system.
 
-    Damped iteration from every grid start, Newton polish to the target
-    residual, then a lexicographic sort and dedup.  Starts that fail to
-    converge are dropped; NoConvergence is raised only if all fail.
+    Damped iteration from every grid start, one batched Newton polish of
+    all starts to the target residual, then a lexicographic sort and a
+    single-linkage dedup.  Starts that fail to converge are dropped;
+    NoConvergence is raised only if all fail.
     """
     model = _require_validated(model)
     _check_multi_binary(model, "solve_fixed_points")
     opts = opts or SolverOptions()
-    starts = _start_grid(model, opts)
-
-    if opts.threads > 1:
-        chunks = np.array_split(starts, opts.threads)
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            damped = list(pool.map(lambda c: _damp_block(model, c.copy(), opts),
-                                   [c for c in chunks if len(c)]))
-        damped = np.concatenate(damped)
-    else:
-        damped = _damp_block(model, starts.copy(), opts)
-
-    solutions = []
-    for x in damped:
-        polished = _newton_polish(model, x.copy(), opts)
-        if polished is not None:
-            solutions.append(polished)
-    if not solutions:
+    damped = _damp(model, _start_grid(model, opts), opts)
+    pts, res = _newton_polish(model, damped, opts)
+    if not len(pts):
         raise NoConvergence("no start converged to the requested residual")
 
-    pts = np.array([s[0] for s in solutions])
-    res = np.array([s[1] for s in solutions])
     order = np.lexsort(pts.T[::-1])
-    pts, res = pts[order], res[order]
-    kept = _dedup_points(pts, res, opts.dedup_radius)
-
-    out = []
-    for x, r in kept:
-        fv = float(_f_batch(model, x[None, :])[0])
-        fbv = functional_fbar(model, x) if model.is_binary else None
-        out.append(StationaryPoint(x=x, residual=r, f_value=fv, fbar_value=fbv))
-    return out
+    kept = _dedup_points(pts[order], res[order], opts.dedup_radius)
+    return [StationaryPoint(x=x, residual=r,
+                            f_value=float(_f_batch(model, x[None, :])[0]),
+                            fbar_value=functional_fbar(model, x)
+                            if model.is_binary else None)
+            for x, r in kept]
 
 
 def _dedup_points(pts: np.ndarray, res: np.ndarray,
                   radius: float) -> list[tuple[np.ndarray, float]]:
-    """Single-linkage clustering; each cluster keeps its best-residual point.
+    """Single-linkage clustering; each cluster keeps its best point.
 
-    Input must be lexicographically sorted; the output preserves that
-    order, so the result is independent of how starts were scheduled.
+    Repeated rows, which sit next to each other after the sort, are
+    collapsed first.  Distinct rows within max-norm ``radius`` are linked,
+    and a cluster is a chain of links, so points spread wider than the
+    radius around one degenerate root still merge.  The best point has
+    the smallest (residual, max|x|), the earliest on ties.  Input must be
+    lexicographically sorted; the output preserves that order, so the
+    result is independent of how starts were scheduled.
     """
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = np.any(pts[1:] != pts[:-1], axis=1) | (res[1:] != res[:-1])
+    pts, res = pts[fresh], res[fresh]
     count = len(pts)
-    parent = list(range(count))
+    # Grow each cluster breadth-first from its first row, comparing a
+    # block of frontier rows at a time to bound the distance table.
+    labels = np.full(count, -1)
+    block = max(1, 2 ** 20 // (count * pts.shape[1]))
+    while np.any(labels < 0):
+        frontier = np.flatnonzero(labels < 0)[:1]
+        labels[frontier] = frontier
+        while len(frontier):
+            free = np.flatnonzero(labels < 0)
+            near = np.zeros(len(free), dtype=bool)
+            for i in range(0, len(frontier), block):
+                gap = np.abs(pts[frontier[i:i + block], None] - pts[None, free])
+                near |= np.any(np.max(gap, axis=2) <= radius, axis=0)
+            labels[free[near]] = labels[frontier[0]]
+            frontier = free[near]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dist = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
-    for i, j in zip(*np.nonzero(dist <= radius)):
-        if i < j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    def key(i):
-        return (res[i], float(np.max(np.abs(pts[i]))))
-
-    best: dict[int, int] = {}
-    for i in range(count):
-        root = find(i)
-        if root not in best or key(i) < key(best[root]):
-            best[root] = i
-    reps = sorted(best.values())
-    return [(pts[i], float(res[i])) for i in reps]
+    best = np.lexsort((np.max(np.abs(pts), axis=1), res, labels))
+    heads = np.ones(count, dtype=bool)
+    heads[1:] = labels[best[1:]] != labels[best[:-1]]
+    return [(pts[i], float(res[i])) for i in np.sort(best[heads])]
 
 
 # --- classification -------------------------------------------------------
@@ -567,7 +571,7 @@ def pressure_limit(model: ValidatedModel,
     else:
         agreement = math.nan
     return PressureResult(limit_value=limit, maxima=maxima,
-                          method_agreement=agreement)
+                          method_agreement=agreement, fixed_points=points)
 
 
 def cw_phase_scan(J_grid, h: float,

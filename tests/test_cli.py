@@ -175,6 +175,18 @@ def test_exit_codes(tmp_path, capsys):
     assert err["exit_code"] == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"grid_points": 2.5}, {"max_iter": 0}, {"newton_max_iter": -1},
+    {"tol": float("nan")}, {"dedup_radius": -1}, {"newton_trigger": float("inf")},
+    {"damping": 0}, {"damping": 1.5},
+])
+def test_bad_solver_options_exit_2(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {"model": CW12, "solver": bad})
+    assert main(["solve", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse"
+
+
 def test_error_json_on_stderr(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")

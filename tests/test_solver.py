@@ -25,7 +25,14 @@ from meanfield_lab.errors import (
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
-from meanfield_lab.solver import _f_batch, _grad_f_batch
+from meanfield_lab.solver import (
+    _damp,
+    _dedup_points,
+    _f_batch,
+    _grad_f_batch,
+    _newton_polish,
+    _start_grid,
+)
 
 from conftest import (
     FBAR_REF2_POINT,
@@ -229,6 +236,32 @@ def test_threads_do_not_change_results():
     assert len(a) == len(b)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.x, pb.x)
+
+
+def test_dedup_chains_links_and_collapses_repeats():
+    radius = 1.0
+    # 0.6 * radius apart: the ends are 1.2 * radius apart, linked only
+    # through the middle point, which has the best residual.
+    pts = np.array([[0.0], [0.6], [0.6], [1.2], [5.0], [5.0]])
+    res = np.array([3e-13, 1e-13, 1e-13, 2e-13, 4e-13, 4e-13])
+    kept = _dedup_points(pts, res, radius)
+    assert [(float(x[0]), r) for x, r in kept] == [(0.6, 1e-13), (5.0, 4e-13)]
+
+
+@pytest.mark.parametrize("model_fn", [
+    lambda: make_cw(1.0, 0.0), lambda: make_cw(1.2, 0.1), three_atom_model,
+    lambda: validate_model(ModelSpec(n=2, alpha=(0.4, 0.6),
+                                     J=((1.5, -0.7), (-0.7, 1.2)), h=(0.3, 0.1))),
+])
+def test_newton_polish_batch_matches_single_rows(model_fn):
+    model = model_fn()
+    opts = SolverOptions(grid_points=9, max_iter=3)
+    starts = _damp(model, _start_grid(model, opts), opts)
+    pts, res = _newton_polish(model, starts, opts)
+    rows = [_newton_polish(model, starts[i:i + 1], opts)
+            for i in range(len(starts))]
+    assert pts.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert res.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
 
 
 @pytest.mark.parametrize("model_fn", [lambda: make_cw(0.8, 0.1),
