@@ -40,6 +40,10 @@ class NonPositiveDiagonal(ConfigError):
     pass
 
 
+class NonFiniteParameter(ConfigError):
+    """A model parameter or measure atom is NaN or infinite."""
+
+
 class DimensionMismatch(PreconditionError):
     pass
 

@@ -3,9 +3,10 @@
 For +-1 spins the per-species sums take values on a known lattice and
 the number of configurations per lattice point is a binomial, so the
 partition function, the law of the magnetization vector, moments and an
-i.i.d. sampler are all exact.  Everything is accumulated in log space;
-mass reductions use log-sum-exp in a fixed order so results do not
-depend on scheduling.
+i.i.d. sampler are all exact.  The weights are built in log space and
+normalised with one log-sum-exp; moments are then reduced from the
+probabilities through per-axis and pairwise marginals.  Every reduction
+runs in a fixed order, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import (
     ConfigParse,
@@ -132,11 +133,6 @@ class SampleSet:
         return self.sums / self.sizes[None, :].astype(float)
 
 
-def _require_binary(model: ValidatedModel, what: str):
-    if not model.is_binary:
-        raise UnsupportedMeasure(f"{what} requires the symmetric +-1 measure")
-
-
 def log_count(N_l: int, m) -> float | np.ndarray:
     """ln of the number of +-1 configurations of N_l spins with mean m."""
     m = np.asarray(m, dtype=float)
@@ -149,46 +145,51 @@ def log_count(N_l: int, m) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _lattice_log_weights(model: ValidatedModel, lattice: MagLattice,
+def _lattice_log_weights(J: np.ndarray, h: np.ndarray, lattice: MagLattice,
                          cap: int) -> np.ndarray:
-    """Unnormalized log weights ln A + N g(m) - N ln 2 over the lattice."""
+    """Unnormalized log weights ln A + N g(m) - N ln 2 for any real (J, h)."""
     if lattice.volume() > cap:
-        raise LatticeTooLarge(
-            f"lattice volume {lattice.volume()} exceeds the cap {cap}")
+        raise LatticeTooLarge(f"lattice volume {lattice.volume()} exceeds the cap {cap}")
     n, N = lattice.n, lattice.total
-    J, h = model.J, model.h
-    shape = lattice.shape
-    W = np.full(shape, -N * LN2)
+    S = [lattice.sum_axis(l).astype(float) for l in range(n)]
+    W = np.full(lattice.shape, -N * LN2)
     for l in range(n):
-        S = lattice.sum_axis(l).astype(float)
-        counts = gammaln(lattice.sizes[l] + 1) \
-            - (gammaln((lattice.sizes[l] + S) / 2 + 1)
-               + gammaln((lattice.sizes[l] - S) / 2 + 1))
-        axis_term = counts + h[l] * S + J[l, l] * S ** 2 / (2.0 * N)
+        counts = log_count(int(lattice.sizes[l]), lattice.mag_axis(l))
+        axis_term = counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N)
         W += axis_term.reshape([-1 if a == l else 1 for a in range(n)])
     for l in range(n):
-        Sl = lattice.sum_axis(l).astype(float)
         for s in range(l + 1, n):
-            Ss = lattice.sum_axis(s).astype(float)
-            cross = (J[l, s] / N) * np.multiply.outer(Sl, Ss)
-            dims = [1] * n
-            dims[l], dims[s] = len(Sl), len(Ss)
-            W += cross.reshape(dims)
+            cross = (J[l, s] / N) * np.multiply.outer(S[l], S[s])
+            W += cross.reshape([len(S[a]) if a in (l, s) else 1 for a in range(n)])
     return W
+
+
+def _lse(W: np.ndarray) -> float:
+    """ln sum exp(W) with one temporary; scipy's logsumexp, bit for bit.
+
+    The m entries equal to the maximum stay out of the shifted sum:
+    ln(1 + sum/m) + ln m + max.
+    """
+    a_max = W.max()
+    top = W == a_max
+    m = np.float64(np.count_nonzero(top))
+    E = np.subtract(W, a_max)
+    np.exp(E, out=E)
+    E[top] = 0.0
+    return float(np.log1p(E.sum() / m) + np.log(m) + a_max)
 
 
 def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
     model = _require_validated(model)
-    _require_binary(model, what)
-    sizes = model.check_sizes(sizes)
-    return MagLattice(sizes=sizes)
+    if not model.is_binary:
+        raise UnsupportedMeasure(f"{what} requires the symmetric +-1 measure")
+    return MagLattice(sizes=model.check_sizes(sizes))
 
 
 def log_partition(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
     """ln Z_N under the convention with the 2^-N single-spin weights."""
     lattice = _prepare(model, sizes, "log_partition")
-    W = _lattice_log_weights(model, lattice, cap)
-    return float(logsumexp(W))
+    return _lse(_lattice_log_weights(model.J, model.h, lattice, cap))
 
 
 def finite_pressure(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
@@ -200,36 +201,32 @@ def magnetization_law(model: ValidatedModel, sizes,
                       cap: int = LATTICE_CAP) -> MagnetizationLaw:
     """Normalized law of the magnetization vector on its lattice."""
     lattice = _prepare(model, sizes, "magnetization_law")
-    W = _lattice_log_weights(model, lattice, cap)
-    return MagnetizationLaw(lattice=lattice, log_weights=W - logsumexp(W))
+    W = _lattice_log_weights(model.J, model.h, lattice, cap)
+    W -= _lse(W)
+    return MagnetizationLaw(lattice=lattice, log_weights=W)
 
 
-def _signed_log_expectation(log_w: np.ndarray, values: np.ndarray) -> float:
-    """E[values] under exp(log_w), accumulated in log space by sign."""
-    pos = values > 0
-    neg = values < 0
-    total = 0.0
-    if np.any(pos):
-        total += math.exp(logsumexp(log_w[pos] + np.log(values[pos])))
-    if np.any(neg):
-        total -= math.exp(logsumexp(log_w[neg] + np.log(-values[neg])))
-    return total
+def _marginal(P: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """P summed over every axis not in ``keep`` (P itself if none)."""
+    other = tuple(a for a in range(P.ndim) if a not in keep)
+    return P.sum(axis=other) if other else P
 
 
 def exact_moments(model: ValidatedModel, sizes,
                   cap: int = LATTICE_CAP) -> ExactMoments:
     """First and second moments of the magnetization vector."""
     law = magnetization_law(model, sizes, cap)
-    n = law.lattice.n
-    lw = law.log_weights.ravel()
-    coords = law.points()
-    mean = np.array([_signed_log_expectation(lw, coords[:, l]) for l in range(n)])
-    second = np.empty((n, n))
-    for l in range(n):
-        for s in range(l, n):
-            second[l, s] = second[s, l] = _signed_log_expectation(
-                lw, coords[:, l] * coords[:, s])
-    return ExactMoments(mean=mean, second=second, sizes=law.lattice.sizes)
+    lattice = law.lattice
+    P = np.exp(law.log_weights, out=law.log_weights)   # the law is ours alone
+    mags = [lattice.mag_axis(l) for l in range(lattice.n)]
+    mean, second = np.empty(lattice.n), np.empty((lattice.n, lattice.n))
+    for l, ml in enumerate(mags):
+        marg = _marginal(P, (l,))
+        mean[l] = ml @ marg
+        second[l, l] = (ml * ml) @ marg
+        for s in range(l + 1, lattice.n):
+            second[l, s] = second[s, l] = ml @ _marginal(P, (l, s)) @ mags[s]
+    return ExactMoments(mean=mean, second=second, sizes=lattice.sizes)
 
 
 def exact_sample(model: ValidatedModel, sizes, M: int, seed: int,
@@ -241,8 +238,8 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int,
     output regardless of how blocks would be scheduled.
     """
     law = magnetization_law(model, sizes, cap)
-    flat = np.exp(law.log_weights.ravel())
-    cdf = np.cumsum(flat)
+    cdf = np.exp(law.log_weights.ravel())
+    np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
     shape = law.lattice.shape
     sums_axes = [law.lattice.sum_axis(l) for l in range(law.lattice.n)]
@@ -276,12 +273,11 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
     coords = law.points()
     lw = law.log_weights.ravel()
     if condition_ball is not None:
-        dist = np.linalg.norm(coords - center[None, :], axis=1)
-        mask = dist <= condition_ball
+        mask = np.linalg.norm(coords - center[None, :], axis=1) <= condition_ball
         if not np.any(mask):
             raise EmptyCondition("conditioning ball contains no lattice points")
         coords, lw = coords[mask], lw[mask]
-        norm = logsumexp(lw)
+        norm = _lse(lw)
         if not np.isfinite(norm):
             raise EmptyCondition("conditioning ball captures no probability mass")
         lw = lw - norm
@@ -295,15 +291,13 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
 
 def write_samples_csv(samples: SampleSet, path: str):
     """Sample file: versioned header, geometry metadata, one row per draw."""
-    lines = [SAMPLES_HEADER,
-             f"# n={samples.n}",
-             f"# N={json.dumps([int(v) for v in samples.sizes])}",
-             f"# seed={samples.seed}"]
-    for row in samples.sums:
-        lines.append(",".join(str(int(v)) for v in row))
+    head = (f"{SAMPLES_HEADER}\n# n={samples.n}\n"
+            f"# N={json.dumps([int(v) for v in samples.sizes])}\n# seed={samples.seed}\n")
+    row = ",".join(["%d"] * samples.n) + "\n"
+    body = (row * samples.sample_count) % tuple(samples.sums.ravel().tolist())
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(head + body)
     except OSError as exc:
         raise IoError(f"cannot write sample file {path}: {exc}") from exc
 
@@ -311,20 +305,16 @@ def write_samples_csv(samples: SampleSet, path: str):
 def read_samples_csv(path: str) -> SampleSet:
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise IoError(f"cannot read sample file {path}: {exc}") from exc
-    if not lines or lines[0] != SAMPLES_HEADER:
+    if lines[0] != SAMPLES_HEADER:
         raise ConfigParse(f"{path} is not a v1 sample file")
-    meta = {}
-    body_start = 1
-    for i, ln in enumerate(lines[1:], start=1):
-        if not ln.startswith("# "):
-            body_start = i
-            break
-        key, _, value = ln[2:].partition("=")
+    meta, body_start = {}, 1
+    while body_start < len(lines) and lines[body_start].startswith("# "):
+        key, _, value = lines[body_start][2:].partition("=")
         meta[key] = value
-        body_start = i + 1
+        body_start += 1
     try:
         n = int(meta["n"])
         sizes = np.asarray(json.loads(meta["N"]), dtype=np.int64)
@@ -332,16 +322,16 @@ def read_samples_csv(path: str) -> SampleSet:
     except (KeyError, ValueError) as exc:
         raise ConfigParse(f"bad sample metadata in {path}: {exc}") from exc
     rows = [ln for ln in lines[body_start:] if ln.strip()]
-    if rows:
-        try:
-            sums = np.array([[int(v) for v in ln.split(",")] for ln in rows],
-                            dtype=np.int64)
-        except ValueError as exc:
-            raise ConfigParse(f"bad sample row in {path}: {exc}") from exc
-        if sums.shape[1] != n:
-            raise ConfigParse(f"rows in {path} do not have {n} columns")
-    else:
-        sums = np.empty((0, n), dtype=np.int64)
+    if not rows:
+        return SampleSet(sizes=sizes, seed=seed, sums=np.empty((0, n), dtype=np.int64))
+    try:
+        # one parse of every cell; a ragged row or a non-integer cell fails
+        sums = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None,
+                          ndmin=2)
+    except ValueError as exc:
+        raise ConfigParse(f"bad sample row in {path}: {exc}") from exc
+    if sums.shape[1] != n:
+        raise ConfigParse(f"rows in {path} do not have {n} columns")
     return SampleSet(sizes=sizes, seed=seed, sums=sums)
 
 

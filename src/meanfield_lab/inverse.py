@@ -1,8 +1,8 @@
 """Parameter recovery from equilibrium data.
 
-The likelihood of i.i.d. configurations is maximized exactly when the
-model's moments match the sample moments, so estimation reduces to
-moment matching: the couplings come from inverting the response
+The likelihood of i.i.d. configurations is maximized where the model's
+moments match the sample moments.  Estimation matches them through the
+N -> infinity relations: the couplings come from inverting the response
 relation between the covariance and the susceptibility, the fields from
 inverting the self-consistency equations at the sample mean.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    BadSizes,
     DimensionMismatch,
     EmptyCondition,
     EmptySample,
@@ -24,11 +25,11 @@ from .errors import (
     SingularChi,
     ZeroVariance,
 )
-from .exact import SampleSet, log_partition
-from .model import FiniteMeasure, ModelSpec, validate_model
+from .exact import LATTICE_CAP, LN2, MagLattice, SampleSet, _lattice_log_weights, _lse
+from .exact import log_partition  # noqa: F401 - re-exported; perfbench traces it here
+from .model import ATOL, validate_model  # noqa: F401 - validate_model likewise
 
 _SATURATION = 1.0 - 1e-12
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -148,23 +149,23 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
 
 def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
                            alpha: np.ndarray) -> float:
-    """Exact log-likelihood of the sample rows under (J, h)."""
-    spec = ModelSpec(n=samples.n, alpha=tuple(alpha), h=tuple(h),
-                     J=tuple(tuple(row) for row in J),
-                     site_measure=FiniteMeasure.symmetric_binary())
-    model = validate_model(spec)
+    """Exact log-likelihood of the sample rows under any real (J, h), model or not."""
     N = float(samples.sizes.sum())
-    ln_z = log_partition(model, samples.sizes) + N * LN2
+    if np.shape(alpha) != (samples.n,) or np.any(samples.sizes < 1) \
+            or np.any(np.abs(samples.sizes / N - alpha) > ATOL):
+        raise BadSizes("sample sizes must be positive and match the species fractions")
+    W = _lattice_log_weights(J, h, MagLattice(samples.sizes), LATTICE_CAP)
+    ln_z = _lse(W) + N * LN2
     S = samples.sums.astype(float)
     energies = 0.5 / N * np.einsum("bi,ij,bj->b", S, J, S) + S @ h
     return float(energies.sum() - samples.sample_count * ln_z)
 
 
 def mle_fit(samples: SampleSet, alpha) -> InverseEstimate:
-    """Maximum-likelihood fit: moment matching plus the achieved likelihood.
+    """Moment-matching fit plus the exact likelihood it achieves.
 
-    The stationarity conditions of the likelihood are exactly the moment
-    equations, so the point estimate coincides with the moment inversion.
+    The point estimate is the moment inversion, which is asymptotically
+    equivalent (N -> infinity) to maximum likelihood.
     """
     alpha = np.asarray(alpha, dtype=float)
     est = _invert_moments(estimate_moments(samples), alpha)

@@ -26,6 +26,7 @@ from .errors import (
     ConfigParse,
     DegenerateMeasure,
     DimensionMismatch,
+    NonFiniteParameter,
     NonPositiveDiagonal,
     NonSymmetricJ,
 )
@@ -44,6 +45,8 @@ class FiniteMeasure:
             raise DegenerateMeasure("measure needs at least 2 support points")
         locs = [a[0] for a in self.atoms]
         weights = [a[1] for a in self.atoms]
+        if not np.all(np.isfinite(locs + weights)):
+            raise NonFiniteParameter("measure atoms must be finite")
         if any(w <= 0 for w in weights):
             raise DegenerateMeasure("atom weights must be positive")
         if abs(sum(weights) - 1.0) > ATOL:
@@ -165,6 +168,8 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
     n = spec.n
     if alpha.shape != (n,) or h.shape != (n,) or J.shape != (n, n):
         raise DimensionMismatch("alpha, h must have length n and J shape (n, n)")
+    if not all(np.all(np.isfinite(a)) for a in (alpha, J, h)):
+        raise NonFiniteParameter("alpha, J and h must be finite")
     if np.any(alpha <= 0):
         raise BadAlpha("species fractions must be positive")
     if abs(alpha.sum() - 1.0) > ATOL:

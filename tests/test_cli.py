@@ -187,6 +187,29 @@ def test_bad_solver_options_exit_2(tmp_path, capsys, bad):
     assert err["error"] == "ConfigParse"
 
 
+@pytest.mark.parametrize("bad", [{"J": [[float("nan")]]}, {"h": [float("inf")]}])
+def test_non_finite_model_exit_2(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, {"model": {**CW12, **bad}})
+    assert main(["solve", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteParameter"
+
+
+def test_invert_weak_coupling_is_not_a_config_error(tmp_path, capsys):
+    # J=0.05 at N=50 estimates J_11 <= 0, which is no valid model but is
+    # a data outcome: it must not exit 2
+    weak = {"n": 1, "alpha": [1.0], "J": [[0.05]], "h": [0.0]}
+    cfg = write_config(tmp_path, {"model": weak, "sizes": [50], "M": 200})
+    sample_file = tmp_path / "weak.csv"
+    assert main(["sample", "--config", cfg, "--seed", "1",
+                 "--out", str(sample_file)]) == 0
+    capsys.readouterr()
+    assert main(["invert", "--config", cfg, "--samples", str(sample_file)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["J"][0][0] <= 0.0
+    assert np.isfinite(report["log_likelihood"])
+
+
 def test_error_json_on_stderr(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")

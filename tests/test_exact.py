@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,13 @@ from meanfield_lab.errors import (
     OffLattice,
     UnsupportedMeasure,
 )
-from meanfield_lab.exact import write_discrete_law_csv
+from meanfield_lab.exact import (
+    MagLattice,
+    SampleSet,
+    _lattice_log_weights,
+    _lse,
+    write_discrete_law_csv,
+)
 
 from conftest import (
     CHI_J12,
@@ -230,6 +237,62 @@ def test_moments_second_matrix_consistency():
     assert np.all(np.abs(mom.second) <= 1.0 + 1e-12)
 
 
+def make_ref3():
+    return validate_model(ModelSpec(
+        n=3, alpha=(0.2, 0.3, 0.5),
+        J=((2.0, 0.3, -0.2), (0.3, 1.5, 0.4), (-0.2, 0.4, 1.0)),
+        h=(0.1, -0.2, 0.05)))
+
+
+def test_moments_three_species_brute_force():
+    # oracle: every one of the 2^10 configurations, weighted by exp(-H);
+    # with n=3 each pairwise marginal sums over a third axis
+    model = make_ref3()
+    sizes = np.array([2, 3, 5])
+    N = int(sizes.sum())
+    species = np.repeat(np.arange(3), sizes)
+    spins = np.array(list(itertools.product((-1.0, 1.0), repeat=N)))
+    S = np.stack([spins[:, species == l].sum(axis=1) for l in range(3)], axis=1)
+    energy = np.einsum("bi,ij,bj->b", S, model.J, S) / (2.0 * N) + S @ model.h
+    p = np.exp(energy - energy.max())
+    p /= p.sum()
+    m = S / sizes
+    mom = exact_moments(model, sizes)
+    assert np.max(np.abs(mom.mean - p @ m)) <= 1e-13
+    assert np.max(np.abs(mom.second - (p[:, None] * m).T @ m)) <= 1e-13
+    assert np.array_equal(mom.second, mom.second.T)
+
+
+@pytest.mark.parametrize("model,sizes", [
+    (make_cw(1.3, 0.0), [40]),          # two tied maxima at +-m
+    (make_cw(1.2, 0.0), [8]),
+    (make_cw(1.2, 0.0), [2000]),
+    (make_cw(0.7, -0.5), [9]),
+    (make_ref2(), [40, 40]),
+    (make_ref3(), [20, 30, 50]),
+])
+def test_log_sum_exp_matches_scipy_bitwise(model, sizes):
+    from scipy.special import logsumexp
+
+    W = _lattice_log_weights(model.J, model.h, MagLattice(np.asarray(sizes)),
+                             10 ** 8)
+    want = logsumexp(W)
+    assert log_partition(model, sizes) == float(want)
+    assert magnetization_law(model, sizes).log_weights.tobytes() == (W - want).tobytes()
+    if model.n == 1 and model.h[0] == 0.0:
+        assert np.count_nonzero(W == W.max()) == 2
+
+
+def test_lse_tied_maximum():
+    from scipy.special import logsumexp
+
+    # here both ln(sum exp(W - max)) + max and a sum that leaves out only
+    # one of the tied maxima miss scipy's last bit
+    W = np.array([-0.1, -0.84, 0.88, -2.36, 0.88])
+    assert _lse(W) == float(logsumexp(W))
+    assert _lse(np.zeros(7)) == math.log(7.0)
+
+
 # --- sampling -----------------------------------------------------------------------
 
 
@@ -347,6 +410,38 @@ def test_sample_csv_empty_roundtrip(tmp_path):
 def test_sample_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("not a sample file\n")
+    with pytest.raises(ConfigParse):
+        read_samples_csv(str(path))
+
+
+def test_sample_csv_golden_bytes(tmp_path):
+    s = SampleSet(sizes=np.array([3, 5]), seed=7,
+                  sums=np.array([[1, -3], [-3, 5], [3, 1]]))
+    path = tmp_path / "golden.csv"
+    write_samples_csv(s, str(path))
+    assert path.read_bytes() == (b"# meanfield-lab samples v1\n# n=2\n"
+                                 b"# N=[3, 5]\n# seed=7\n1,-3\n-3,5\n3,1\n")
+    empty = SampleSet(sizes=np.array([4]), seed=0, sums=np.empty((0, 1), dtype=np.int64))
+    write_samples_csv(empty, str(path))
+    assert path.read_bytes() == b"# meanfield-lab samples v1\n# n=1\n# N=[4]\n# seed=0\n"
+
+
+def test_sample_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("# meanfield-lab samples v1\n# n=2\n# N=[3, 5]\n# seed=7\n"
+                    "1,-3\n\n  \n-3,5\n\n")
+    assert read_samples_csv(str(path)).sums.tolist() == [[1, -3], [-3, 5]]
+
+
+@pytest.mark.parametrize("body", [
+    "1,-3\n3\n",               # ragged row
+    "1,-3,1\n3,1,1\n",         # every row has the wrong column count
+    "1,-3\n1.5,1\n",           # non-integer cell
+    "1,-3\n# seed=8\n",        # metadata after the body
+])
+def test_sample_csv_bad_rows(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("# meanfield-lab samples v1\n# n=2\n# N=[3, 5]\n# seed=7\n" + body)
     with pytest.raises(ConfigParse):
         read_samples_csv(str(path))
 

@@ -18,6 +18,7 @@ from meanfield_lab import (
     susceptibility_matrix,
 )
 from meanfield_lab.errors import (
+    BadSizes,
     EmptyCondition,
     EmptySample,
     InconsistentRows,
@@ -248,3 +249,32 @@ def test_mle_likelihood_peaks_at_estimate():
     shifted = _sample_log_likelihood(sample, est.J_hat, est.h_hat + 0.05,
                                      model.alpha)
     assert at_fit >= shifted
+
+
+def test_mle_weak_coupling_scores_non_model_estimate():
+    # J=0.05, N=50, M=200 estimates J_11 <= 0: not a valid model, but the
+    # likelihood of the sample under it is still defined
+    model = make_cw(0.05, 0.0)
+    sample = exact_sample(model, [50], 200, seed=1)
+    est = mle_fit(sample, model.alpha)
+    J, h = float(est.J_hat[0, 0]), float(est.h_hat[0])
+    assert J <= 0.0
+    # oracle: the binomial sum over the 51 values of S, in plain Python
+    N, S = 50, sample.sums[:, 0].astype(float)
+    ln_z = math.log(sum(math.comb(N, k) * math.exp(J * (2 * k - N) ** 2 / (2 * N)
+                                                   + h * (2 * k - N))
+                        for k in range(N + 1)))
+    want = float(np.sum(J * S ** 2 / (2 * N) + h * S)) - len(S) * ln_z
+    assert est.log_likelihood == pytest.approx(want, rel=1e-12)
+
+
+def test_sample_log_likelihood_checks_sizes():
+    sample = exact_sample(make_ref2(), [20, 20], 50, seed=2)
+    J, h = np.eye(2), np.zeros(2)
+    with pytest.raises(BadSizes):
+        _sample_log_likelihood(sample, J, h, np.array([0.4, 0.6]))
+    with pytest.raises(BadSizes):
+        _sample_log_likelihood(sample, J, h, np.array([1.0]))
+    empty_block = SampleSet(sizes=np.array([0]), seed=0, sums=np.zeros((3, 1), dtype=np.int64))
+    with pytest.raises(BadSizes):
+        _sample_log_likelihood(empty_block, np.eye(1), np.zeros(1), np.array([1.0]))

@@ -20,7 +20,9 @@ from meanfield_lab.errors import (
     BadSizes,
     ConfigParse,
     DegenerateMeasure,
+    ConfigError,
     DimensionMismatch,
+    NonFiniteParameter,
     NonPositiveDiagonal,
     NonSymmetricJ,
 )
@@ -54,6 +56,27 @@ def test_validate_asymmetric_coupling():
 def test_validate_nonpositive_diagonal():
     with pytest.raises(NonPositiveDiagonal):
         validate_model(ModelSpec(n=1, alpha=(1.0,), J=((0.0,),), h=(0.0,)))
+
+
+@pytest.mark.parametrize("alpha,J,h", [
+    ((1.0,), ((float("nan"),),), (0.0,)),
+    ((1.0,), ((1.0,),), (float("inf"),)),
+    ((float("nan"),), ((1.0,),), (0.0,)),
+    ((0.5, 0.5), ((1.0, float("-inf")), (float("-inf"), 1.0)), (0.0, 0.0)),
+])
+def test_validate_rejects_non_finite(alpha, J, h):
+    with pytest.raises(NonFiniteParameter) as info:
+        validate_model(ModelSpec(n=len(alpha), alpha=alpha, J=J, h=h))
+    assert isinstance(info.value, ConfigError)
+
+
+@pytest.mark.parametrize("atoms", [
+    ((-1.0, 0.5), (float("inf"), 0.5)),
+    ((-1.0, float("nan")), (1.0, 0.5)),
+])
+def test_measure_rejects_non_finite_atoms(atoms):
+    with pytest.raises(NonFiniteParameter):
+        FiniteMeasure(atoms=atoms)
 
 
 def test_degenerate_measure_rejected():
