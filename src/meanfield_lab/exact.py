@@ -317,10 +317,14 @@ def read_samples_csv(path: str) -> SampleSet:
         body_start += 1
     try:
         n = int(meta["n"])
-        sizes = np.asarray(json.loads(meta["N"]), dtype=np.int64)
+        sizes = json.loads(meta["N"])
         seed = int(meta["seed"])
     except (KeyError, ValueError) as exc:
         raise ConfigParse(f"bad sample metadata in {path}: {exc}") from exc
+    if not (isinstance(sizes, list) and len(sizes) == n >= 1
+            and all(type(v) is int and 1 <= v < 2 ** 63 for v in sizes)):
+        raise ConfigParse(f"N in {path} must list {n} integers >= 1")
+    sizes = np.array(sizes, dtype=np.int64)
     rows = [ln for ln in lines[body_start:] if ln.strip()]
     if not rows:
         return SampleSet(sizes=sizes, seed=seed, sums=np.empty((0, n), dtype=np.int64))
@@ -333,19 +337,3 @@ def read_samples_csv(path: str) -> SampleSet:
     if sums.shape[1] != n:
         raise ConfigParse(f"rows in {path} do not have {n} columns")
     return SampleSet(sizes=sizes, seed=seed, sums=sums)
-
-
-def write_discrete_law_csv(law: DiscreteLaw, path: str, float_fmt: str = ".17g"):
-    """Law export: one row per support point, coordinates then probability."""
-    n = law.points.shape[1]
-    header = ",".join([f"m_{l + 1}" for l in range(n)] + ["probability"])
-    lines = [header]
-    for pt, p in zip(law.points, law.probs):
-        cells = [format(float(v), float_fmt) for v in pt]
-        cells.append(format(float(p), float_fmt))
-        lines.append(",".join(cells))
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write law file {path}: {exc}") from exc

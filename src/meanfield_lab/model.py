@@ -131,7 +131,7 @@ class ValidatedModel:
         return sizes.astype(np.int64)
 
     def check_sizes(self, sizes) -> np.ndarray:
-        sizes = np.asarray(sizes, dtype=np.int64)
+        sizes = np.array(sizes, dtype=np.int64)     # a fresh copy: callers keep theirs
         if sizes.shape != (self.n,):
             raise DimensionMismatch(f"expected {self.n} species sizes")
         if np.any(sizes < 1):

@@ -6,11 +6,19 @@ the code under test.
 """
 
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meanfield_lab import ModelSpec, validate_model
+
+# Child interpreters (the CLI entry-point test) import the package from
+# src/ as well, as pyproject's pytest ``pythonpath`` does for this process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # mpmath, 50 digits: 0.5*((1.5)ln(1.5) + (0.5)ln(0.5))
 I_HALF = 0.13081203594113696

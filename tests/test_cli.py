@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +131,18 @@ def test_limits_outputs(tmp_path):
     assert len(csv_lines) == 402
 
 
+def test_limits_critical_law_has_the_closed_form_normaliser(tmp_path):
+    cfg = write_config(tmp_path, {"model": {"n": 1, "alpha": [1.0],
+                                            "J": [[1.0]], "h": [0.0]},
+                                  "sizes": [400]})
+    out = tmp_path / "law.json"
+    assert main(["limits", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["k"] == 2 and report["law"]["kind"] == "higher_order"
+    closed = math.lgamma(0.25) - math.log(2.0) + 0.25 * math.log(12.0)
+    assert report["law"]["log_normalizer"] == pytest.approx(closed, rel=1e-15)
+
+
 def test_limits_conditioned(tmp_path):
     cfg = write_config(tmp_path, {"model": CW12, "sizes": [500],
                                   "conditioned": {"center": [0.66],
@@ -208,6 +222,20 @@ def test_invert_weak_coupling_is_not_a_config_error(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["J"][0][0] <= 0.0
     assert np.isfinite(report["log_likelihood"])
+
+
+@pytest.mark.parametrize("n,sizes,row", [(2, "[3]", "1,1"), (1, "[0]", "0")])
+def test_invert_bad_size_metadata_exit_2(tmp_path, capsys, n, sizes, row):
+    sample_file = tmp_path / "bad.csv"
+    sample_file.write_text(f"# meanfield-lab samples v1\n# n={n}\n# N={sizes}\n"
+                           f"# seed=1\n{row}\n{row}\n")
+    cfg = write_config(tmp_path, {"alpha": [1.0 / n] * n})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["invert", "--config", cfg, "--samples", str(sample_file)]) == 2
+    assert not caught
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse"
 
 
 def test_error_json_on_stderr(tmp_path, capsys):

@@ -9,6 +9,7 @@ from meanfield_lab import (
     DeltaMixture,
     Gaussian,
     HigherOrder,
+    HomogeneousForm,
     ModelSpec,
     build_limit_law,
     classify_maximum,
@@ -30,7 +31,9 @@ from meanfield_lab.errors import (
     DimensionMismatch,
     NonUniqueMaximum,
     NotK1,
+    NotPositiveDefiniteResult,
 )
+from meanfield_lab.limits import _log_form_integral, _log_weight
 
 from conftest import CHI_J12, MU0_J12, make_cw, make_ref2
 
@@ -206,6 +209,63 @@ def test_sum_law_requires_unique_maximum():
     assert law.cov[0, 0] == pytest.approx(CHI_J12, abs=1e-9)
 
 
+# --- degenerate normalisers ---------------------------------------------------
+
+
+def make_decoupled_critical(n):
+    """n species at alpha = 1/n, J = n I, h = 0: one type-2 maximum at 0."""
+    J = tuple(tuple(float(n) if i == j else 0.0 for j in range(n)) for i in range(n))
+    return validate_model(ModelSpec(n=n, alpha=(1.0 / n,) * n, J=J, h=(0.0,) * n))
+
+
+def log_quartic_product(coeffs):
+    """ln of the product over l of the integral of exp(c_l x^4), by Gamma."""
+    return sum(math.lgamma(0.25) - math.log(2.0) - 0.25 * math.log(-c) for c in coeffs)
+
+
+def test_crit2_normaliser_matches_product_closed_form():
+    model = make_decoupled_critical(2)
+    cls = solve_mu(model)
+    law = build_limit_law(model, cls)
+    assert isinstance(law, HigherOrder) and law.dim == 2
+    assert law.log_normalizer == pytest.approx(2.4322040131702645, rel=1e-12)
+
+
+def test_three_species_normaliser_is_the_sum_over_axes():
+    model = make_decoupled_critical(3)
+    cls = solve_mu(model)
+    law = build_limit_law(model, cls)
+    axes = [float(law.form(e)) for e in np.eye(3)]
+    assert law.log_normalizer == pytest.approx(log_quartic_product(axes), rel=1e-12)
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, 0.4], [-0.3, 1.2]],
+    [[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.5, 0.2, 1.3]],
+])
+def test_normaliser_of_a_coupled_form_follows_the_linear_map(A):
+    # Q(A x) for a decoupled Q integrates to Z / |det A|
+    A = np.array(A)
+    coeffs = (-1.0 / 12.0, -0.3, -0.05)[:len(A)]
+    coupled = HomogeneousForm(4, coeffs, tuple(tuple(r) for r in np.eye(len(A)) @ A))
+    want = log_quartic_product(coeffs) - math.log(abs(np.linalg.det(A)))
+    assert _log_form_integral(coupled, len(A)) == pytest.approx(want, rel=1e-12)
+
+
+def test_normaliser_refuses_a_form_positive_somewhere():
+    form = HomogeneousForm(4, (-1.0, 0.5), ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(NotPositiveDefiniteResult):
+        _log_form_integral(form, 2)
+
+
+def test_normaliser_and_mixture_weight_are_one_number():
+    model = make_cw(1.0, 0.0)
+    cls = classify_maximum(model, solve_fixed_points(model)[0])
+    law = build_limit_law(model, cls)
+    assert law.log_normalizer == _log_weight(model, cls)
+    assert law.log_normalizer == 1.2161020065851322
+
+
 # --- evaluation -------------------------------------------------------------------
 
 
@@ -288,6 +348,30 @@ def test_law_serialization_roundtrip(law_fn):
     else:
         assert np.array_equal(again.points, law.points)
         assert np.array_equal(again.weights, law.weights)
+
+
+def test_gaussian_owns_its_covariance():
+    cov = np.array([[2.0]])
+    law = Gaussian(cov=cov)
+    assert cov.flags.writeable and not law.cov.flags.writeable
+    cov[0, 0] = 5.0
+    assert law.cov[0, 0] == 2.0
+    from_list = Gaussian(cov=[[2.0]])
+    assert law_to_dict(from_list) == {"kind": "gaussian", "cov": [[2.0]]}
+    assert law_cdf_1d(from_list, 0.0) == 0.5
+
+
+def test_delta_mixture_owns_its_arrays():
+    points, weights = np.array([[-0.5], [0.5]]), np.array([0.25, 0.75])
+    law = DeltaMixture(points=points, weights=weights)
+    assert points.flags.writeable and weights.flags.writeable
+    assert not (law.points.flags.writeable or law.weights.flags.writeable)
+    weights[0] = 0.5
+    assert law.weights.tolist() == [0.25, 0.75]
+    from_lists = DeltaMixture(points=[[-0.5], [0.5]], weights=[0.25, 0.75])
+    assert law_to_dict(from_lists) == {"kind": "delta_mixture",
+                                       "points": [[-0.5], [0.5]],
+                                       "weights": [0.25, 0.75]}
 
 
 # --- finite-size agreement ----------------------------------------------------------
