@@ -79,17 +79,19 @@ def _write_text(path: str | None, text: str):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(_fmt_float(float(v)) if math.isfinite(v) else "nan")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], *blocks) -> str:
+    """CSV text of 1-d (one column) or 2-d blocks side by side, from one template.
+
+    Integer blocks print as integers, floats with 17 significant digits,
+    and every non-finite cell as nan.
+    """
+    blocks = [np.asarray(b) for b in blocks]
+    row = ",".join("%d" if b.dtype.kind in "iu" else "%.17g"
+                   for b in blocks for _ in range(b.shape[1] if b.ndim == 2 else 1))
+    table = np.column_stack(blocks).astype(float)
+    table[~np.isfinite(table)] = np.nan
+    body = "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 # --- config helpers ----------------------------------------------------------
@@ -177,9 +179,9 @@ def cmd_pressure(args) -> int:
         p_n = exact.finite_pressure(m, sizes)
         lower = limit - (math.log(3.0) + 0.5 * float(np.sum(np.log(sizes)))) / N
         upper = limit + float(np.sum(np.log(sizes + 1))) / N
-        rows.append([N, p_n, limit, lower, upper])
-    _write_text(args.out, _csv(rows, ["N", "p_N", "limit", "lower_bound",
-                                      "upper_bound"]))
+        rows.append([p_n, limit, lower, upper])
+    _write_text(args.out, _csv(["N", "p_N", "limit", "lower_bound", "upper_bound"],
+                               np.array(n_values, dtype=int), np.array(rows)))
     return 0
 
 
@@ -229,7 +231,6 @@ def cmd_limits(args) -> int:
         "sizes": [int(v) for v in sizes],
         "exact_cov": zlaw.cov(),
     }
-    rows, header = [], None
     if m.n == 1:
         report["ks_distance"] = limits.ks_distance(zlaw, law)
         report["law_variance"] = (float(law.cov[0, 0])
@@ -240,17 +241,16 @@ def cmd_limits(args) -> int:
         exact_cdf = np.cumsum(probs)
         law_cdf = limits.law_cdf_1d(law, pts)
         header = ["z", "probability", "exact_cdf", "law_cdf"]
-        rows = [[p, q, c, lc] for p, q, c, lc in
-                zip(pts, probs, exact_cdf, law_cdf)]
+        blocks = [pts, probs, exact_cdf, law_cdf]
     else:
         header = [f"z_{l + 1}" for l in range(m.n)] + ["probability"]
-        rows = [list(pt) + [q] for pt, q in zip(zlaw.points, zlaw.probs)]
+        blocks = [zlaw.points, zlaw.probs]
     if args.out is None:
         raise ConfigParse("limits requires --out")
     _write_text(args.out, dumps17(report))
     csv_path = args.out + ".csv" if not args.out.endswith(".json") \
         else args.out[:-5] + ".csv"
-    _write_text(csv_path, _csv(rows, header))
+    _write_text(csv_path, _csv(header, *blocks))
     return 0
 
 
@@ -291,10 +291,8 @@ def cmd_phase(args) -> int:
     h = float(doc.get("h", 0.0))
     opts = _solver_options(doc, args.threads)
     table = solver.cw_phase_scan(grid, h, opts)
-    rows = [[table["J"][i], table["mu"][i], table["pressure"][i],
-             table["dp_dJ"][i], table["d2p"][i]]
-            for i in range(len(table["J"]))]
-    _write_text(args.out, _csv(rows, ["J", "mu", "pressure", "dp_dJ", "d2p"]))
+    header = ["J", "mu", "pressure", "dp_dJ", "d2p"]
+    _write_text(args.out, _csv(header, *(table[name] for name in header)))
     return 0
 
 

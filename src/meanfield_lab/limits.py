@@ -6,9 +6,10 @@ degenerate maxima (k >= 2), and a weighted mixture of point masses for
 the magnetization itself when several maxima coexist.  The Gaussian
 covariance comes from the susceptibility relations; the mixture weights
 from the sharpness of each maximum.  At a degenerate maximum that is the
-normaliser of exp(Q), for every n the polar reduction Gamma(n/d)/d times
-the sphere integral of (-Q)^(-n/d), on a deterministic product rule
-(+-1 at n=1, Gauss-Gegenbauer layers above).
+normaliser of exp(Q) for a form Q(v) = sum_l c_l <R_l, v>^d with n rays in
+R^n.  The ray certificate (d even, every c_l < 0, R of full rank) decides
+exactly whether Q is negative definite, and w = R v gives the closed form
+ln Z = n ln(2 Gamma(1 + 1/d)) - (1/d) sum_l ln(-c_l) - ln|det R|.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ndtr, roots_gegenbauer
+from scipy.special import gammainc, gammaln, ndtr
 
 from .errors import (
     DegenerateMaximum,
     DimensionMismatch,
     MixedTypes,
     NonPositiveDefiniteA,
-    NoConvergence,
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
@@ -37,7 +37,6 @@ from .solver import (
     HomogeneousForm,
     MaximumClassification,
     SolverOptions,
-    _unit_sphere,
     pressure_limit,
 )
 
@@ -66,18 +65,23 @@ class Gaussian:
 
 @dataclass(frozen=True)
 class HigherOrder:
-    """Density proportional to exp(form(x)) for a negative even form."""
+    """Density proportional to exp(form(x)), form of degree 2k with n rays in R^n."""
 
     k: int
     form: HomogeneousForm
     log_normalizer: float
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DimensionMismatch("higher-order laws require k >= 2")
-        sphere = _unit_sphere(self.dim, 100)
-        if np.any(self.form(sphere) >= 0):
-            raise NotPositiveDefiniteResult("form must be negative away from 0")
+        if self.k < 2 or self.form.degree != 2 * self.k:
+            raise DimensionMismatch("higher-order laws need k >= 2 and degree 2k")
+        rays, coeffs = self.form.rays, self.form.coeffs
+        if len({len(r) for r in rays}) != 1 or not rays[0] or len(coeffs) != len(rays):
+            raise DimensionMismatch("form needs rays of one length, one coefficient each")
+        fault = self.form.definiteness_fault(self.dim)
+        if fault:
+            raise NotPositiveDefiniteResult(fault)
+        if not math.isfinite(self.log_normalizer):
+            raise Unnormalized("higher-order law needs a finite log-normalizer")
 
     @property
     def dim(self) -> int:
@@ -169,54 +173,21 @@ def covariance_tilde(model: ValidatedModel, mu,
 # --- law construction -----------------------------------------------------
 
 
-_NODE_BUDGET, _BLOCK = 1 << 22, 1 << 16   # finest rule tried; nodes per block
-
-
-def _lift(nodes: np.ndarray, weights: np.ndarray, t: np.ndarray, w: np.ndarray):
-    """Nodes (t, sqrt(1 - t^2) y) and weights w * w_y, y running over ``nodes``."""
-    return (np.concatenate([np.repeat(t, len(nodes))[:, None],
-                            np.kron(np.sqrt(1.0 - t * t)[:, None], nodes)], axis=1),
-            np.kron(w, weights))
-
-
-def _sphere_rule(n: int, m: int):
-    """Yield (nodes, weights) blocks of a product rule on S^(n-1), 2 m^(n-1) nodes.
-
-    S^0 is {-1, 1}, lifted from one empty point.  S^(dim-1) lifts S^(dim-2)
-    through the m Gauss-Gegenbauer nodes for the weight (1 - t^2)^((dim-3)/2),
-    which at dim=2 is Gauss-Chebyshev, the trapezoid rule in angle.  The
-    last lift is yielded a few t at a time to bound memory.
-    """
-    layers = [(np.array([-1.0, 1.0]), np.ones(2))]
-    layers += [roots_gegenbauer(m, (dim - 2) / 2.0) for dim in range(2, n + 1)]
-    nodes, weights = np.ones((1, 0)), np.ones(1)
-    for t, w in layers[:-1]:
-        nodes, weights = _lift(nodes, weights, t, w)
-    t, w = layers[-1]
-    step = max(1, _BLOCK // len(weights))
-    for i in range(0, len(t), step):
-        yield _lift(nodes, weights, t[i:i + step], w[i:i + step])
-
-
 def _log_form_integral(form: HomogeneousForm, n: int) -> float:
-    """ln of the integral of exp(form) over R^n, by polar reduction.
+    """ln of the integral of exp(form) over R^n, in closed form.
 
-    For Q negative away from 0 and homogeneous of degree d it is Gamma(n/d)/d
-    times the integral of (-Q)^(-n/d) over S^(n-1), on ``_sphere_rule`` with
-    m doubled from 4 until two sums agree to 1e-13 relative (exact at n=1).
+    A form that passes the ray certificate is sum_l c_l <R_l, v>^d with
+    every c_l < 0 and R nonsingular; w = R v splits the integral into n
+    one-dimensional ones, each 2 Gamma(1 + 1/d) (-c_l)^(-1/d), over |det R|.
+    Any other form raises NotPositiveDefiniteResult.
     """
-    deg, previous, m = form.degree, None, 4
-    while 2 * m ** (n - 1) <= _NODE_BUDGET:
-        total = 0.0
-        for nodes, weights in _sphere_rule(n, m):
-            q = -form(nodes)
-            if np.any(q <= 0):
-                raise NotPositiveDefiniteResult("form must be negative away from 0")
-            total += float(weights @ q ** (-n / deg))
-        if previous is not None and abs(total - previous) <= 1e-13 * total:
-            return float(gammaln(n / deg)) - math.log(deg) + math.log(total)
-        previous, m = total, 2 * m
-    raise NoConvergence("sphere rule did not settle: the form may vanish on the sphere")
+    fault = form.definiteness_fault(n)
+    if fault:
+        raise NotPositiveDefiniteResult(fault)
+    deg = form.degree
+    log_det = np.linalg.slogdet(np.asarray(form.rays))[1]
+    return float(n * (math.log(2.0) + gammaln(1.0 + 1.0 / deg))
+                 - np.sum(np.log(-np.asarray(form.coeffs))) / deg - log_det)
 
 
 def _log_weight(model: ValidatedModel, cls: MaximumClassification) -> float:
@@ -297,8 +268,6 @@ def law_density(law: LimitLaw, x) -> float:
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         return math.exp(-0.5 * (z @ z) - 0.5 * (n * math.log(2 * math.pi) + logdet))
     if isinstance(law, HigherOrder):
-        if not math.isfinite(law.log_normalizer):
-            raise Unnormalized("higher-order law has no finite normalizer")
         return math.exp(float(law.form(x)) - law.log_normalizer)
     hits = np.max(np.abs(law.points - x[None, :]), axis=1) <= 1e-12
     return float(law.weights[hits].sum())
@@ -379,16 +348,24 @@ def law_to_dict(law: LimitLaw) -> dict:
 
 
 def law_from_dict(doc: dict) -> LimitLaw:
+    """Inverse of ``law_to_dict``, which writes n rays in R^n for a higher-order law.
+
+    Missing keys and malformed entries raise DimensionMismatch.
+    """
     kind = doc.get("kind")
-    if kind == "gaussian":
-        return Gaussian(cov=doc["cov"])
-    if kind == "higher_order":
-        terms = doc["coeffs"]["terms"]
-        form = HomogeneousForm(int(doc["coeffs"]["degree"]),
-                               tuple(float(t[0]) for t in terms),
-                               tuple(tuple(float(v) for v in t[1]) for t in terms))
-        return HigherOrder(k=int(doc["k"]), form=form,
-                           log_normalizer=float(doc["log_normalizer"]))
-    if kind == "delta_mixture":
-        return DeltaMixture(points=doc["points"], weights=doc["weights"])
+    try:
+        if kind == "gaussian":
+            return Gaussian(cov=doc["cov"])
+        if kind == "higher_order":
+            spec = doc["coeffs"]
+            form = HomogeneousForm(int(spec["degree"]),
+                                   tuple(float(c) for c, _ in spec["terms"]),
+                                   tuple(tuple(float(v) for v in r)
+                                         for _, r in spec["terms"]))
+            return HigherOrder(k=int(doc["k"]), form=form,
+                               log_normalizer=float(doc["log_normalizer"]))
+        if kind == "delta_mixture":
+            return DeltaMixture(points=doc["points"], weights=doc["weights"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed {kind} law: {exc!r}") from exc
     raise DimensionMismatch(f"unknown law kind {kind!r}")

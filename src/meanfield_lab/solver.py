@@ -39,7 +39,10 @@ from .model import ValidatedModel, _require_validated, hamiltonian_density
 
 LN2 = math.log(2.0)
 _DERIV_TOL = 1e-9
-_SPHERE_SAMPLES = 1000
+# A degenerate maximum is located to ~1e-6 at worst (flat roots resolve no
+# better in double precision), so a lower odd derivative of order j picks up
+# |lambda| * offset^(2k - j) and must only vanish to that.
+_POS_ERR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,26 @@ class HomogeneousForm:
         rays = np.asarray(self.rays) / np.asarray(scale)[None, :]
         return HomogeneousForm(self.degree, self.coeffs,
                                tuple(tuple(r) for r in rays))
+
+    def definiteness_fault(self, n: int) -> str | None:
+        """Why the form is not negative definite on R^n; None when it is.
+
+        Exact for n rays R in R^n, the only forms built here: with w = R v the
+        form is sum_l c_l w_l^d, so d even, every c_l < 0 and R of full rank.
+        """
+        c = np.asarray(self.coeffs, dtype=float)
+        R = np.asarray(self.rays, dtype=float)
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(R))):
+            return "form has non-finite entries"
+        if self.degree < 2 or self.degree % 2:
+            return f"form degree {self.degree} is not even"
+        if R.shape != (n, n) or c.shape != (n,):
+            return f"form needs {n} rays in R^{n}"
+        if np.any(c >= 0):
+            return "form is not negative along every ray"
+        if np.linalg.matrix_rank(R) < n:
+            return "form vanishes on a line: its rays do not span R^n"
+        return None
 
 
 @dataclass(frozen=True)
@@ -432,75 +455,37 @@ def _hessian_f(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
     return (model.alpha[:, None] * model.alpha[None, :]) * inner
 
 
-def _quartic_form(model: ValidatedModel, x: np.ndarray) -> HomogeneousForm:
-    """Degree-4 Taylor form of f at x: sum_l alpha_l kappa4(u_l)/24 * <row_l, v>^4."""
-    u = _fields(model, x[None, :])[0]
-    mom = _tilted_moments(model, u, 4)
-    kappa4 = _cumulants_from_moments(mom)[3]
-    rows = model.J * model.alpha[None, :]
-    coeffs = tuple(float(model.alpha[l] * kappa4[l] / 24.0) for l in range(model.n))
-    return HomogeneousForm(4, coeffs, tuple(tuple(r) for r in rows))
-
-
-def _probe_is_maximum(model: ValidatedModel, x: np.ndarray, radius: float) -> bool:
-    """No ascent direction on a sphere of the given radius (up to fp noise)."""
-    n = model.n
-    dirs = [v for i in range(n) for v in (np.eye(n)[i], -np.eye(n)[i])]
-    rng = np.random.Generator(np.random.PCG64(20210613))
-    extra = rng.standard_normal((32, n))
-    dirs += [d / np.linalg.norm(d) for d in extra]
-    f0 = float(_f_batch(model, x[None, :])[0])
-    probes = x[None, :] + radius * np.array(dirs)
-    fv = _f_batch(model, probes)
-    slack = 64.0 * np.finfo(float).eps * max(1.0, abs(f0))
-    return bool(np.all(fv <= f0 + slack))
-
-
-def _unit_sphere(n: int, count: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(777))
-    v = rng.standard_normal((count, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def classify_maximum(model: ValidatedModel, point: StationaryPoint,
-                     *, probe_radius: float = 1e-4,
-                     deriv_tol: float = _DERIV_TOL,
+                     *, deriv_tol: float = _DERIV_TOL,
                      max_order: int = 8) -> MaximumClassification:
-    """Type k and strength of a local maximum of f.
+    """Type k and strength of a local maximum of f, by exact certificates.
 
     One species: scan analytic derivatives up to ``max_order``; k is half
     the first even order whose derivative exceeds the vanishing threshold.
-    Several species: k=1 via a negative-definite Hessian, or k=2 via the
-    homogeneous quartic form when the Hessian vanishes entirely.  Mixed
-    degeneracies are refused rather than guessed.
+    Several species: k=1 via a negative-definite Hessian, or k=2 when the
+    Hessian vanishes, the cubic term too, and the quartic form passes the
+    ray certificate (``HomogeneousForm.definiteness_fault``).  A positive
+    curvature or a dominating odd term raises NotAMaximum; mixed
+    degeneracies and other forms are refused rather than guessed.
     """
     model = _require_validated(model)
     x = np.asarray(point.x, dtype=float)
-    if not _probe_is_maximum(model, x, probe_radius):
-        raise NotAMaximum("ascent direction found on the probe sphere")
 
     if model.n == 1:
         derivs = _derivatives_1d(model, float(x[0]), max_order)
-        leading = None
-        for order in range(2, max_order + 1, 2):
-            if abs(derivs[order - 2]) > deriv_tol:
-                leading = order
-                break
-        if leading is None:
+        even = [m for m in range(2, max_order + 1, 2) if abs(derivs[m - 2]) > deriv_tol]
+        if not even:
             raise UnsupportedDegeneracy(
                 f"all even derivatives through order {max_order} vanish")
+        leading = even[0]
         value = float(derivs[leading - 2])
         if value > 0:
             raise NotAMaximum(f"derivative of order {leading} is positive")
-        # The maximum is localized to ~1e-6 at worst (flat roots resolve no
-        # better in double precision); intermediate odd derivatives then
-        # pick up |lambda| * offset^(2k - j) and must only vanish to that.
-        pos_err = 1e-6
         for j in range(3, leading, 2):
-            allowed = max(deriv_tol, 10.0 * abs(value) * pos_err ** (leading - j))
+            allowed = max(deriv_tol, 10.0 * abs(value) * _POS_ERR ** (leading - j))
             if abs(derivs[j - 2]) > allowed:
-                raise UnsupportedDegeneracy(
-                    f"odd derivative of order {j} dominates at the maximum")
+                raise NotAMaximum(
+                    f"odd derivative of order {j} dominates: an inflection")
         k = leading // 2
         hess = np.array([[derivs[0]]]) if k == 1 else None
         return MaximumClassification(point=point, k=k, strength=value,
@@ -509,17 +494,28 @@ def classify_maximum(model: ValidatedModel, point: StationaryPoint,
     _check_multi_binary(model, "classify_maximum")
     H = _hessian_f(model, x)
     eigs = np.linalg.eigvalsh(H)
+    if eigs.max() > deriv_tol:
+        raise NotAMaximum("Hessian has a positive eigenvalue")
     if eigs.max() < -deriv_tol:
         return MaximumClassification(point=point, k=1, hessian=H)
     if eigs.min() < -deriv_tol:
         raise UnsupportedDegeneracy(
             "Hessian is singular but not zero: mixed-homogeneity maximum")
-    form = _quartic_form(model, x)
-    samples = _unit_sphere(model.n, _SPHERE_SAMPLES)
-    values = form(samples)
-    if np.any(values >= -1e-14):
-        raise UnsupportedDegeneracy(
-            "quartic form is not negative definite on the sphere")
+    # The order-m Taylor term is sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m,
+    # R = J diag(alpha); the one-species allowance holds ray by ray.
+    u = _fields(model, x[None, :])[0]
+    kappa = _cumulants_from_moments(_tilted_moments(model, u, 4))
+    d3, d4 = model.alpha * kappa[2], model.alpha * kappa[3]
+    rays = model.J * model.alpha[None, :]
+    norms = np.linalg.norm(rays, axis=1)
+    allowed = np.maximum(deriv_tol, 10.0 * np.abs(d4) * norms ** 4 * _POS_ERR)
+    if np.any(np.abs(d3) * norms ** 3 > allowed):
+        raise NotAMaximum("cubic term dominates: an inflection")
+    form = HomogeneousForm(4, tuple(float(c) for c in d4 / 24.0),
+                           tuple(tuple(r) for r in rays))
+    fault = form.definiteness_fault(model.n)
+    if fault:
+        raise UnsupportedDegeneracy(f"quartic form: {fault}")
     return MaximumClassification(point=point, k=2, quartic_form=form)
 
 

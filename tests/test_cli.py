@@ -15,7 +15,7 @@ from meanfield_lab import (
     mle_fit,
     read_samples_csv,
 )
-from meanfield_lab.cli import dumps17, main
+from meanfield_lab.cli import _csv, dumps17, main
 
 from conftest import make_cw, make_ref2
 
@@ -256,3 +256,25 @@ def test_console_module_entrypoint(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def reference_csv(header, rows):
+    """Cell by cell: integers as they are, finite floats at 17 digits, else nan."""
+    def cell(v):
+        if isinstance(v, float):
+            return format(v, ".17g") if math.isfinite(v) else "nan"
+        return str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header] + rows)
+
+
+def test_csv_template_matches_per_cell_formatting():
+    rng = np.random.Generator(np.random.PCG64(7))
+    floats = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-320, 301, (300, 3))
+    floats[:8, 0] = [-0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-320, 1e300, 0.1]
+    floats[5, 2] = math.nan
+    sizes = np.arange(300, dtype=np.int64) * 1000 - 7
+    header = ["N", "a", "b", "c"]
+    rows = [[int(n)] + row for n, row in zip(sizes, floats.tolist())]
+    assert _csv(header, sizes, floats) == reference_csv(header, rows)
+    assert _csv(header[1:], *floats.T) == reference_csv(header[1:], floats.tolist())
+    assert _csv(header, sizes[:0], floats[:0]) == "N,a,b,c\n"

@@ -1,4 +1,6 @@
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from meanfield_lab.errors import (
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
+    Unnormalized,
 )
 from meanfield_lab.limits import _log_form_integral, _log_weight
 
@@ -264,6 +267,103 @@ def test_normaliser_and_mixture_weight_are_one_number():
     law = build_limit_law(model, cls)
     assert law.log_normalizer == _log_weight(model, cls)
     assert law.log_normalizer == 1.2161020065851322
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_normaliser_of_a_coupled_form_follows_the_linear_map_at_four_and_five(n):
+    rng = np.random.Generator(np.random.PCG64(2024))
+    A = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+    coeffs = (-1.0 / 12.0, -0.3, -0.05, -0.2, -0.7)[:n]
+    coupled = HomogeneousForm(4, coeffs, tuple(tuple(r) for r in A))
+    want = log_quartic_product(coeffs) - math.log(abs(np.linalg.det(A)))
+    assert _log_form_integral(coupled, n) == pytest.approx(want, rel=1e-12)
+
+
+def test_normaliser_refuses_a_form_that_vanishes_on_a_line_at_once():
+    form = HomogeneousForm(4, (-1.0,), ((1.0, 0.0),))      # -x^4 on R^2
+    start = time.perf_counter()
+    with pytest.raises(NotPositiveDefiniteResult):
+        _log_form_integral(form, 2)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_normaliser_refuses_dependent_rays():
+    form = HomogeneousForm(4, (-1.0, -2.0), ((1.0, 2.0), (-0.5, -1.0)))
+    with pytest.raises(NotPositiveDefiniteResult):
+        _log_form_integral(form, 2)
+
+
+def test_solver_and_limits_draw_no_random_numbers():
+    import meanfield_lab.limits as limits_module
+    import meanfield_lab.solver as solver_module
+    for module in (solver_module, limits_module):
+        source = Path(module.__file__).read_text()
+        for name in ("np.random", "PCG64", "default_rng"):
+            assert name not in source, (module.__name__, name)
+
+
+TWO_RAYS = [[-0.25, [1.0, 0.0]], [-0.5, [0.3, 1.0]]]
+QUARTIC_LAW = {"kind": "higher_order", "k": 2,
+               "coeffs": {"degree": 4, "terms": TWO_RAYS}, "log_normalizer": 1.5}
+
+
+def law_doc(**changes):
+    """QUARTIC_LAW with keys replaced (``degree`` and ``terms`` inside
+    ``coeffs``), or removed where the new value is None."""
+    doc = {**QUARTIC_LAW, "coeffs": dict(QUARTIC_LAW["coeffs"])}
+    for key, value in changes.items():
+        target = doc["coeffs"] if key in ("degree", "terms") else doc
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return doc
+
+
+def test_law_from_dict_reads_a_two_ray_quartic_law():
+    law = law_from_dict(law_doc())
+    assert isinstance(law, HigherOrder) and law.dim == 2
+    assert law_to_dict(law) == QUARTIC_LAW
+
+
+@pytest.mark.parametrize("doc", [
+    law_doc(terms=[]),
+    law_doc(terms=[[-0.25, [1.0, 0.0]], [-0.5, [1.0]]]),
+    law_doc(terms=[[-0.25, [1.0, 0.0], 3.0]]),
+    law_doc(terms=[[-0.25, [1.0, "x"]]]),
+    law_doc(terms=None),
+    law_doc(coeffs=None),
+    law_doc(k=None),
+    law_doc(log_normalizer=None),
+    law_doc(degree=6),
+    law_doc(k=1, degree=2),
+    {"kind": "gaussian"},
+    {"kind": "gaussian", "cov": [[1.0, 0.0], [0.0]]},
+    {"kind": "delta_mixture", "points": [[0.0]]},
+    {"kind": "cauchy"},
+])
+def test_law_from_dict_refuses_shape_and_key_faults(doc):
+    with pytest.raises(DimensionMismatch):
+        law_from_dict(doc)
+
+
+@pytest.mark.parametrize("terms", [
+    [[-0.25, [1.0, 0.0]], [-0.5, [math.nan, 1.0]]],
+    [[-0.25, [1.0, 0.0]], [math.inf, [0.0, 1.0]]],
+    [[-0.25, [1.0, 0.0]], [0.5, [0.0, 1.0]]],
+    [[-0.25, [1.0, 0.0]], [-0.5, [2.0, 0.0]]],
+    [[-0.25, [1.0, 0.0]]],
+    TWO_RAYS + [[-1.0, [1.0, 1.0]]],
+])
+def test_law_from_dict_refuses_forms_that_fail_the_ray_certificate(terms):
+    with pytest.raises(NotPositiveDefiniteResult):
+        law_from_dict(law_doc(terms=terms))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_law_from_dict_refuses_a_non_finite_log_normalizer(value):
+    with pytest.raises(Unnormalized):
+        law_from_dict(law_doc(log_normalizer=value))
 
 
 # --- evaluation -------------------------------------------------------------------

@@ -9,6 +9,7 @@ from meanfield_lab import (
     FiniteMeasure,
     ModelSpec,
     SolverOptions,
+    StationaryPoint,
     classify_maximum,
     cw_phase_scan,
     entropy_I,
@@ -340,6 +341,46 @@ def test_classify_rejects_mixed_degeneracy():
     assert len(pts) == 1
     with pytest.raises(UnsupportedDegeneracy):
         classify_maximum(model, pts[0])
+
+
+def stationary_at(x):
+    return StationaryPoint(x=np.array(x, dtype=float), residual=0.0,
+                           f_value=math.nan, fbar_value=None)
+
+
+def test_classify_rejects_the_spinodal_inflection():
+    # cw at J=1.5: f'' vanishes at x = -sqrt(1/3) but f''' does not
+    x = -math.sqrt(1.0 / 3.0)
+    model = make_cw(1.5, math.atanh(x) - 1.5 * x)
+    with pytest.raises(NotAMaximum):
+        classify_maximum(model, stationary_at([x]))
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.5, 2.0])
+def test_classify_rejects_a_pair_of_spinodal_inflections(beta):
+    # two decoupled species, each at its spinodal: the Hessian vanishes and
+    # the cubic term decides, whatever the sign of the quartic one
+    x = -math.sqrt(1.0 - 1.0 / beta)
+    h = math.atanh(x) - beta * x
+    model = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5),
+                                     J=((2 * beta, 0.0), (0.0, 2 * beta)), h=(h, h)))
+    with pytest.raises(NotAMaximum):
+        classify_maximum(model, stationary_at([x, x]))
+
+
+def test_classify_rejects_a_two_species_saddle():
+    model = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5),
+                                     J=((2.4, 0.0), (0.0, 1.0)), h=(0.0, 0.0)))
+    with pytest.raises(NotAMaximum):
+        classify_maximum(model, stationary_at([0.0, 0.0]))
+
+
+def test_classify_refuses_a_quartic_form_that_vanishes_on_a_line():
+    # rank-one coupling: the Hessian vanishes at 0 and f is flat along (1, -1)
+    model = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5),
+                                     J=((1.0, 1.0), (1.0, 1.0)), h=(0.0, 0.0)))
+    with pytest.raises(UnsupportedDegeneracy):
+        classify_maximum(model, stationary_at([0.0, 0.0]))
 
 
 def test_classify_fully_degenerate_pair():
