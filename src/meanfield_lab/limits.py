@@ -49,8 +49,10 @@ class Gaussian:
 
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DimensionMismatch("covariance must be square")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not cov.size:
+            raise DimensionMismatch("covariance must be a non-empty square matrix")
+        if not np.all(np.isfinite(cov)):
+            raise NotPositiveDefiniteResult("covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-9:
             raise NotPositiveDefiniteResult("covariance must be symmetric")
         if np.any(np.linalg.eigvalsh(cov) <= 0):
@@ -99,9 +101,17 @@ class DeltaMixture:
         for name in ("points", "weights"):     # read-only copies of our own
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
             getattr(self, name).flags.writeable = False
-        if np.any(self.weights <= 0):
+        points, weights = self.points, self.weights
+        if (weights.ndim != 1 or points.ndim != 2
+                or points.shape[0] != len(weights) or points.shape[1] < 1):
+            raise DimensionMismatch("points must be a (P, n) array, one row per weight")
+        if not np.all(np.isfinite(points)):
+            raise DimensionMismatch("mixture points must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise Unnormalized("mixture weights must be finite")
+        if np.any(weights <= 0):
             raise Unnormalized("mixture weights must be positive")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
+        if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise Unnormalized("mixture weights must sum to 1")
 
     @property

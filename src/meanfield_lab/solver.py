@@ -14,6 +14,11 @@ system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
 x_l = tanh(u_l).  Stationary points are found by damped multistart
 iteration with a Newton polish, then classified by the first
 nonvanishing even derivative (type k, strength lambda).
+
+The pressure limit is computed by two routes that share no solver:
+route 1 takes max fbar over the fixed points, route 2 maximizes f
+directly by a batched modified-Newton ascent from a coarse grid.  Their
+gap is reported as ``method_agreement``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp, xlogy
 
 from .errors import (
@@ -43,6 +47,15 @@ _DERIV_TOL = 1e-9
 # better in double precision), so a lower odd derivative of order j picks up
 # |lambda| * offset^(2k - j) and must only vanish to that.
 _POS_ERR = 1e-6
+_MAX_ORDER = 8
+# Direct ascent on f: gradient and stall tolerances, the curvature floor
+# of the modified Hessian, the Armijo constant and the iteration caps.
+_ASCENT_GTOL = 1e-13
+_ASCENT_FTOL = 1e-16
+_CURVATURE_FLOOR = 1e-12
+_ARMIJO = 1e-4
+_ASCENT_STEPS = 200
+_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -447,20 +460,20 @@ def _derivatives_1d(model: ValidatedModel, x: float, max_order: int) -> np.ndarr
     return out
 
 
-def _hessian_f(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
-    u = _fields(model, x[None, :])[0]
+def _hessian_f(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
+    """Hessians of f at a batch of rows, shape (P, n, n)."""
+    u = _fields(model, X)
     mom = _tilted_moments(model, u, 2)
     var = mom[1] - mom[0] ** 2
-    inner = model.J @ ((model.alpha * var)[:, None] * model.J) - model.J
+    inner = model.J @ ((model.alpha * var)[:, :, None] * model.J) - model.J
     return (model.alpha[:, None] * model.alpha[None, :]) * inner
 
 
-def classify_maximum(model: ValidatedModel, point: StationaryPoint,
-                     *, deriv_tol: float = _DERIV_TOL,
-                     max_order: int = 8) -> MaximumClassification:
+def classify_maximum(model: ValidatedModel,
+                     point: StationaryPoint) -> MaximumClassification:
     """Type k and strength of a local maximum of f, by exact certificates.
 
-    One species: scan analytic derivatives up to ``max_order``; k is half
+    One species: scan analytic derivatives up to order 8; k is half
     the first even order whose derivative exceeds the vanishing threshold.
     Several species: k=1 via a negative-definite Hessian, or k=2 when the
     Hessian vanishes, the cubic term too, and the quartic form passes the
@@ -472,17 +485,18 @@ def classify_maximum(model: ValidatedModel, point: StationaryPoint,
     x = np.asarray(point.x, dtype=float)
 
     if model.n == 1:
-        derivs = _derivatives_1d(model, float(x[0]), max_order)
-        even = [m for m in range(2, max_order + 1, 2) if abs(derivs[m - 2]) > deriv_tol]
+        derivs = _derivatives_1d(model, float(x[0]), _MAX_ORDER)
+        even = [m for m in range(2, _MAX_ORDER + 1, 2)
+                if abs(derivs[m - 2]) > _DERIV_TOL]
         if not even:
             raise UnsupportedDegeneracy(
-                f"all even derivatives through order {max_order} vanish")
+                f"all even derivatives through order {_MAX_ORDER} vanish")
         leading = even[0]
         value = float(derivs[leading - 2])
         if value > 0:
             raise NotAMaximum(f"derivative of order {leading} is positive")
         for j in range(3, leading, 2):
-            allowed = max(deriv_tol, 10.0 * abs(value) * _POS_ERR ** (leading - j))
+            allowed = max(_DERIV_TOL, 10.0 * abs(value) * _POS_ERR ** (leading - j))
             if abs(derivs[j - 2]) > allowed:
                 raise NotAMaximum(
                     f"odd derivative of order {j} dominates: an inflection")
@@ -492,13 +506,13 @@ def classify_maximum(model: ValidatedModel, point: StationaryPoint,
                                      hessian=hess)
 
     _check_multi_binary(model, "classify_maximum")
-    H = _hessian_f(model, x)
+    H = _hessian_f(model, x[None, :])[0]
     eigs = np.linalg.eigvalsh(H)
-    if eigs.max() > deriv_tol:
+    if eigs.max() > _DERIV_TOL:
         raise NotAMaximum("Hessian has a positive eigenvalue")
-    if eigs.max() < -deriv_tol:
+    if eigs.max() < -_DERIV_TOL:
         return MaximumClassification(point=point, k=1, hessian=H)
-    if eigs.min() < -deriv_tol:
+    if eigs.min() < -_DERIV_TOL:
         raise UnsupportedDegeneracy(
             "Hessian is singular but not zero: mixed-homogeneity maximum")
     # The order-m Taylor term is sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m,
@@ -508,7 +522,7 @@ def classify_maximum(model: ValidatedModel, point: StationaryPoint,
     d3, d4 = model.alpha * kappa[2], model.alpha * kappa[3]
     rays = model.J * model.alpha[None, :]
     norms = np.linalg.norm(rays, axis=1)
-    allowed = np.maximum(deriv_tol, 10.0 * np.abs(d4) * norms ** 4 * _POS_ERR)
+    allowed = np.maximum(_DERIV_TOL, 10.0 * np.abs(d4) * norms ** 4 * _POS_ERR)
     if np.any(np.abs(d3) * norms ** 3 > allowed):
         raise NotAMaximum("cubic term dominates: an inflection")
     form = HomogeneousForm(4, tuple(float(c) for c in d4 / 24.0),
@@ -531,19 +545,50 @@ def _is_core_posdef(model: ValidatedModel) -> bool:
 
 
 def _max_f_direct(model: ValidatedModel) -> float:
-    """Global maximum of f by quasi-Newton descent from a coarse grid."""
+    """Global maximum of f on R^n by the direct route, for the cross-check.
+
+    The fixed-point route maximizes fbar over the solutions of the
+    self-consistency system; this route never solves that system.  It runs
+    one batched modified-Newton ascent on f from every start of a coarse
+    grid (Nocedal & Wright, Numerical Optimization, ch. 3 and sec. 3.4).
+    Each step takes the Hessian's eigenvalues as -max(|lambda|, floor),
+    so every direction is an ascent direction, and halves the step until
+    the Armijo condition holds.  A row retires once its gradient vanishes,
+    once an accepted step no longer raises f measurably (Newton is only
+    linear at a degenerate maximum), or when no step length raises f.
+    """
     lo, hi = model.support_range
     axis = np.linspace(lo * 0.9, hi * 0.9, 5) if model.n > 1 else \
         np.linspace(lo * 0.99, hi * 0.99, 9)
-    best = -np.inf
-    for start in itertools.product(*([axis] * model.n)):
-        res = minimize(lambda v: -_f_batch(model, v[None, :])[0],
-                       np.array(start),
-                       jac=lambda v: -_grad_f_batch(model, v[None, :])[0],
-                       method="L-BFGS-B",
-                       options={"gtol": 1e-12, "ftol": 1e-15})
-        best = max(best, -float(res.fun))
-    return best
+    X = np.array(list(itertools.product(*([axis] * model.n))))
+    F = _f_batch(model, X)
+    live = np.arange(len(X))
+    for _ in range(_ASCENT_STEPS):
+        G = _grad_f_batch(model, X[live])
+        steep = np.max(np.abs(G), axis=1) > _ASCENT_GTOL
+        live, G = live[steep], G[steep]
+        if not len(live):
+            break
+        lam, V = np.linalg.eigh(_hessian_f(model, X[live]))
+        coef = np.einsum("pji,pj->pi", V, G) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
+        step = np.einsum("pij,pj->pi", V, coef)
+        slope = np.einsum("pi,pi->p", G, step)
+        x0, f0 = X[live], F[live]
+        t = 1.0
+        todo = np.arange(len(live))
+        for _ in range(_HALVINGS):
+            trial = x0[todo] + t * step[todo]
+            ft = _f_batch(model, trial)
+            ok = ft >= f0[todo] + _ARMIJO * t * slope[todo]
+            rows = live[todo[ok]]
+            X[rows], F[rows] = trial[ok], ft[ok]
+            todo = todo[~ok]
+            if not len(todo):
+                break
+            t *= 0.5
+        gain = F[live] - f0
+        live = live[gain > _ASCENT_FTOL * (1.0 + np.abs(F[live]))]
+    return float(F.max())
 
 
 def pressure_limit(model: ValidatedModel,

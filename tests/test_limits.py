@@ -366,6 +366,35 @@ def test_law_from_dict_refuses_a_non_finite_log_normalizer(value):
         law_from_dict(law_doc(log_normalizer=value))
 
 
+@pytest.mark.parametrize("cov", [[[math.inf]], [[math.nan]],
+                                 [[1.0, math.nan], [math.nan, 1.0]]])
+def test_law_from_dict_refuses_a_non_finite_covariance(cov):
+    with pytest.raises(NotPositiveDefiniteResult):
+        law_from_dict({"kind": "gaussian", "cov": cov})
+
+
+@pytest.mark.parametrize("points", [
+    [[math.nan], [0.5]],
+    [[-0.5], [math.inf]],
+    [-0.5, 0.5],
+    [[], []],
+    [[-0.5], [0.0], [0.5]],
+    [[[-0.5]], [[0.5]]],
+])
+def test_law_from_dict_refuses_misshaped_or_non_finite_mixture_points(points):
+    with pytest.raises(DimensionMismatch):
+        law_from_dict({"kind": "delta_mixture", "points": points,
+                       "weights": [0.5, 0.5]})
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, math.inf],
+                                     [math.nan, math.nan]])
+def test_law_from_dict_refuses_non_finite_mixture_weights(weights):
+    with pytest.raises(Unnormalized):
+        law_from_dict({"kind": "delta_mixture", "points": [[-0.5], [0.5]],
+                       "weights": weights})
+
+
 # --- evaluation -------------------------------------------------------------------
 
 
@@ -448,6 +477,11 @@ def test_law_serialization_roundtrip(law_fn):
     else:
         assert np.array_equal(again.points, law.points)
         assert np.array_equal(again.weights, law.weights)
+
+
+def test_gaussian_refuses_an_empty_covariance():
+    with pytest.raises(DimensionMismatch):
+        Gaussian(cov=np.zeros((0, 0)))
 
 
 def test_gaussian_owns_its_covariance():

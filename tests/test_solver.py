@@ -26,13 +26,18 @@ from meanfield_lab.errors import (
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
+from meanfield_lab import solver
 from meanfield_lab.solver import (
     _damp,
     _dedup_points,
     _f_batch,
+    _fields,
     _grad_f_batch,
+    _hessian_f,
+    _max_f_direct,
     _newton_polish,
     _start_grid,
+    _tilted_moments,
 )
 
 from conftest import (
@@ -51,6 +56,18 @@ from conftest import (
 )
 
 TINY_J = 1e-15   # stand-in for decoupled spins; the validator requires J_ll > 0
+
+
+def make_ref3():
+    return validate_model(ModelSpec(
+        n=3, alpha=(0.2, 0.3, 0.5),
+        J=((2.0, 0.3, -0.2), (0.3, 1.5, 0.4), (-0.2, 0.4, 1.0)),
+        h=(0.1, -0.2, 0.05)))
+
+
+def make_crit2():
+    return validate_model(ModelSpec(n=2, alpha=(0.5, 0.5),
+                                    J=((2.0, 0.0), (0.0, 2.0)), h=(0.0, 0.0)))
 
 
 def three_atom_model(J=1.0, h=0.2):
@@ -281,6 +298,39 @@ def test_gradient_matches_finite_differences(model_fn):
         assert np.max(np.abs(fd - grad[:, l]) / denom) < 1e-6
 
 
+@pytest.mark.parametrize("model_fn", [lambda: make_cw(0.8, 0.1),
+                                      make_ref2, make_ref3])
+def test_hessian_matches_finite_differences_of_the_gradient(model_fn):
+    model = model_fn()
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-0.9, 0.9, size=(50, model.n))
+    H = _hessian_f(model, X)
+    step = 1e-6
+    for l in range(model.n):
+        e = np.zeros(model.n)
+        e[l] = step
+        fd = (_grad_f_batch(model, X + e) - _grad_f_batch(model, X - e)) / (2 * step)
+        assert np.max(np.abs(fd - H[:, :, l])) < 1e-8
+
+
+@pytest.mark.parametrize("model_fn", [
+    make_ref2, make_ref3,
+    lambda: validate_model(ModelSpec(n=2, alpha=(0.4, 0.6),
+                                     J=((1.5, -0.7), (-0.7, 1.2)), h=(0.3, 0.1))),
+])
+def test_classification_hessian_is_the_single_point_formula(model_fn):
+    # the Hessian feeds the Gaussian covariance, so its bits must not depend
+    # on the batched evaluation used by the direct ascent
+    model = model_fn()
+    p = pressure_limit(model).maxima[0].point
+    u = _fields(model, p.x[None, :])[0]
+    mom = _tilted_moments(model, u, 2)
+    var = mom[1] - mom[0] ** 2
+    inner = model.J @ ((model.alpha * var)[:, None] * model.J) - model.J
+    want = (model.alpha[:, None] * model.alpha[None, :]) * inner
+    assert classify_maximum(model, p).hessian.tobytes() == want.tobytes()
+
+
 # --- classification ---------------------------------------------------------------
 
 
@@ -460,3 +510,51 @@ def test_phase_scan_critical_asymptotics():
     mu0 = table["mu"][0]
     ratio = mu0 / math.sqrt(3.0 * (1.0 - 1.0 / 1.001))
     assert abs(ratio - 1.0) < 0.02
+
+
+# --- two-route cross-check --------------------------------------------------------
+
+
+def test_direct_route_does_not_use_the_fixed_point_route(monkeypatch):
+    models = [make_cw(1.2, 0.0), make_ref3()]
+    want = [pressure_limit(m).limit_value for m in models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route called the fixed-point route")
+
+    for name in ("mean_field_map", "_map_rows", "_map_defect", "_newton_polish",
+                 "solve_fixed_points"):
+        monkeypatch.setattr(solver, name, refuse)
+    for model, limit in zip(models, want):
+        assert _max_f_direct(model) == pytest.approx(limit, abs=1e-12)
+
+
+def test_cross_check_flags_a_missed_global_maximum(monkeypatch):
+    # below the spinodal field (about 0.056 at J=1.2) the negative branch
+    # survives as a local maximum of f that is not the global one
+    model = make_cw(1.2, 0.05)
+    metastable = [p for p in solve_fixed_points(model) if p.x[0] < -0.4]
+    assert len(metastable) == 1
+    monkeypatch.setattr(solver, "solve_fixed_points", lambda m, opts=None: metastable)
+    res = pressure_limit(model)
+    assert res.limit_value == metastable[0].fbar_value
+    assert res.method_agreement > 1e-6
+
+
+@pytest.mark.parametrize("model_fn", [lambda: make_cw(1.0, 0.0), make_crit2])
+def test_cross_check_holds_at_degenerate_maxima(model_fn):
+    res = pressure_limit(model_fn())
+    assert [c.k for c in res.maxima] == [2]
+    assert res.method_agreement <= 1e-9
+
+
+def test_cross_check_holds_on_a_random_five_species_model():
+    rng = np.random.Generator(np.random.PCG64(20261018))
+    A = rng.normal(size=(5, 5))
+    J = A @ A.T / 5.0 + 0.5 * np.eye(5)
+    alpha = rng.uniform(0.5, 1.5, size=5)
+    alpha /= alpha.sum()
+    model = validate_model(ModelSpec(n=5, alpha=tuple(alpha), J=tuple(map(tuple, J)),
+                                     h=tuple(rng.uniform(-0.2, 0.2, size=5))))
+    res = pressure_limit(model, SolverOptions(grid_points=7))
+    assert res.method_agreement <= 1e-9
