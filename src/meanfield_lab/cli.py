@@ -136,6 +136,27 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _integer(value, what: str, least: int) -> int:
+    """A JSON integer >= least; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigParse(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigParse(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(doc: dict, key: str) -> list:
+    value = _require(doc, key)
+    if not isinstance(value, list):
+        raise ConfigParse(f'"{key}" must be a list')
+    return value
+
+
 def _classification_dict(cls: solver.MaximumClassification) -> dict:
     return {
         "x": cls.point.x,
@@ -170,7 +191,7 @@ def cmd_solve(args) -> int:
 def cmd_pressure(args) -> int:
     doc = _load_config(args.config)
     m = _model_from_config(doc)
-    n_values = [int(v) for v in _require(doc, "N_values")]
+    n_values = [_integer(v, "N_values entry", 1) for v in _list(doc, "N_values")]
     opts = _solver_options(doc, args.threads)
     limit = solver.pressure_limit(m, opts).limit_value
     rows = []
@@ -189,11 +210,11 @@ def cmd_sample(args) -> int:
     doc = _load_config(args.config)
     m = _model_from_config(doc)
     sizes = m.check_sizes(_require(doc, "sizes"))
-    M = int(_require(doc, "M"))
+    M = _require(doc, "M")
     seed = args.seed if args.seed is not None else doc.get("seed")
     if seed is None:
         raise ConfigParse("sampling requires a seed (--seed or config)")
-    samples = exact.exact_sample(m, sizes, M, int(seed))
+    samples = exact.exact_sample(m, sizes, M, _integer(seed, "seed", 0))
     if args.out is None:
         raise ConfigParse("sample requires --out")
     exact.write_samples_csv(samples, args.out)
@@ -208,8 +229,13 @@ def cmd_limits(args) -> int:
     result = solver.pressure_limit(m, opts)
     cond = doc.get("conditioned")
     if cond is not None:
-        center = np.asarray(cond["center"], dtype=float)
-        radius = float(cond["radius"])
+        if not isinstance(cond, dict):
+            raise ConfigParse('"conditioned" must be an object')
+        center = np.array([_number(c, "conditioned center entry")
+                           for c in _list(cond, "center")])
+        if center.shape != (m.n,):
+            raise ConfigParse(f"conditioned center needs {m.n} entries")
+        radius = _number(_require(cond, "radius"), "conditioned radius")
         cls = min(result.maxima,
                   key=lambda c: float(np.linalg.norm(c.point.x - center)))
         ball = radius
@@ -287,8 +313,8 @@ def cmd_invert(args) -> int:
 
 def cmd_phase(args) -> int:
     doc = _load_config(args.config)
-    grid = [float(v) for v in _require(doc, "J_grid")]
-    h = float(doc.get("h", 0.0))
+    grid = [_number(v, "J_grid entry") for v in _list(doc, "J_grid")]
+    h = _number(doc.get("h", 0.0), "h")
     opts = _solver_options(doc, args.threads)
     table = solver.cw_phase_scan(grid, h, opts)
     header = ["J", "mu", "pressure", "dp_dJ", "d2p"]

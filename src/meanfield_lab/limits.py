@@ -10,6 +10,11 @@ normaliser of exp(Q) for a form Q(v) = sum_l c_l <R_l, v>^d with n rays in
 R^n.  The ray certificate (d even, every c_l < 0, R of full rank) decides
 exactly whether Q is negative definite, and w = R v gives the closed form
 ln Z = n ln(2 Gamma(1 + 1/d)) - (1/d) sum_l ln(-c_l) - ln|det R|.
+
+``scipy.special`` is imported on demand, by the two functions that need a
+special function: the k >= 2 normaliser (gammaln) and ``law_cdf_1d``
+(ndtr, gammainc).  Importing this module loads no scipy, so Gaussian laws
+in two or more dimensions and the mixtures never pay for it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, ndtr
 
 from .errors import (
     DegenerateMaximum,
@@ -191,6 +195,8 @@ def _log_form_integral(form: HomogeneousForm, n: int) -> float:
     one-dimensional ones, each 2 Gamma(1 + 1/d) (-c_l)^(-1/d), over |det R|.
     Any other form raises NotPositiveDefiniteResult.
     """
+    from scipy.special import gammaln
+
     fault = form.definiteness_fault(n)
     if fault:
         raise NotPositiveDefiniteResult(fault)
@@ -285,6 +291,8 @@ def law_density(law: LimitLaw, x) -> float:
 
 def law_cdf_1d(law: LimitLaw, x):
     """Distribution function of a one-dimensional limit law."""
+    from scipy.special import gammainc, ndtr
+
     if law.dim != 1:
         raise DimensionMismatch("cdf is defined for one-dimensional laws")
     x = np.asarray(x, dtype=float)

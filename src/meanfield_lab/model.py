@@ -131,9 +131,22 @@ class ValidatedModel:
         return sizes.astype(np.int64)
 
     def check_sizes(self, sizes) -> np.ndarray:
-        sizes = np.array(sizes, dtype=np.int64)     # a fresh copy: callers keep theirs
-        if sizes.shape != (self.n,):
+        """``sizes`` as a fresh int64 array: positive integers in proportion alpha.
+
+        Integral floats are accepted; any other value raises BadSizes, never
+        a silent truncation.
+        """
+        try:
+            raw = np.array(sizes)
+        except ValueError as exc:
+            raise DimensionMismatch(f"expected {self.n} species sizes") from exc
+        if raw.shape != (self.n,):
             raise DimensionMismatch(f"expected {self.n} species sizes")
+        kind = raw.dtype.kind
+        if not (kind in "iu" or kind == "f" and np.all(
+                (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63))):
+            raise BadSizes(f"species sizes must be integers, got {raw.tolist()}")
+        sizes = raw.astype(np.int64)
         if np.any(sizes < 1):
             raise BadSizes("species sizes must be positive")
         total = int(sizes.sum())

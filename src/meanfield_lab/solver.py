@@ -29,7 +29,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .errors import (
     ConfigParse,
@@ -39,6 +38,7 @@ from .errors import (
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
+from .exact import _lse
 from .model import ValidatedModel, _require_validated, hamiltonian_density
 
 LN2 = math.log(2.0)
@@ -169,13 +169,24 @@ class PressureResult:
 # --- elementary pieces ---------------------------------------------------
 
 
+def _xlogx(t: np.ndarray) -> np.ndarray:
+    """t ln t with 0 ln 0 = 0; scipy's xlogy(t, t), bit for bit.
+
+    The logs come from the C library, as in xlogy: numpy's vectorised log
+    can differ from it in the last bit, and that moves the fbar values.
+    The solver passes one entry per species, so the loop costs nothing.
+    """
+    logs = [math.log(v) if v > 0.0 else 0.0 for v in t.ravel().tolist()]
+    return t * np.reshape(logs, t.shape)
+
+
 def entropy_I(x):
     """Binary entropy rate 1/2 ((1+x)ln(1+x) + (1-x)ln(1-x)) on [-1, 1]."""
     arr = np.asarray(x, dtype=float)
     if np.any(np.abs(arr) > 1.0 + 1e-15):
         raise DomainError("entropy_I is defined on [-1, 1]")
     arr = np.clip(arr, -1.0, 1.0)
-    val = 0.5 * (xlogy(1.0 + arr, 1.0 + arr) + xlogy(1.0 - arr, 1.0 - arr))
+    val = 0.5 * (_xlogx(1.0 + arr) + _xlogx(1.0 - arr))
     return float(val) if np.isscalar(x) else val
 
 
@@ -283,7 +294,7 @@ def _f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     else:
         locs = model.site_measure.locations
         logw = np.log(model.site_measure.weights)
-        log_mgf = logsumexp(u[..., None] * locs + logw, axis=-1)
+        log_mgf = _lse(u[..., None] * locs + logw, axis=-1)
     return -quad + log_mgf @ model.alpha
 
 

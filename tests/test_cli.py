@@ -201,6 +201,30 @@ def test_bad_solver_options_exit_2(tmp_path, capsys, bad):
     assert err["error"] == "ConfigParse"
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("limits", {"model": CW12, "sizes": [100], "conditioned": {"radius": 0.3}}),
+    ("limits", {"model": CW12, "sizes": [100],
+                "conditioned": {"center": ["x"], "radius": 0.3}}),
+    ("limits", {"model": CW12, "sizes": [100],
+                "conditioned": {"center": [0.66, 0.1], "radius": 0.3}}),
+    ("pressure", {"model": REF2, "N_values": ["abc"]}),
+    ("pressure", {"model": REF2, "N_values": [2.7]}),
+    ("pressure", {"model": REF2, "N_values": 200}),
+    ("sample", {"model": CW12, "sizes": [100], "M": "x"}),
+    ("sample", {"model": CW12, "sizes": [100], "M": -3}),
+    ("sample", {"model": CW12, "sizes": [100], "M": 10, "seed": "abc"}),
+    ("phase", {"J_grid": ["q"]}),
+    ("phase", {"J_grid": [0.5, 0.6], "h": "x"}),
+])
+def test_ill_typed_config_scalars_exit_2(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out.json")]
+    assert main(argv + (["--seed", "1"] if "seed" not in doc else [])) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("bad", [{"J": [[float("nan")]]}, {"h": [float("inf")]}])
 def test_non_finite_model_exit_2(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"model": {**CW12, **bad}})

@@ -25,6 +25,7 @@ from meanfield_lab import (
 from meanfield_lab.errors import (
     BadSizes,
     ConfigParse,
+    DimensionMismatch,
     EmptyCondition,
     LatticeTooLarge,
     OffLattice,
@@ -34,6 +35,7 @@ from meanfield_lab.exact import (
     MagLattice,
     SampleSet,
     _lattice_log_weights,
+    _log_factorial,
     _lse,
 )
 
@@ -479,3 +481,76 @@ def test_sizes_stay_the_callers_own():
     assert sizes.flags.writeable
     sizes[0] = 12
     assert law.lattice.sizes.tolist() == [10]
+
+
+# --- special functions without scipy ----------------------------------------------
+
+
+def ulps_apart(a, b):
+    """Distance in units in the last place between two arrays of positive doubles."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+def test_log_factorial_equals_scipy_gammaln_bitwise_to_5000():
+    from scipy.special import gammaln
+
+    k = np.arange(5001.0)
+    assert _log_factorial(k).tobytes() == gammaln(k + 1.0).tobytes()
+
+
+def test_log_factorial_close_to_scipy_gammaln_up_to_1e7():
+    # numpy's log may miss the C library's by one ulp; (x - 1/2) ln x turns
+    # that into at most two ulp of ln k!, as at k = 351496 on AVX-512 hosts
+    from scipy.special import gammaln
+
+    k = np.unique(np.concatenate([np.round(np.geomspace(1.0, 1e7, 3000)),
+                                  [11, 12, 998, 999, 1000, 351496, 1e7]]))
+    assert ulps_apart(_log_factorial(k), gammaln(k + 1.0)).max() <= 2
+    # past 1e8 both take the bare Stirling sum
+    far = np.array([1e8 - 1, 1e8, 1e8 + 1, 1e12])
+    assert ulps_apart(_log_factorial(far), gammaln(far + 1.0)).max() <= 2
+
+
+def test_log_count_takes_any_order_and_agrees_with_the_lattice_table():
+    N = 1200
+    T = _log_factorial(np.arange(N + 1.0))
+    k = np.array([[600, 0], [1200, 37], [999, 12]])
+    m = (2.0 * k - N) / N
+    assert log_count(N, m).tobytes() == (T[N] - (T[k] + T[N - k])).tobytes()
+    assert log_count(N, m[1, 1]) == float(T[N] - (T[37] + T[N - 37]))
+
+
+def test_lse_along_the_last_axis_matches_scipy_bitwise():
+    from scipy.special import logsumexp
+
+    # a three-point measure tilted by fields u: at u = 0 the three equal
+    # weights tie, and the hand-made rows tie two of three entries
+    locs = np.array([-1.0, 0.0, 1.0])
+    logw = np.log(np.full(3, 1.0 / 3.0))
+    u = np.linspace(-3.0, 3.0, 61).reshape(-1, 1) * np.array([1.0, 0.5])
+    W = u[..., None] * locs + logw
+    W[0, 0] = [0.88, -0.84, 0.88]
+    W[1, 1] = [-2.0, -2.0, -7.5]
+    assert np.any(u == 0.0)
+    got = _lse(W, axis=-1)
+    assert got.shape == W.shape[:-1]
+    assert got.tobytes() == logsumexp(W, axis=-1).tobytes()
+
+
+def test_non_integral_sizes_are_refused():
+    ref2 = make_ref2()
+    for bad in ([200.9, 200.9], [float("nan")] * 2, [float("inf")] * 2,
+                ["a", "b"], [True, True]):
+        with pytest.raises(BadSizes):
+            finite_pressure(ref2, bad)
+    with pytest.raises(DimensionMismatch):
+        finite_pressure(ref2, [[200], [200, 1]])
+    # integral floats are sizes; p_N divides by the validated total
+    p = finite_pressure(ref2, np.array([200.0, 200.0]))
+    assert p == log_partition(ref2, [200, 200]) / 400.0
+
+
+@pytest.mark.parametrize("M", [-1, -3, 2.5, 10.0, "10", None])
+def test_sample_count_must_be_a_non_negative_integer(M):
+    with pytest.raises(ConfigParse):
+        exact_sample(make_cw(0.5, 0.0), [10], M, seed=1)

@@ -86,6 +86,17 @@ def test_entropy_values():
     assert entropy_I(0.5) == pytest.approx(I_HALF, abs=1e-14)
 
 
+def test_entropy_matches_the_xlogy_form_bitwise():
+    from scipy.special import xlogy
+
+    x = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 4001), [-1.0, 0.0, 1.0],
+                                  np.geomspace(1e-300, 1.0, 500),
+                                  -np.geomspace(1e-300, 1.0, 500)]))
+    want = 0.5 * (xlogy(1.0 + x, 1.0 + x) + xlogy(1.0 - x, 1.0 - x))
+    assert entropy_I(x).tobytes() == want.tobytes()
+    assert entropy_I(0.0) == 0.0 and entropy_I(-1.0) == entropy_I(1.0) == want[-1]
+
+
 def test_entropy_domain():
     with pytest.raises(DomainError):
         entropy_I(1.0000001)
