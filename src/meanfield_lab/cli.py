@@ -18,6 +18,7 @@ import numpy as np
 
 from . import exact, inverse, limits, model, solver
 from .errors import ConfigError, ConfigParse, IoError, MeanFieldError, PreconditionError
+from .model import _integer, _list, _number, _numbers, _require
 
 _EPILOG = """exit codes:
   0  success
@@ -121,40 +122,15 @@ def _model_from_config(doc: dict) -> model.ValidatedModel:
 
 
 def _solver_options(doc: dict, threads: int | None) -> solver.SolverOptions:
-    opts_doc = dict(doc.get("solver", {}))
+    opts_doc = doc.get("solver", {})
+    if not isinstance(opts_doc, dict):
+        raise ConfigParse('"solver" must be an object')
     if threads is not None:
-        opts_doc["threads"] = threads
+        opts_doc = {**opts_doc, "threads": threads}
     try:
         return solver.SolverOptions.from_dict(opts_doc)
     except TypeError as exc:
         raise ConfigParse(f"bad solver options: {exc}") from exc
-
-
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ConfigParse(f'config needs a "{key}" key')
-    return doc[key]
-
-
-def _integer(value, what: str, least: int) -> int:
-    """A JSON integer >= least; anything else is a config error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigParse(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number as a float; anything else is a config error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigParse(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _list(doc: dict, key: str) -> list:
-    value = _require(doc, key)
-    if not isinstance(value, list):
-        raise ConfigParse(f'"{key}" must be a list')
-    return value
 
 
 def _classification_dict(cls: solver.MaximumClassification) -> dict:
@@ -261,13 +237,8 @@ def cmd_limits(args) -> int:
         report["ks_distance"] = limits.ks_distance(zlaw, law)
         report["law_variance"] = (float(law.cov[0, 0])
                                   if isinstance(law, limits.Gaussian) else None)
-        order = np.argsort(zlaw.points[:, 0], kind="stable")
-        pts = zlaw.points[order, 0]
-        probs = zlaw.probs[order]
-        exact_cdf = np.cumsum(probs)
-        law_cdf = limits.law_cdf_1d(law, pts)
         header = ["z", "probability", "exact_cdf", "law_cdf"]
-        blocks = [pts, probs, exact_cdf, law_cdf]
+        blocks = limits._cdf_table(zlaw.points[:, 0], zlaw.probs, law)
     else:
         header = [f"z_{l + 1}" for l in range(m.n)] + ["probability"]
         blocks = [zlaw.points, zlaw.probs]
@@ -283,7 +254,7 @@ def cmd_limits(args) -> int:
 def cmd_invert(args) -> int:
     doc = _load_config(args.config)
     if "alpha" in doc:
-        alpha = np.asarray(doc["alpha"], dtype=float)
+        alpha = np.array(_numbers(doc["alpha"], "alpha"))
     elif "model" in doc:
         alpha = _model_from_config(doc).alpha
     else:

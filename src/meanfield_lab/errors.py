@@ -102,10 +102,6 @@ class NotK1(PreconditionError):
     pass
 
 
-class NonPositiveDefiniteA(PreconditionError):
-    pass
-
-
 class NotPositiveDefiniteResult(PreconditionError):
     pass
 

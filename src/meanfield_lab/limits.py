@@ -3,11 +3,12 @@
 Three families arise: a multivariate Gaussian when the maximum is
 quadratic (k=1), an exponential of a negative even homogeneous form for
 degenerate maxima (k >= 2), and a weighted mixture of point masses for
-the magnetization itself when several maxima coexist.  The Gaussian
-covariance comes from the susceptibility relations; the mixture weights
-from the sharpness of each maximum.  At a degenerate maximum that is the
-normaliser of exp(Q) for a form Q(v) = sum_l c_l <R_l, v>^d with n rays in
-R^n.  The ray certificate (d even, every c_l < 0, R of full rank) decides
+the magnetization itself when several maxima coexist.  At a quadratic
+maximum (any symmetric J) the covariance is M^{-1} for fbar's curvature
+M = diag(1/var) - D J D, and with S = diag(sqrt(var)) the weight is
+ln b = n/2 ln 2pi - 1/2 ln det(S M S).  At a degenerate one it is the
+normaliser of exp(Q), Q(v) = sum_l c_l <R_l, v>^d with n rays in R^n.
+The ray certificate (d even, every c_l < 0, R of full rank) decides
 exactly whether Q is negative definite, and w = R v gives the closed form
 ln Z = n ln(2 Gamma(1 + 1/d)) - (1/d) sum_l ln(-c_l) - ln|det R|.
 
@@ -28,7 +29,6 @@ from .errors import (
     DegenerateMaximum,
     DimensionMismatch,
     MixedTypes,
-    NonPositiveDefiniteA,
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
@@ -41,6 +41,7 @@ from .solver import (
     HomogeneousForm,
     MaximumClassification,
     SolverOptions,
+    _curvature,
     pressure_limit,
 )
 
@@ -144,44 +145,33 @@ def susceptibility_cw(J: float, h: float, mu: float) -> float:
 def susceptibility_matrix(model: ValidatedModel, mu) -> np.ndarray:
     """Field-response matrix chi_ls = d mu_l / d h_s at an equilibrium mu.
 
-    Solves the linear self-consistency relation
-    chi = P (I + J diag(alpha) chi) with P = diag(1 - mu_l^2).
+    chi = D^{-1} M^{-1} D for the curvature M at mu, D = diag(sqrt(alpha)):
+    the solution of chi = P (I + J diag(alpha) chi), P = diag(var) (1 - mu^2 for +-1).
     """
     model = _require_validated(model)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (model.n,):
         raise DimensionMismatch("mu must have one entry per species")
-    P = np.diag(1.0 - mu ** 2)
-    system = np.eye(model.n) - P @ model.J @ np.diag(model.alpha)
-    if np.linalg.cond(system) > 1e10:
+    K, s = _curvature(model, mu)
+    if np.linalg.cond(K) > 1e10:
         raise SingularSystem("response system is singular at this point")
-    return np.linalg.solve(system, P)
+    d = np.sqrt(model.alpha)
+    return (s / d)[:, None] * np.linalg.inv(K) * (s * d)[None, :]
 
 
 def covariance_tilde(model: ValidatedModel, mu,
                      classification: MaximumClassification) -> np.ndarray:
-    """Covariance of the jointly rescaled sums at a quadratic maximum.
-
-    Computed as -Htilde^{-1} - A^{-1} with A = D_alpha J D_alpha and
-    Htilde the alpha-rescaled Hessian of f at the maximum.
-    """
+    """Covariance M^{-1} of the rescaled sums at a quadratic maximum, Cholesky-certified."""
     model = _require_validated(model)
     if classification.k != 1 or classification.hessian is None:
         raise NotK1("covariance requires a type-1 maximum")
-    A = model.coupling_core()
+    K, s = _curvature(model, classification.point.x)
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
-        raise NonPositiveDefiniteA("coupling core must be positive definite")
-    d_inv = 1.0 / np.sqrt(model.alpha)
-    Ht = d_inv[:, None] * classification.hessian * d_inv[None, :]
-    result = -np.linalg.inv(Ht) - np.linalg.inv(A)
-    if np.max(np.abs(result - result.T)) > 1e-9:
-        raise NotPositiveDefiniteResult("covariance came out asymmetric")
-    result = 0.5 * (result + result.T)
-    if np.any(np.linalg.eigvalsh(result) <= 0):
-        raise NotPositiveDefiniteResult("covariance is not positive definite")
-    return result
+        raise NotPositiveDefiniteResult("curvature is not positive definite")
+    cov = s[:, None] * np.linalg.inv(K) * s[None, :]
+    return 0.5 * (cov + cov.T)
 
 
 # --- law construction -----------------------------------------------------
@@ -210,11 +200,9 @@ def _log_weight(model: ValidatedModel, cls: MaximumClassification) -> float:
     """ln of the peak-sharpness integral used as mixture weight."""
     n = model.n
     if cls.k == 1:
-        d_inv = 1.0 / np.sqrt(model.alpha)
-        Ht = d_inv[:, None] * cls.hessian * d_inv[None, :]
-        sign, logdet = np.linalg.slogdet(-Ht)
+        sign, logdet = np.linalg.slogdet(_curvature(model, cls.point.x)[0])
         if sign <= 0:
-            raise NotPositiveDefiniteResult("Hessian must be negative definite")
+            raise NotPositiveDefiniteResult("curvature must be positive definite")
         return 0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet
     return _log_form_integral(_rescaled_form(model, cls), n)
 
@@ -320,6 +308,13 @@ def _law_scale_1d(law: LimitLaw) -> float:
     return float(np.max(np.abs(law.points))) + 1.0
 
 
+def _cdf_table(pts, probs, law: LimitLaw):
+    """Atoms sorted (stably), their probabilities, the exact CDF and the law's."""
+    order = np.argsort(pts, kind="stable")
+    pts, probs = pts[order], probs[order]
+    return pts, probs, np.cumsum(probs), law_cdf_1d(law, pts)
+
+
 def ks_distance(observed, law: LimitLaw) -> float:
     """Kolmogorov-Smirnov statistic against a one-dimensional limit law.
 
@@ -341,10 +336,7 @@ def ks_distance(observed, law: LimitLaw) -> float:
     else:
         pts = np.asarray(observed, dtype=float).ravel()
         probs = np.full(len(pts), 1.0 / len(pts))
-    order = np.argsort(pts, kind="stable")
-    pts, probs = pts[order], probs[order]
-    cum = np.cumsum(probs)
-    F = law_cdf_1d(law, pts)
+    _, _, cum, F = _cdf_table(pts, probs, law)
     below = np.concatenate([[0.0], cum[:-1]])
     return float(np.max(np.maximum(np.abs(F - cum), np.abs(F - below))))
 

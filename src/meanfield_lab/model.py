@@ -260,29 +260,61 @@ def materialize_configuration(model: ValidatedModel, sizes, sums) -> Configurati
 
 # --- model JSON document ------------------------------------------------
 
+def _require(doc: dict, key: str):
+    if key not in doc:
+        raise ConfigParse(f'config needs a "{key}" key')
+    return doc[key]
+
+
+def _integer(value, what: str, least: int) -> int:
+    """A JSON integer >= least; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigParse(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigParse(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(doc: dict, key: str) -> list:
+    value = _require(doc, key)
+    if not isinstance(value, list):
+        raise ConfigParse(f'"{key}" must be a list')
+    return value
+
+
+def _numbers(value, what: str) -> tuple[float, ...]:
+    """A JSON list of numbers as floats; anything else is a config error."""
+    if not isinstance(value, list):
+        raise ConfigParse(f"{what} must be a list, got {value!r}")
+    return tuple(_number(v, f"{what} entry") for v in value)
+
+
 def model_from_dict(doc: dict) -> ModelSpec:
-    """Parse the model configuration document.
+    """Parse the model configuration document; ill-typed entries raise ConfigParse.
 
     Schema: ``{"n": int, "alpha": [...], "J": [[...]], "h": [...],
     "measure": {"atoms": [[loc, weight], ...]}}`` where ``measure`` is
     optional and defaults to the symmetric +-1 measure.
     """
-    try:
-        n = int(doc["n"])
-        alpha = tuple(float(a) for a in doc["alpha"])
-        J = tuple(tuple(float(v) for v in row) for row in doc["J"])
-        h = tuple(float(v) for v in doc["h"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParse(f"bad model document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigParse("model document must be a JSON object")
+    measure = FiniteMeasure.symmetric_binary()
     if "measure" in doc:
-        try:
-            atoms = tuple((float(loc), float(w)) for loc, w in doc["measure"]["atoms"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigParse(f"bad measure document: {exc}") from exc
+        if not isinstance(doc["measure"], dict):
+            raise ConfigParse('"measure" must be an object')
+        atoms = tuple(_numbers(a, "measure atom") for a in _list(doc["measure"], "atoms"))
+        if any(len(a) != 2 for a in atoms):
+            raise ConfigParse("measure atoms must be [location, weight] pairs")
         measure = FiniteMeasure(atoms=atoms)
-    else:
-        measure = FiniteMeasure.symmetric_binary()
-    return ModelSpec(n=n, alpha=alpha, J=J, h=h, site_measure=measure)
+    return ModelSpec(n=_integer(_require(doc, "n"), "n", 1),
+                     alpha=_numbers(_require(doc, "alpha"), "alpha"),
+                     J=tuple(_numbers(row, "J row") for row in _list(doc, "J")),
+                     h=_numbers(_require(doc, "h"), "h"), site_measure=measure)
 
 
 def model_from_json(text: str) -> ModelSpec:
@@ -290,8 +322,6 @@ def model_from_json(text: str) -> ModelSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParse(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigParse("model document must be a JSON object")
     return model_from_dict(doc)
 
 

@@ -13,7 +13,8 @@ with u_l(x) = sum_s alpha_s J_ls x_s + h_l.  Both share the stationarity
 system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
 x_l = tanh(u_l).  Stationary points are found by damped multistart
 iteration with a Newton polish, then classified by the first
-nonvanishing even derivative (type k, strength lambda).
+nonvanishing even derivative (type k, strength lambda); with several
+species, for any symmetric J, by fbar's curvature (``_curvature``).
 
 The pressure limit is computed by two routes that share no solver:
 route 1 takes max fbar over the fixed points, route 2 maximizes f
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class SolverOptions:
     newton_max_iter: int = 200
 
     def __post_init__(self):
+        if any(isinstance(getattr(self, f.name), bool) for f in fields(self)):
+            raise ConfigParse("solver options must be numbers, not booleans")
         for name, least in (("grid_points", 1), ("max_iter", 1),
                             ("newton_max_iter", 0)):
             value = getattr(self, name)
@@ -148,7 +151,7 @@ class HomogeneousForm:
 
 @dataclass(frozen=True)
 class MaximumClassification:
-    """Type and strength data of a local maximum of f."""
+    """Type and strength of a maximum; ``hessian`` (f's, k=1) is reported only."""
 
     point: StationaryPoint
     k: int
@@ -480,16 +483,27 @@ def _hessian_f(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     return (model.alpha[:, None] * model.alpha[None, :]) * inner
 
 
+def _curvature(model: ValidatedModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """fbar's curvature M = diag(1/var) - D J D at x as (S M S, S), S = diag(sqrt(var)).
+
+    With D = diag(sqrt(alpha)), M is minus fbar's rescaled Hessian for any symmetric
+    J, positive definite exactly at a quadratic maximum; S M S = I - S D J D S has
+    its inertia and stays finite where a spin is nearly frozen (1/var overflows).
+    """
+    s = np.sqrt(_map_rows(model, np.asarray(x, dtype=float)[None, :])[1][0])
+    return np.eye(model.n) - s[:, None] * model.coupling_core() * s[None, :], s
+
+
 def classify_maximum(model: ValidatedModel,
                      point: StationaryPoint) -> MaximumClassification:
-    """Type k and strength of a local maximum of f, by exact certificates.
+    """Type k and strength of a maximum, by exact certificates.
 
     One species: scan analytic derivatives up to order 8; k is half
     the first even order whose derivative exceeds the vanishing threshold.
-    Several species: k=1 via a negative-definite Hessian, or k=2 when the
-    Hessian vanishes, the cubic term too, and the quartic form passes the
-    ray certificate (``HomogeneousForm.definiteness_fault``).  A positive
-    curvature or a dominating odd term raises NotAMaximum; mixed
+    Several species, any symmetric J: k=1 when fbar's curvature is positive
+    definite, or k=2 when it vanishes, the cubic term too, and the quartic
+    form passes the ray certificate (``HomogeneousForm.definiteness_fault``).
+    A negative curvature or a dominating odd term raises NotAMaximum; mixed
     degeneracies and other forms are refused rather than guessed.
     """
     model = _require_validated(model)
@@ -517,17 +531,18 @@ def classify_maximum(model: ValidatedModel,
                                      hessian=hess)
 
     _check_multi_binary(model, "classify_maximum")
-    H = _hessian_f(model, x[None, :])[0]
-    eigs = np.linalg.eigvalsh(H)
-    if eigs.max() > _DERIV_TOL:
-        raise NotAMaximum("Hessian has a positive eigenvalue")
-    if eigs.max() < -_DERIV_TOL:
-        return MaximumClassification(point=point, k=1, hessian=H)
+    eigs = np.linalg.eigvalsh(_curvature(model, x)[0])
     if eigs.min() < -_DERIV_TOL:
+        raise NotAMaximum("curvature diag(1/var) - D J D has a negative eigenvalue")
+    if eigs.min() > _DERIV_TOL:
+        return MaximumClassification(point=point, k=1,
+                                     hessian=_hessian_f(model, x[None, :])[0])
+    if eigs.max() > _DERIV_TOL:
         raise UnsupportedDegeneracy(
-            "Hessian is singular but not zero: mixed-homogeneity maximum")
-    # The order-m Taylor term is sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m,
-    # R = J diag(alpha); the one-species allowance holds ray by ray.
+            "curvature is singular but not zero: mixed-homogeneity maximum")
+    # M = 0 forces D J D = diag(1/var) > 0, where f's quartic form is the
+    # law's.  The order-m Taylor term is sum_l alpha_l kappa_m(u_l) / m!
+    # <R_l, v>^m, R = J diag(alpha); the one-species allowance holds ray by ray.
     u = _fields(model, x[None, :])[0]
     kappa = _cumulants_from_moments(_tilted_moments(model, u, 4))
     d3, d4 = model.alpha * kappa[2], model.alpha * kappa[3]

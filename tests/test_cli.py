@@ -302,3 +302,47 @@ def test_csv_template_matches_per_cell_formatting():
     assert _csv(header, sizes, floats) == reference_csv(header, rows)
     assert _csv(header[1:], *floats.T) == reference_csv(header[1:], floats.tolist())
     assert _csv(header, sizes[:0], floats[:0]) == "N,a,b,c\n"
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("solve", {"model": CW12, "solver": [1]}),
+    ("solve", {"model": CW12, "solver": "abc"}),
+    ("solve", {"model": CW12, "solver": {"grid_points": True}}),
+    ("invert", {"alpha": ["x"]}),
+    ("solve", {"model": {**CW12, "n": 1.7}}),
+    ("solve", {"model": {**CW12, "n": True}}),
+    ("solve", {"model": {**CW12, "h": ["0.0"]}}),
+    ("solve", {"model": {**CW12, "J": [[True]]}}),
+    ("solve", {"model": {**CW12, "measure": {"atoms": [["-1", 0.5], [1.0, "0.5"]]}}}),
+])
+def test_ill_typed_documents_exit_2(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_limits_without_a_ball_refuses_two_global_maxima(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {**CW12, "h": [0.0]}, "sizes": [100]})
+    assert main(["limits", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 3
+    assert "several global maxima" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_weak_antiferromagnet_runs_end_to_end(tmp_path, capsys):
+    # D J D is not positive definite: the direct route is skipped, nothing refused
+    af = {"n": 2, "alpha": [0.5, 0.5], "J": [[0.5, -0.6], [-0.6, 0.5]], "h": [0.1, 0.0]}
+    cfg = write_config(tmp_path, {"model": af, "N_values": [200, 800, 3200],
+                                  "sizes": [100, 100]})
+    assert main(["solve", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method_agreement"] is None
+    assert [m["k"] for m in report["maxima"]] == [1]
+    assert main(["pressure", "--config", cfg]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for row in rows:
+        _, p_n, _, lower, upper = map(float, row.split(","))
+        assert lower <= p_n <= upper
+    assert len(rows) == 3
+    assert main(["limits", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 0
+    assert json.loads((tmp_path / "l.json").read_text())["law"]["kind"] == "gaussian"

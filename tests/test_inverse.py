@@ -23,6 +23,7 @@ from meanfield_lab.errors import (
     EmptySample,
     InconsistentRows,
     MagnetizationSaturated,
+    SingularChi,
     ZeroVariance,
 )
 from meanfield_lab.inverse import _sample_log_likelihood
@@ -278,3 +279,19 @@ def test_sample_log_likelihood_checks_sizes():
     empty_block = SampleSet(sizes=np.array([0]), seed=0, sums=np.zeros((3, 1), dtype=np.int64))
     with pytest.raises(BadSizes):
         _sample_log_likelihood(empty_block, np.eye(1), np.zeros(1), np.array([1.0]))
+
+
+def test_invert_multi_refuses_perfectly_correlated_species():
+    sums = np.array([[2, 2], [0, 0], [-2, -2], [4, 4]])
+    samples = SampleSet(sizes=np.array([10, 10]), seed=0, sums=sums)
+    with pytest.raises(SingularChi):
+        invert_multi(estimate_moments(samples), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("mean", [(1.0, 0.2), (0.1, -1.0)])
+def test_invert_multi_refuses_a_saturated_species(mean):
+    mean = np.array(mean)
+    mom = EmpiricalMoments(mean=mean, second=np.outer(mean, mean) + 0.01 * np.eye(2),
+                           sizes=np.array([100, 100]), sample_count=10)
+    with pytest.raises(MagnetizationSaturated):
+        invert_multi(mom, [0.5, 0.5])

@@ -567,3 +567,64 @@ def test_higher_order_cdf_limits():
     assert law_cdf_1d(law, -50.0) == pytest.approx(0.0, abs=1e-14)
     assert law_cdf_1d(law, 0.0) == pytest.approx(0.5, abs=1e-14)
     assert law_cdf_1d(law, 50.0) == pytest.approx(1.0, abs=1e-14)
+
+
+# --- one curvature for every quadratic maximum -------------------------------------
+
+
+def test_covariance_is_the_rescaled_susceptibility():
+    model = make_ref2()
+    cls = solve_mu(model)
+    d = np.sqrt(model.alpha)
+    cov = covariance_tilde(model, cls.point.x, cls)
+    want = d[:, None] * susceptibility_matrix(model, cls.point.x) / d[None, :]
+    assert np.max(np.abs(cov - want) / np.abs(cov)) <= 1e-14
+
+
+def test_weak_antiferromagnet_law_matches_the_exact_covariance():
+    # D J D has eigenvalues (-0.05, 0.55); the law is still Gaussian
+    model = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((0.5, -0.6), (-0.6, 0.5)),
+                                     h=(0.1, 0.0)))
+    cls = solve_mu(model)
+    law = build_limit_law(model, cls)
+    assert isinstance(law, Gaussian)
+    exact = normalized_sum_law(model, [2000, 2000], cls.point.x, k=1).cov()
+    assert np.max(np.abs(exact - law.cov) / np.abs(law.cov)) < 0.01
+
+
+def test_ks_distance_between_two_quartic_laws():
+    def quartic(a):
+        form = HomogeneousForm(4, (-a,), ((1.0,),))
+        return HigherOrder(k=2, form=form, log_normalizer=_log_form_integral(form, 1))
+
+    from scipy.special import gammainc
+
+    t = np.geomspace(1e-8, 1e3, 200001)
+    oracle = 0.5 * np.max(np.abs(gammainc(0.25, t) - gammainc(0.25, 2.0 * t)))
+    assert ks_distance(quartic(1.0 / 12.0), quartic(1.0 / 12.0)) == 0.0
+    assert ks_distance(quartic(1.0 / 12.0), quartic(1.0 / 6.0)) == pytest.approx(
+        oracle, abs=1e-3)
+
+
+def test_ks_distance_between_two_mixtures():
+    a = DeltaMixture(points=[[-0.5], [0.5]], weights=[0.5, 0.5])
+    b = DeltaMixture(points=[[-0.5], [0.5]], weights=[0.3, 0.7])
+    assert ks_distance(a, a) == 0.0
+    assert ks_distance(a, b) == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("h1", [14.0, 40.0])
+def test_strong_field_response_keeps_its_relative_accuracy(h1):
+    # var_1 = sech^2(u_1) is ~1e-12 or ~1e-35, so M = diag(1/var) - D J D is
+    # badly scaled; the response must still be accurate entry by entry
+    model = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.0, 0.5), (0.5, 1.0)),
+                                     h=(h1, 0.1)))
+    cls = solve_mu(model)
+    mu = cls.point.x
+    P = np.diag(1.0 / np.cosh(model.J @ (model.alpha * mu) + model.h) ** 2)
+    chi = susceptibility_matrix(model, mu)
+    residual = chi - P @ (np.eye(2) + model.J @ np.diag(model.alpha) @ chi)
+    assert np.all(np.abs(residual) <= 1e-12 * np.abs(chi))
+    d = np.sqrt(model.alpha)
+    cov = covariance_tilde(model, mu, cls)
+    assert np.max(np.abs(cov - d[:, None] * chi / d[None, :]) / np.abs(cov)) <= 1e-14

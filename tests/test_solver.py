@@ -13,6 +13,7 @@ from meanfield_lab import (
     classify_maximum,
     cw_phase_scan,
     entropy_I,
+    finite_pressure,
     functional_f,
     functional_fbar,
     mean_field_map,
@@ -569,3 +570,64 @@ def test_cross_check_holds_on_a_random_five_species_model():
                                      h=tuple(rng.uniform(-0.2, 0.2, size=5))))
     res = pressure_limit(model, SolverOptions(grid_points=7))
     assert res.method_agreement <= 1e-9
+
+
+# --- any symmetric coupling: maxima of fbar, whatever the sign of D J D ----------
+
+
+def two_species(J, h=(0.1, 0.0)):
+    return validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=J, h=h))
+
+
+def test_weak_antiferromagnet_has_one_quadratic_maximum():
+    # core eigenvalues (-0.05, 0.55): f is a saddle, the pressure is max fbar
+    model = two_species(((0.5, -0.6), (-0.6, 0.5)))
+    assert np.linalg.eigvalsh(model.coupling_core()).min() < 0
+    res = pressure_limit(model)
+    assert [c.k for c in res.maxima] == [1]
+    assert math.isnan(res.method_agreement)
+    # fbar by hand on a 0.001 grid of the open square
+    x = np.linspace(-0.999, 0.999, 1999)
+    a, b = np.meshgrid(0.5 * x, 0.5 * x, indexing="ij")
+    ent = 0.25 * ((1 + x) * np.log1p(x) + (1 - x) * np.log1p(-x))
+    fbar = (0.5 * (0.5 * a * a - 1.2 * a * b + 0.5 * b * b) + 0.1 * a
+            - ent[:, None] - ent[None, :])
+    assert res.limit_value - 1e-5 < fbar.max() <= res.limit_value + 1e-12
+
+
+def test_strong_antiferromagnet_pressure_matches_the_lattice():
+    model = two_species(((1.0, -3.0), (-3.0, 1.0)))
+    res = pressure_limit(model)
+    assert [c.k for c in res.maxima] == [1]
+    assert abs(finite_pressure(model, [1600, 1600]) - res.limit_value) < 3e-5
+
+
+def test_rank_one_core_has_a_quadratic_maximum():
+    # D J D is singular, but fbar is strictly curved at the field-tilted maximum
+    model = two_species(((1.0, 1.0), (1.0, 1.0)))
+    best = max(solve_fixed_points(model), key=lambda p: p.fbar_value)
+    assert classify_maximum(model, best).k == 1
+
+
+def test_random_couplings_of_any_signature_are_solved():
+    rng = np.random.default_rng(20261018)
+    not_posdef = 0
+    for i in range(40):
+        n = 2 + i % 2
+        J = np.triu(rng.standard_normal((n, n)), 1)
+        J = J + J.T
+        J[np.diag_indices(n)] = rng.uniform(0.5, 3.0, n)
+        alpha = rng.dirichlet(np.full(n, 4.0))
+        alpha[-1] = 1.0 - alpha[:-1].sum()
+        model = validate_model(ModelSpec(n=n, alpha=tuple(alpha), J=tuple(map(tuple, J)),
+                                         h=tuple(rng.uniform(-0.3, 0.3, n))))
+        res = pressure_limit(model)
+        assert res.maxima and all(c.k == 1 for c in res.maxima)
+        not_posdef += np.linalg.eigvalsh(model.coupling_core()).min() <= 0
+    assert not_posdef >= 1
+
+
+def test_a_frozen_species_still_has_a_quadratic_maximum():
+    # sech^2(u_1) underflows to 0 at h_1 = 400, where 1/var is infinite
+    model = two_species(((1.0, 0.5), (0.5, 1.0)), h=(400.0, 0.1))
+    assert [c.k for c in pressure_limit(model).maxima] == [1]

@@ -1,0 +1,84 @@
+"""Usage: python tools/cli_parity.py REV -- CLI output of REV against the working tree.
+
+Runs one fixed list on REV (built with ``git archive``) and on this tree, with
+OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
+on four more configs, and the demos.  Prints per output file "identical" or the
+count of moved numbers with their largest absolute and relative change; exits 1
+if any file's non-numeric text differs.
+"""
+
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+CW05 = {"n": 1, "alpha": [1.0], "J": [[0.5]], "h": [0.1]}
+
+
+def number_diff(old: str, new: str):
+    """(moved, max abs, max rel change) of the numbers; None if the other text differs."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))
+             if a != b]
+    gaps = [abs(a - b) for a, b in pairs]
+    rels = [g / max(abs(a), abs(b)) if g else 0.0 for g, (a, b) in zip(gaps, pairs)]
+    return len(pairs), max(gaps, default=0.0), max(rels, default=0.0)
+
+
+def run_tree(tree: Path, work: Path) -> dict[str, str]:
+    """Each output file of the fixed list, and each demo's stdout, by name."""
+    from workloads import MODELS, cli_commands
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
+    runs = [(c.argv, c.outputs) for c in cli_commands(11, str(work))]
+    for name, doc in {"cw10": {"model": MODELS["cw10"], "sizes": [400]},
+                      "crit2": {"model": MODELS["crit2"], "sizes": [40, 40]},
+                      "cw12-ball": {"model": MODELS["cw12"], "sizes": [400],
+                                    "conditioned": {"center": [0.66], "radius": 0.3}},
+                      "cw05": {"model": CW05, "sizes": [400]}}.items():
+        config, out = work / f"config-{name}.json", work / f"limits-{name}.json"
+        config.write_text(json.dumps(doc))
+        runs.append((["limits", "--config", str(config), "--out", str(out)],
+                     [out, out.with_suffix(".csv")]))
+    outputs = {}
+    for argv, files in runs:
+        subprocess.run([sys.executable, "-m", "meanfield_lab.cli", *argv], env=env,
+                       cwd=work, check=True)
+        outputs.update((Path(f).name, Path(f).read_text()) for f in files)
+    for demo in sorted((tree / "demos").glob("*.py")):
+        outputs[f"{demo.name} stdout"] = subprocess.run(
+            [sys.executable, str(demo)], env=env, cwd=work, check=True,
+            capture_output=True, text=True).stdout
+    return outputs
+
+
+def main(rev: str) -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(base / "rev", filter="data")
+        for side in ("old", "new"):
+            (base / side).mkdir()
+        old, new = run_tree(base / "rev", base / "old"), run_tree(ROOT, base / "new")
+    failed = False
+    for name in sorted(old.keys() | new.keys()):
+        diff = number_diff(old[name], new[name]) if name in old and name in new else None
+        failed |= diff is None
+        print(f"{name}: " + ("non-numeric text differs" if diff is None else "identical"
+                             if not diff[0] else "%d numbers moved, max abs %.2g, "
+                             "max rel %.2g" % diff))
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1]))
