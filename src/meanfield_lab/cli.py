@@ -128,7 +128,7 @@ def _solver_options(doc: dict, threads: int | None) -> solver.SolverOptions:
     if threads is not None:
         opts_doc = {**opts_doc, "threads": threads}
     try:
-        return solver.SolverOptions.from_dict(opts_doc)
+        return solver.SolverOptions(**opts_doc)
     except TypeError as exc:
         raise ConfigParse(f"bad solver options: {exc}") from exc
 
@@ -234,11 +234,11 @@ def cmd_limits(args) -> int:
         "exact_cov": zlaw.cov(),
     }
     if m.n == 1:
-        report["ks_distance"] = limits.ks_distance(zlaw, law)
+        blocks = limits._cdf_table(zlaw.points[:, 0], zlaw.probs, law)
+        report["ks_distance"] = limits._ks(*blocks[2:])
         report["law_variance"] = (float(law.cov[0, 0])
                                   if isinstance(law, limits.Gaussian) else None)
         header = ["z", "probability", "exact_cdf", "law_cdf"]
-        blocks = limits._cdf_table(zlaw.points[:, 0], zlaw.probs, law)
     else:
         header = [f"z_{l + 1}" for l in range(m.n)] + ["probability"]
         blocks = [zlaw.points, zlaw.probs]

@@ -161,11 +161,14 @@ def susceptibility_matrix(model: ValidatedModel, mu) -> np.ndarray:
 
 def covariance_tilde(model: ValidatedModel, mu,
                      classification: MaximumClassification) -> np.ndarray:
-    """Covariance M^{-1} of the rescaled sums at a quadratic maximum, Cholesky-certified."""
+    """Covariance M^{-1} of the rescaled sums, M at ``mu``; Cholesky-certified."""
     model = _require_validated(model)
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (model.n,):
+        raise DimensionMismatch("mu must have one entry per species")
     if classification.k != 1 or classification.hessian is None:
         raise NotK1("covariance requires a type-1 maximum")
-    K, s = _curvature(model, classification.point.x)
+    K, s = _curvature(model, mu)
     try:
         np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
@@ -208,15 +211,10 @@ def _log_weight(model: ValidatedModel, cls: MaximumClassification) -> float:
 
 
 def _rescaled_form(model: ValidatedModel, cls: MaximumClassification) -> HomogeneousForm:
-    """The homogeneous expansion term evaluated at x / alpha^(1/2k)."""
-    if model.n == 1:
-        deg = 2 * cls.k
-        coeff = cls.strength / math.factorial(deg)
-        return HomogeneousForm(deg, (float(coeff),), ((1.0,),))
+    """The leading form of degree 2k evaluated at x / alpha^(1/2k)."""
     if cls.quartic_form is None:
         raise MixedTypes("no homogeneous form is available for this maximum")
-    scale = model.alpha ** (1.0 / (2.0 * cls.k))
-    return cls.quartic_form.rescaled(scale)
+    return cls.quartic_form.rescaled(model.alpha ** (1.0 / (2.0 * cls.k)))
 
 
 def build_limit_law(model: ValidatedModel,
@@ -292,10 +290,7 @@ def law_cdf_1d(law: LimitLaw, x):
         out = 0.5 * (1.0 + np.sign(x) * gammainc(1.0 / deg, a * np.abs(x) ** deg))
     else:
         pts = law.points[:, 0]
-        out = np.array([float(law.weights[pts <= xi].sum()) for xi in np.atleast_1d(x)])
-        if np.isscalar(x) or x.ndim == 0:
-            return float(out[0])
-        return out
+        out = np.reshape([law.weights[pts <= xi].sum() for xi in x.ravel()], x.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -336,7 +331,11 @@ def ks_distance(observed, law: LimitLaw) -> float:
     else:
         pts = np.asarray(observed, dtype=float).ravel()
         probs = np.full(len(pts), 1.0 / len(pts))
-    _, _, cum, F = _cdf_table(pts, probs, law)
+    return _ks(*_cdf_table(pts, probs, law)[2:])
+
+
+def _ks(cum: np.ndarray, F: np.ndarray) -> float:
+    """KS statistic of sorted atoms with exact CDF ``cum`` against the law's ``F``."""
     below = np.concatenate([[0.0], cum[:-1]])
     return float(np.max(np.maximum(np.abs(F - cum), np.abs(F - below))))
 

@@ -12,9 +12,10 @@ while the Gaussian-transform route maximizes, on all of R^n,
 with u_l(x) = sum_s alpha_s J_ls x_s + h_l.  Both share the stationarity
 system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
 x_l = tanh(u_l).  Stationary points are found by damped multistart
-iteration with a Newton polish, then classified by the first
-nonvanishing even derivative (type k, strength lambda); with several
-species, for any symmetric J, by fbar's curvature (``_curvature``).
+iteration with a Newton polish, then classified by one rule for every
+n and any symmetric J: fbar's curvature (``_curvature``) first, and where
+it vanishes f's Taylor terms ray by ray, whose first nonvanishing even
+order is 2k (type k; strength lambda for one species).
 
 The pressure limit is computed by two routes that share no solver:
 route 1 takes max fbar over the fixed points, route 2 maximizes f
@@ -90,10 +91,6 @@ class SolverOptions:
         if not isinstance(self.damping, numbers.Real) or not 0.0 < self.damping <= 1.0:
             raise ConfigParse("damping must lie in (0, 1]")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "SolverOptions":
-        return SolverOptions(**doc)
-
 
 @dataclass(frozen=True)
 class StationaryPoint:
@@ -151,7 +148,9 @@ class HomogeneousForm:
 
 @dataclass(frozen=True)
 class MaximumClassification:
-    """Type and strength of a maximum; ``hessian`` (f's, k=1) is reported only."""
+    """Type k of a maximum.  ``hessian`` (f's, k=1) is reported only; ``quartic_form``
+    is f's leading form, of degree 2k, at any k >= 2 maximum and any n; ``strength``
+    is f's derivative of order 2k, for one species only."""
 
     point: StationaryPoint
     k: int
@@ -461,19 +460,6 @@ def _dedup_points(pts: np.ndarray, res: np.ndarray,
 # --- classification -------------------------------------------------------
 
 
-def _derivatives_1d(model: ValidatedModel, x: float, max_order: int) -> np.ndarray:
-    """Derivatives f'', f''', ..., f^(max_order) at x for a one-species model."""
-    J = float(model.J[0, 0])
-    u = np.array([J * x + model.h[0]])
-    mom = _tilted_moments(model, u, max_order)[:, 0]
-    kappa = _cumulants_from_moments(mom)
-    out = np.empty(max_order - 1)
-    out[0] = -J + J ** 2 * kappa[1]
-    for m in range(3, max_order + 1):
-        out[m - 2] = J ** m * kappa[m - 1]
-    return out
-
-
 def _hessian_f(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     """Hessians of f at a batch of rows, shape (P, n, n)."""
     u = _fields(model, X)
@@ -496,67 +482,54 @@ def _curvature(model: ValidatedModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 def classify_maximum(model: ValidatedModel,
                      point: StationaryPoint) -> MaximumClassification:
-    """Type k and strength of a maximum, by exact certificates.
+    """Type k of a maximum by exact certificates, one rule for every n.
 
-    One species: scan analytic derivatives up to order 8; k is half
-    the first even order whose derivative exceeds the vanishing threshold.
-    Several species, any symmetric J: k=1 when fbar's curvature is positive
-    definite, or k=2 when it vanishes, the cubic term too, and the quartic
-    form passes the ray certificate (``HomogeneousForm.definiteness_fault``).
-    A negative curvature or a dominating odd term raises NotAMaximum; mixed
-    degeneracies and other forms are refused rather than guessed.
+    fbar's curvature (``_curvature``) decides first: positive definite is
+    k=1, a negative eigenvalue is NotAMaximum, singular but nonzero is a
+    refused mixed degeneracy.  Where it vanishes, f's order-m Taylor term is
+    sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m, R = J diag(alpha): 2k is the
+    first even order with a term above the threshold, lower odd terms must
+    vanish ray by ray, and the degree-2k form must pass the ray certificate
+    (``HomogeneousForm.definiteness_fault``).  One species is the ray R = (J).
     """
     model = _require_validated(model)
-    x = np.asarray(point.x, dtype=float)
-
-    if model.n == 1:
-        derivs = _derivatives_1d(model, float(x[0]), _MAX_ORDER)
-        even = [m for m in range(2, _MAX_ORDER + 1, 2)
-                if abs(derivs[m - 2]) > _DERIV_TOL]
-        if not even:
-            raise UnsupportedDegeneracy(
-                f"all even derivatives through order {_MAX_ORDER} vanish")
-        leading = even[0]
-        value = float(derivs[leading - 2])
-        if value > 0:
-            raise NotAMaximum(f"derivative of order {leading} is positive")
-        for j in range(3, leading, 2):
-            allowed = max(_DERIV_TOL, 10.0 * abs(value) * _POS_ERR ** (leading - j))
-            if abs(derivs[j - 2]) > allowed:
-                raise NotAMaximum(
-                    f"odd derivative of order {j} dominates: an inflection")
-        k = leading // 2
-        hess = np.array([[derivs[0]]]) if k == 1 else None
-        return MaximumClassification(point=point, k=k, strength=value,
-                                     hessian=hess)
-
     _check_multi_binary(model, "classify_maximum")
+    x = np.asarray(point.x, dtype=float)
     eigs = np.linalg.eigvalsh(_curvature(model, x)[0])
     if eigs.min() < -_DERIV_TOL:
         raise NotAMaximum("curvature diag(1/var) - D J D has a negative eigenvalue")
     if eigs.min() > _DERIV_TOL:
-        return MaximumClassification(point=point, k=1,
-                                     hessian=_hessian_f(model, x[None, :])[0])
+        hess = _hessian_f(model, x[None, :])[0]
+        return MaximumClassification(point=point, k=1, hessian=hess,
+                                     strength=float(hess[0, 0]) if model.n == 1 else None)
     if eigs.max() > _DERIV_TOL:
         raise UnsupportedDegeneracy(
             "curvature is singular but not zero: mixed-homogeneity maximum")
-    # M = 0 forces D J D = diag(1/var) > 0, where f's quartic form is the
-    # law's.  The order-m Taylor term is sum_l alpha_l kappa_m(u_l) / m!
-    # <R_l, v>^m, R = J diag(alpha); the one-species allowance holds ray by ray.
+    # M = 0 forces D J D = diag(1/var) > 0, where f's leading form is the law's.
     u = _fields(model, x[None, :])[0]
-    kappa = _cumulants_from_moments(_tilted_moments(model, u, 4))
-    d3, d4 = model.alpha * kappa[2], model.alpha * kappa[3]
+    kappa = _cumulants_from_moments(_tilted_moments(model, u, _MAX_ORDER))
     rays = model.J * model.alpha[None, :]
-    norms = np.linalg.norm(rays, axis=1)
-    allowed = np.maximum(_DERIV_TOL, 10.0 * np.abs(d4) * norms ** 4 * _POS_ERR)
-    if np.any(np.abs(d3) * norms ** 3 > allowed):
-        raise NotAMaximum("cubic term dominates: an inflection")
-    form = HomogeneousForm(4, tuple(float(c) for c in d4 / 24.0),
+    orders = np.arange(1, _MAX_ORDER + 1)[:, None]
+    size = np.abs(model.alpha * kappa) * np.linalg.norm(rays, axis=1) ** orders
+    even = [m for m in range(4, _MAX_ORDER + 1, 2) if np.any(size[m - 1] > _DERIV_TOL)]
+    if not even:
+        raise UnsupportedDegeneracy(f"all even terms through order {_MAX_ORDER} vanish")
+    deg = even[0]
+    for j in range(3, deg, 2):
+        allowed = np.maximum(_DERIV_TOL, 10.0 * size[deg - 1] * _POS_ERR ** (deg - j))
+        if np.any(size[j - 1] > allowed):
+            raise NotAMaximum(f"odd term of order {j} dominates: an inflection")
+    coeffs = model.alpha * kappa[deg - 1] / math.factorial(deg)
+    form = HomogeneousForm(deg, tuple(float(c) for c in coeffs),
                            tuple(tuple(r) for r in rays))
     fault = form.definiteness_fault(model.n)
     if fault:
-        raise UnsupportedDegeneracy(f"quartic form: {fault}")
-    return MaximumClassification(point=point, k=2, quartic_form=form)
+        if np.any(coeffs > 0) and np.linalg.matrix_rank(rays) == model.n:
+            raise NotAMaximum(f"term of order {deg} is positive along a ray")
+        raise UnsupportedDegeneracy(f"form of degree {deg}: {fault}")
+    strength = float(model.J[0, 0] ** deg * kappa[deg - 1, 0]) if model.n == 1 else None
+    return MaximumClassification(point=point, k=deg // 2, strength=strength,
+                                 quartic_form=form)
 
 
 # --- pressure limit and scans ---------------------------------------------

@@ -323,6 +323,13 @@ def test_ill_typed_documents_exit_2(tmp_path, capsys, command, doc):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_an_unknown_solver_option_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": CW12, "solver": {"grid_size": 5}})
+    assert main(["solve", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse" and "grid_size" in err["message"]
+
+
 def test_limits_without_a_ball_refuses_two_global_maxima(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": {**CW12, "h": [0.0]}, "sizes": [100]})
     assert main(["limits", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 3

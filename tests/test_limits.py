@@ -9,6 +9,7 @@ from scipy.special import ndtr
 
 from meanfield_lab import (
     DeltaMixture,
+    FiniteMeasure,
     Gaussian,
     HigherOrder,
     HomogeneousForm,
@@ -23,6 +24,7 @@ from meanfield_lab import (
     law_to_dict,
     normalized_sum_law,
     pressure_limit,
+    StationaryPoint,
     solve_fixed_points,
     susceptibility_cw,
     susceptibility_matrix,
@@ -259,6 +261,20 @@ def test_normaliser_refuses_a_form_positive_somewhere():
     form = HomogeneousForm(4, (-1.0, 0.5), ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(NotPositiveDefiniteResult):
         _log_form_integral(form, 2)
+
+
+def test_type_three_normaliser_matches_the_closed_form():
+    # weights (1/6, 2/3, 1/6) at J = 3, x = 0: exp(-0.225 x^6), whose integral
+    # is 2 Gamma(7/6) / 0.225^(1/6)
+    meas = FiniteMeasure(atoms=((-1.0, 1.0 / 6.0), (0.0, 2.0 / 3.0), (1.0, 1.0 / 6.0)))
+    model = make_cw(3.0, 0.0, measure=meas)
+    point = StationaryPoint(x=np.zeros(1), residual=0.0, f_value=math.nan,
+                            fbar_value=None)
+    law = build_limit_law(model, classify_maximum(model, point), conditioned=True)
+    assert isinstance(law, HigherOrder) and law.k == 3
+    assert law.log_normalizer == pytest.approx(0.8667302925397505, abs=1e-14)
+    closed = math.log(2.0 * math.gamma(7.0 / 6.0)) - math.log(0.225) / 6.0
+    assert closed == pytest.approx(0.8667302925397505, abs=1e-15)
 
 
 def test_normaliser_and_mixture_weight_are_one_number():
@@ -579,6 +595,23 @@ def test_covariance_is_the_rescaled_susceptibility():
     cov = covariance_tilde(model, cls.point.x, cls)
     want = d[:, None] * susceptibility_matrix(model, cls.point.x) / d[None, :]
     assert np.max(np.abs(cov - want) / np.abs(cov)) <= 1e-14
+
+
+def test_covariance_is_evaluated_at_the_given_mu():
+    model = make_ref2()
+    cls = solve_mu(model)
+    mu = cls.point.x + np.array([0.01, -0.01])
+    d = np.sqrt(model.alpha)
+    cov = covariance_tilde(model, mu, cls)
+    want = d[:, None] * susceptibility_matrix(model, mu) / d[None, :]
+    assert np.max(np.abs(cov - want) / np.abs(cov)) <= 1e-14
+
+
+def test_covariance_refuses_a_mu_of_the_wrong_length():
+    model = make_ref2()
+    cls = solve_mu(model)
+    with pytest.raises(DimensionMismatch):
+        covariance_tilde(model, np.zeros(3), cls)
 
 
 def test_weak_antiferromagnet_law_matches_the_exact_covariance():

@@ -387,6 +387,15 @@ def test_classify_critical_point():
     assert cls.strength == pytest.approx(-2.0, abs=1e-10)
 
 
+def test_one_species_degenerate_maximum_carries_its_form():
+    # the one-species form is f's quartic term, -2 v^4 / 24 on the ray (J) = (1)
+    model = make_cw(1.0, 0.0)
+    cls = classify_maximum(model, solve_fixed_points(model)[0])
+    assert cls.quartic_form.degree == 4
+    assert cls.quartic_form(np.array([1.0])) == pytest.approx(-1.0 / 12.0, abs=1e-12)
+    assert cls.quartic_form(np.array([1.0])) * 24.0 == pytest.approx(cls.strength)
+
+
 def test_classify_rejects_interior_minimum():
     model = make_cw(1.2, 0.0)
     zero = [p for p in solve_fixed_points(model) if abs(p.x[0]) < 0.1][0]
@@ -471,6 +480,26 @@ def test_classify_three_atom_maximum():
     model = three_atom_model()
     cls = classify_maximum(model, solve_fixed_points(model)[0])
     assert cls.k == 1 and cls.strength < 0
+
+
+def three_atom_critical(edge, J):
+    """Atoms -1, 0, 1 with weights (edge, 1 - 2 edge, edge), h = 0."""
+    meas = FiniteMeasure(atoms=((-1.0, edge), (0.0, 1.0 - 2.0 * edge), (1.0, edge)))
+    return make_cw(J, 0.0, measure=meas)
+
+
+def test_classify_a_type_three_maximum():
+    # weights (1/6, 2/3, 1/6) at J = 3: var = 1/3 and kappa4 = 0 at x = 0,
+    # so the sixth derivative leads, J^6 kappa6 = 729 * (-2/9)
+    cls = classify_maximum(three_atom_critical(1.0 / 6.0, 3.0), stationary_at([0.0]))
+    assert cls.k == 3
+    assert cls.strength == pytest.approx(-162.0, abs=1e-10)
+
+
+def test_classify_rejects_a_positive_quartic_term():
+    # weights (0.1, 0.8, 0.1) at J = 5: var = 0.2 and kappa4 = 0.08 > 0
+    with pytest.raises(NotAMaximum):
+        classify_maximum(three_atom_critical(0.1, 5.0), stationary_at([0.0]))
 
 
 # --- pressure limit -------------------------------------------------------------
