@@ -11,11 +11,12 @@ while the Gaussian-transform route maximizes, on all of R^n,
 
 with u_l(x) = sum_s alpha_s J_ls x_s + h_l.  Both share the stationarity
 system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
-x_l = tanh(u_l).  Stationary points are found by damped multistart
-iteration with a Newton polish, then classified by one rule for every
-n and any symmetric J: fbar's curvature (``_curvature``) first, and where
-it vanishes f's Taylor terms ray by ray, whose first nonvanishing even
-order is 2k (type k; strength lambda for one species).
+x_l = tanh(u_l).  Stationary points are found by multistart Newton (a
+damped map moves away from unstable points and loses them), then
+classified by one rule for every n and any symmetric J: fbar's curvature
+(``_curvature``) first, and where it vanishes f's Taylor terms ray by
+ray, whose first nonvanishing even order is 2k (type k; strength lambda
+for one species).
 
 The pressure limit is computed by two routes that share no solver:
 route 1 takes max fbar over the fixed points, route 2 maximizes f
@@ -68,28 +69,22 @@ class SolverOptions:
     """
 
     grid_points: int = 11
-    damping: float = 0.7
-    max_iter: int = 10_000
     tol: float = 1e-12
     dedup_radius: float = 1e-8
     threads: int = 1
-    newton_trigger: float = 1e-3
     newton_max_iter: int = 200
 
     def __post_init__(self):
         if any(isinstance(getattr(self, f.name), bool) for f in fields(self)):
             raise ConfigParse("solver options must be numbers, not booleans")
-        for name, least in (("grid_points", 1), ("max_iter", 1),
-                            ("newton_max_iter", 0)):
+        for name, least in (("grid_points", 1), ("newton_max_iter", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigParse(f"{name} must be an integer >= {least}")
-        for name in ("tol", "dedup_radius", "newton_trigger"):
+        for name in ("tol", "dedup_radius"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
                 raise ConfigParse(f"{name} must be finite and positive")
-        if not isinstance(self.damping, numbers.Real) or not 0.0 < self.damping <= 1.0:
-            raise ConfigParse("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -318,19 +313,6 @@ def _start_grid(model: ValidatedModel, opts: SolverOptions) -> np.ndarray:
     return np.array(list(pts))
 
 
-def _damp(model, X, opts):
-    """Damped iteration on all starts (in place) until the Newton trigger."""
-    live = np.arange(len(X))
-    for _ in range(opts.max_iter):
-        if not len(live):
-            break
-        x = X[live]
-        mapped = np.atleast_2d(mean_field_map(model, x))
-        X[live] = (1.0 - opts.damping) * x + opts.damping * mapped
-        live = live[np.max(np.abs(x - mapped), axis=1) > opts.newton_trigger]
-    return X
-
-
 def _map_rows(model: ValidatedModel, X: np.ndarray):
     """Map values and their variances var_l at a batch of rows.
 
@@ -365,10 +347,14 @@ def _newton_polish(model, X, opts):
     exactly the steps it would take alone.  A row stops once both its
     defect and its last step are small: at a degenerate root the defect
     is cubically flat in x, so a residual test alone would accept points
-    far from the root.  A row also stops at an exactly singular Jacobian.
-    It is dropped on a non-finite step or a final residual above tol.
+    far from the root.  A row also stops at an exactly singular Jacobian,
+    and is dropped there before its first step unless its defect is 0.
+    Every root lies in the closed support hull [lo, hi]^n (the map is a
+    tilted mean), so a row is dropped once its iterate leaves the hull,
+    and at the end if its residual is above tol.
     """
     X = X.copy()
+    lo, hi = model.support_range
     B = model.J * model.alpha[None, :]
     step_norm = np.full(len(X), np.inf)
     live = np.arange(len(X))
@@ -377,17 +363,19 @@ def _newton_polish(model, X, opts):
         F = _map_defect(model, x)
         small = opts.tol * (1.0 + np.max(np.abs(x), axis=1))
         go = (np.max(np.abs(F), axis=1) > opts.tol) | (step_norm[live] > small)
+        live, F = live[go], F[go]
         JF = np.eye(model.n) - _map_rows(model, x[go])[1][:, :, None] * B
         regular = np.linalg.slogdet(JF)[0] != 0
-        live, F, JF = live[go][regular], F[go][regular], JF[regular]
+        X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
+        live, F, JF = live[regular], F[regular], JF[regular]
         if not len(live):
             break
         step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
-        finite = np.all(np.isfinite(step), axis=1)
-        X[live[~finite]] = np.nan      # fails the final residual test
-        live, step = live[finite], step[finite]
         X[live] -= step
-        step_norm[live] = np.max(np.abs(step), axis=1)
+        inside = np.all((X[live] >= lo) & (X[live] <= hi), axis=1)
+        X[live[~inside]] = np.nan      # fails the final residual test
+        live = live[inside]
+        step_norm[live] = np.max(np.abs(step[inside]), axis=1)
     res = np.max(np.abs(X - _map_rows(model, X)[0]), axis=1)
     keep = res <= opts.tol
     return X[keep], res[keep]
@@ -397,16 +385,14 @@ def solve_fixed_points(model: ValidatedModel,
                        opts: SolverOptions | None = None) -> list[StationaryPoint]:
     """All distinct solutions of the self-consistency system.
 
-    Damped iteration from every grid start, one batched Newton polish of
-    all starts to the target residual, then a lexicographic sort and a
-    single-linkage dedup.  Starts that fail to converge are dropped;
-    NoConvergence is raised only if all fail.
+    One batched Newton polish of every grid start to the target residual,
+    then a lexicographic sort and a single-linkage dedup.  Starts that
+    fail to converge are dropped; NoConvergence is raised only if all fail.
     """
     model = _require_validated(model)
     _check_multi_binary(model, "solve_fixed_points")
     opts = opts or SolverOptions()
-    damped = _damp(model, _start_grid(model, opts), opts)
-    pts, res = _newton_polish(model, damped, opts)
+    pts, res = _newton_polish(model, _start_grid(model, opts), opts)
     if not len(pts):
         raise NoConvergence("no start converged to the requested residual")
 
@@ -480,13 +466,22 @@ def _curvature(model: ValidatedModel, x) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(model.n) - s[:, None] * model.coupling_core() * s[None, :], s
 
 
+def _term_sizes(model: ValidatedModel, u: np.ndarray, rays: np.ndarray, order: int):
+    """Cumulants 1..order at fields u and the size |alpha_l kappa_m,l| |R_l|^m
+    of f's order-m Taylor term on ray l; both (order, n)."""
+    kappa = _cumulants_from_moments(_tilted_moments(model, u, order))
+    orders = np.arange(1, order + 1)[:, None]
+    return kappa, np.abs(model.alpha * kappa) * np.linalg.norm(rays, axis=1) ** orders
+
+
 def classify_maximum(model: ValidatedModel,
                      point: StationaryPoint) -> MaximumClassification:
     """Type k of a maximum by exact certificates, one rule for every n.
 
     fbar's curvature (``_curvature``) decides first: positive definite is
-    k=1, a negative eigenvalue is NotAMaximum, singular but nonzero is a
-    refused mixed degeneracy.  Where it vanishes, f's order-m Taylor term is
+    k=1 unless the cubic term could fake it (a fold, NotAMaximum), a negative
+    eigenvalue is NotAMaximum, singular but nonzero is a refused mixed
+    degeneracy.  Where it vanishes, f's order-m Taylor term is
     sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m, R = J diag(alpha): 2k is the
     first even order with a term above the threshold, lower odd terms must
     vanish ray by ray, and the degree-2k form must pass the ray certificate
@@ -498,7 +493,12 @@ def classify_maximum(model: ValidatedModel,
     eigs = np.linalg.eigvalsh(_curvature(model, x)[0])
     if eigs.min() < -_DERIV_TOL:
         raise NotAMaximum("curvature diag(1/var) - D J D has a negative eigenvalue")
+    u = _fields(model, x[None, :])[0]
+    rays = model.J * model.alpha[None, :]
     if eigs.min() > _DERIV_TOL:
+        # a fold located _POS_ERR off its double root shows cubic term * offset
+        if eigs.min() <= 10.0 * _term_sizes(model, u, rays, 3)[1][2].max() * _POS_ERR:
+            raise NotAMaximum("curvature is within the cubic term's reach: a fold")
         hess = _hessian_f(model, x[None, :])[0]
         return MaximumClassification(point=point, k=1, hessian=hess,
                                      strength=float(hess[0, 0]) if model.n == 1 else None)
@@ -506,11 +506,7 @@ def classify_maximum(model: ValidatedModel,
         raise UnsupportedDegeneracy(
             "curvature is singular but not zero: mixed-homogeneity maximum")
     # M = 0 forces D J D = diag(1/var) > 0, where f's leading form is the law's.
-    u = _fields(model, x[None, :])[0]
-    kappa = _cumulants_from_moments(_tilted_moments(model, u, _MAX_ORDER))
-    rays = model.J * model.alpha[None, :]
-    orders = np.arange(1, _MAX_ORDER + 1)[:, None]
-    size = np.abs(model.alpha * kappa) * np.linalg.norm(rays, axis=1) ** orders
+    kappa, size = _term_sizes(model, u, rays, _MAX_ORDER)
     even = [m for m in range(4, _MAX_ORDER + 1, 2) if np.any(size[m - 1] > _DERIV_TOL)]
     if not even:
         raise UnsupportedDegeneracy(f"all even terms through order {_MAX_ORDER} vanish")

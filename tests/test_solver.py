@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from meanfield_lab.errors import (
 )
 from meanfield_lab import solver
 from meanfield_lab.solver import (
-    _damp,
     _dedup_points,
     _f_batch,
     _fields,
@@ -224,6 +225,78 @@ def test_three_solutions_above_critical_coupling():
     assert got[2] == pytest.approx(mu0, abs=1e-10)
 
 
+def test_newton_from_every_start_finds_the_unstable_point():
+    # a damped map moves away from the middle root of cw J=1.2, h=0.05
+    pts = solve_fixed_points(make_cw(1.2, 0.05))
+    assert len(pts) == 3
+    mid = bisect_root(lambda t: t - math.tanh(1.2 * t + 0.05), -0.4, -0.2)
+    assert mid == pytest.approx(-0.2953259779, abs=1e-10)
+    assert sorted(p.x[0] for p in pts)[1] == pytest.approx(mid, abs=1e-10)
+
+
+def random_models(sizes, seed=20261018):
+    """Random +-1 models with the given species counts: off-diagonal J from
+    N(0, 1), diagonal U(0.5, 3), alpha Dirichlet(4), h U(-0.3, 0.3)."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        J = np.triu(rng.standard_normal((n, n)), 1)
+        J = J + J.T
+        J[np.diag_indices(n)] = rng.uniform(0.5, 3.0, n)
+        alpha = rng.dirichlet(np.full(n, 4.0))
+        alpha[-1] = 1.0 - alpha[:-1].sum()
+        yield validate_model(ModelSpec(n=n, alpha=tuple(alpha), J=tuple(map(tuple, J)),
+                                       h=tuple(rng.uniform(-0.3, 0.3, n))))
+
+
+SWEEP = [1 + i % 3 for i in range(40)]
+
+
+def assert_contains(found, reference, tol=1e-7):
+    """Every reference point lies within tol (max norm) of a found point."""
+    found = np.array([np.ravel(x) for x in found])
+    for x in reference:
+        assert np.min(np.max(np.abs(found - np.ravel(x)), axis=1)) <= tol, x
+
+
+def test_default_grid_finds_every_point_of_a_fine_grid():
+    for model in random_models(SWEEP):
+        fine = solve_fixed_points(model, SolverOptions(grid_points=15 if model.n == 3 else 41))
+        pts = solve_fixed_points(model)
+        assert len(pts) == len(fine)
+        assert_contains([p.x for p in pts], [p.x for p in fine])
+
+
+def test_one_species_points_are_the_sign_changes_of_the_defect():
+    # an oracle that shares nothing with the solver: bisect every sign change
+    # of t - tanh(J t + h) on a grid of [-1, 1]
+    for model in random_models(SWEEP):
+        if model.n > 1:
+            continue
+        J, h = model.J[0, 0], model.h[0]
+        g = lambda t: t - math.tanh(J * t + h)
+        t = np.linspace(-1.0, 1.0, 20001)
+        s = np.sign(t - np.tanh(J * t + h))
+        roots = [bisect_root(g, t[i], t[i + 1]) for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
+        pts = solve_fixed_points(model)
+        assert len(pts) == len(roots)
+        assert_contains([p.x for p in pts], roots)
+
+
+def test_every_point_of_the_damped_solver_is_still_found():
+    # tests/damped_fixed_points.json: the points the former damped-multistart
+    # solver (damping 0.7, Newton trigger 1e-3, default grid) returned on SWEEP
+    ref = json.loads((Path(__file__).parent / "damped_fixed_points.json").read_text())
+    assert len(ref) == len(SWEEP)
+    for model, points in zip(random_models(SWEEP), ref):
+        assert_contains([p.x for p in solve_fixed_points(model)], points)
+
+
+def test_a_start_at_a_singular_jacobian_is_not_a_root():
+    # x = 0 has residual tanh(1e-12) <= tol but is no root; the root is near 1.44e-4
+    pts = solve_fixed_points(make_cw(1.0, 1e-12))
+    assert len(pts) == 1 and pts[0].x[0] > 1e-4
+
+
 def test_global_maximizer_follows_field_sign():
     res = pressure_limit(make_cw(1.2, 0.1))
     assert len(res.maxima) == 1
@@ -254,7 +327,7 @@ def test_fixed_point_set_negation_symmetric_without_field():
 def test_no_convergence_when_polish_is_disabled():
     from meanfield_lab.errors import NoConvergence
 
-    opts = SolverOptions(max_iter=1, newton_max_iter=0, tol=1e-12)
+    opts = SolverOptions(newton_max_iter=0, tol=1e-12)
     with pytest.raises(NoConvergence):
         solve_fixed_points(make_cw(1.2, 0.3), opts)
 
@@ -285,8 +358,8 @@ def test_dedup_chains_links_and_collapses_repeats():
 ])
 def test_newton_polish_batch_matches_single_rows(model_fn):
     model = model_fn()
-    opts = SolverOptions(grid_points=9, max_iter=3)
-    starts = _damp(model, _start_grid(model, opts), opts)
+    opts = SolverOptions(grid_points=9)
+    starts = _start_grid(model, opts)
     pts, res = _newton_polish(model, starts, opts)
     rows = [_newton_polish(model, starts[i:i + 1], opts)
             for i in range(len(starts))]
@@ -425,6 +498,22 @@ def test_classify_rejects_the_spinodal_inflection():
     model = make_cw(1.5, math.atanh(x) - 1.5 * x)
     with pytest.raises(NotAMaximum):
         classify_maximum(model, stationary_at([x]))
+
+
+def test_classify_rejects_a_point_just_inside_the_spinodal():
+    # 3.8e-9 off the double root the curvature is 6.6e-9, above the 1e-9
+    # threshold, but no more than f''' times the offset: a fold, not k=1
+    x0 = -math.sqrt(1.0 / 3.0)
+    model = make_cw(1.5, math.atanh(x0) - 1.5 * x0)
+    x = [x0 - 3.8e-9]
+    assert solver._curvature(model, x)[0][0, 0] > 1e-9
+    with pytest.raises(NotAMaximum):
+        classify_maximum(model, stationary_at(x))
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-12])
+def test_a_nearly_critical_maximum_is_still_quadratic(h):
+    assert [c.k for c in pressure_limit(make_cw(1.0, h)).maxima] == [1]
 
 
 @pytest.mark.parametrize("beta", [1.2, 1.5, 2.0])
@@ -639,17 +728,8 @@ def test_rank_one_core_has_a_quadratic_maximum():
 
 
 def test_random_couplings_of_any_signature_are_solved():
-    rng = np.random.default_rng(20261018)
     not_posdef = 0
-    for i in range(40):
-        n = 2 + i % 2
-        J = np.triu(rng.standard_normal((n, n)), 1)
-        J = J + J.T
-        J[np.diag_indices(n)] = rng.uniform(0.5, 3.0, n)
-        alpha = rng.dirichlet(np.full(n, 4.0))
-        alpha[-1] = 1.0 - alpha[:-1].sum()
-        model = validate_model(ModelSpec(n=n, alpha=tuple(alpha), J=tuple(map(tuple, J)),
-                                         h=tuple(rng.uniform(-0.3, 0.3, n))))
+    for model in random_models([2 + i % 2 for i in range(40)]):
         res = pressure_limit(model)
         assert res.maxima and all(c.k == 1 for c in res.maxima)
         not_posdef += np.linalg.eigvalsh(model.coupling_core()).min() <= 0
@@ -660,3 +740,10 @@ def test_a_frozen_species_still_has_a_quadratic_maximum():
     # sech^2(u_1) underflows to 0 at h_1 = 400, where 1/var is infinite
     model = two_species(((1.0, 0.5), (0.5, 1.0)), h=(400.0, 0.1))
     assert [c.k for c in pressure_limit(model).maxima] == [1]
+
+
+def test_a_frozen_root_on_the_hull_boundary_is_kept():
+    # tanh(u_1) rounds to exactly 1.0: the closed hull keeps the iterate there
+    res = pressure_limit(two_species(((1.0, 0.5), (0.5, 1.0)), h=(400.0, 0.1)))
+    assert [p.x[0] for p in res.fixed_points] == [1.0]
+    assert res.limit_value == 199.83250890248127
