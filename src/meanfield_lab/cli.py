@@ -121,12 +121,10 @@ def _model_from_config(doc: dict) -> model.ValidatedModel:
     return model.validate_model(model.model_from_dict(doc["model"]))
 
 
-def _solver_options(doc: dict, threads: int | None) -> solver.SolverOptions:
+def _solver_options(doc: dict) -> solver.SolverOptions:
     opts_doc = doc.get("solver", {})
     if not isinstance(opts_doc, dict):
         raise ConfigParse('"solver" must be an object')
-    if threads is not None:
-        opts_doc = {**opts_doc, "threads": threads}
     try:
         return solver.SolverOptions(**opts_doc)
     except TypeError as exc:
@@ -148,10 +146,9 @@ def _classification_dict(cls: solver.MaximumClassification) -> dict:
 # --- subcommands --------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
-    doc = _load_config(args.config)
+def cmd_solve(args, doc: dict) -> int:
     m = _model_from_config(doc)
-    result = solver.pressure_limit(m, _solver_options(doc, args.threads))
+    result = solver.pressure_limit(m, _solver_options(doc))
     report = {
         "fixed_points": [{"x": p.x, "residual": p.residual,
                           "f_value": p.f_value, "fbar_value": p.fbar_value}
@@ -164,12 +161,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_pressure(args) -> int:
-    doc = _load_config(args.config)
+def cmd_pressure(args, doc: dict) -> int:
     m = _model_from_config(doc)
     n_values = [_integer(v, "N_values entry", 1) for v in _list(doc, "N_values")]
-    opts = _solver_options(doc, args.threads)
-    limit = solver.pressure_limit(m, opts).limit_value
+    limit = solver.pressure_limit(m, _solver_options(doc)).limit_value
     rows = []
     for N in n_values:
         sizes = m.species_sizes(N)
@@ -182,8 +177,9 @@ def cmd_pressure(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    doc = _load_config(args.config)
+def cmd_sample(args, doc: dict) -> int:
+    if args.out is None:
+        raise ConfigParse("sample requires --out")
     m = _model_from_config(doc)
     sizes = m.check_sizes(_require(doc, "sizes"))
     M = _require(doc, "M")
@@ -191,18 +187,16 @@ def cmd_sample(args) -> int:
     if seed is None:
         raise ConfigParse("sampling requires a seed (--seed or config)")
     samples = exact.exact_sample(m, sizes, M, _integer(seed, "seed", 0))
-    if args.out is None:
-        raise ConfigParse("sample requires --out")
     exact.write_samples_csv(samples, args.out)
     return 0
 
 
-def cmd_limits(args) -> int:
-    doc = _load_config(args.config)
+def cmd_limits(args, doc: dict) -> int:
+    if args.out is None:
+        raise ConfigParse("limits requires --out")
     m = _model_from_config(doc)
     sizes = m.check_sizes(_require(doc, "sizes"))
-    opts = _solver_options(doc, args.threads)
-    result = solver.pressure_limit(m, opts)
+    result = solver.pressure_limit(m, _solver_options(doc))
     cond = doc.get("conditioned")
     if cond is not None:
         if not isinstance(cond, dict):
@@ -223,7 +217,7 @@ def cmd_limits(args) -> int:
         ball = None
     # The unique global maximum is already established, so the
     # unconditioned law needs no second pressure_limit.
-    law = limits.build_limit_law(m, cls, conditioned=True, opts=opts)
+    law = limits.build_limit_law(m, cls, conditioned=True)
     zlaw = exact.normalized_sum_law(m, sizes, cls.point.x, cls.k,
                                     condition_ball=ball)
     report = {
@@ -242,8 +236,6 @@ def cmd_limits(args) -> int:
     else:
         header = [f"z_{l + 1}" for l in range(m.n)] + ["probability"]
         blocks = [zlaw.points, zlaw.probs]
-    if args.out is None:
-        raise ConfigParse("limits requires --out")
     _write_text(args.out, dumps17(report))
     csv_path = args.out + ".csv" if not args.out.endswith(".json") \
         else args.out[:-5] + ".csv"
@@ -251,8 +243,7 @@ def cmd_limits(args) -> int:
     return 0
 
 
-def cmd_invert(args) -> int:
-    doc = _load_config(args.config)
+def cmd_invert(args, doc: dict) -> int:
     if "alpha" in doc:
         alpha = np.array(_numbers(doc["alpha"], "alpha"))
     elif "model" in doc:
@@ -282,12 +273,10 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def cmd_phase(args) -> int:
-    doc = _load_config(args.config)
+def cmd_phase(args, doc: dict) -> int:
     grid = [_number(v, "J_grid entry") for v in _list(doc, "J_grid")]
     h = _number(doc.get("h", 0.0), "h")
-    opts = _solver_options(doc, args.threads)
-    table = solver.cw_phase_scan(grid, h, opts)
+    table = solver.cw_phase_scan(grid, h, _solver_options(doc))
     header = ["J", "mu", "pressure", "dp_dJ", "d2p"]
     _write_text(args.out, _csv(header, *(table[name] for name in header)))
     return 0
@@ -301,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the JSON run configuration")
     common.add_argument("--out", help="output path (stdout when omitted)")
     common.add_argument("--seed", type=int, help="RNG seed for sampling commands")
-    common.add_argument("--threads", type=int,
-                        help="accepted for config compatibility; no effect")
     parser = argparse.ArgumentParser(
         prog="meanfield-lab",
         description="Forward and inverse toolkit for multi-species "
@@ -345,7 +332,7 @@ def _emit_error(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _load_config(args.config))
     except ConfigError as exc:
         return _emit_error(exc, 2)
     except PreconditionError as exc:

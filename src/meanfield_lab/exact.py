@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     OffLattice,
     UnsupportedMeasure,
 )
-from .model import ValidatedModel, _require_validated
+from .model import ValidatedModel, _integer, _require_validated
 
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
@@ -284,8 +283,7 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int,
     output regardless of how blocks would be scheduled.  ``M`` must be an
     integer >= 0 (ConfigParse otherwise).
     """
-    if not isinstance(M, numbers.Integral) or M < 0:
-        raise ConfigParse(f"sample count M must be an integer >= 0, got {M!r}")
+    _integer(M, "sample count M", 0)
     law = magnetization_law(model, sizes, cap)
     cdf = np.exp(law.log_weights.ravel())
     np.cumsum(cdf, out=cdf)
@@ -313,8 +311,9 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
 
     With ``condition_ball`` set, the magnetization law is first restricted
     to the Euclidean ball of that radius around ``center`` and
-    renormalized.
+    renormalized.  ``k`` must be an integer >= 1 (ConfigParse otherwise).
     """
+    _integer(k, "type k", 1)
     law = magnetization_law(model, sizes, cap)
     center = np.asarray(center, dtype=float)
     if center.shape != (law.lattice.n,):

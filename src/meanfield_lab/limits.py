@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateMaximum,
     DimensionMismatch,
+    EmptySample,
     MixedTypes,
     NonUniqueMaximum,
     NotK1,
@@ -330,6 +331,8 @@ def ks_distance(observed, law: LimitLaw) -> float:
         pts, probs = observed.points[:, 0], observed.probs
     else:
         pts = np.asarray(observed, dtype=float).ravel()
+        if not len(pts):
+            raise EmptySample("KS comparison needs at least one sample")
         probs = np.full(len(pts), 1.0 / len(pts))
     return _ks(*_cdf_table(pts, probs, law)[2:])
 

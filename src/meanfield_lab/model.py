@@ -16,6 +16,7 @@ so that the total energy of a configuration is ``-N * g(m)``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,8 +268,9 @@ def _require(doc: dict, key: str):
 
 
 def _integer(value, what: str, least: int) -> int:
-    """A JSON integer >= least; anything else is a config error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    """An integer, not a bool, >= least; anything else is a config error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
         raise ConfigParse(f"{what} must be an integer >= {least}, got {value!r}")
     return value
 

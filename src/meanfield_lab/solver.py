@@ -42,7 +42,8 @@ from .errors import (
     UnsupportedMeasure,
 )
 from .exact import _lse
-from .model import ValidatedModel, _require_validated, hamiltonian_density
+from .model import (ModelSpec, ValidatedModel, _require_validated, hamiltonian_density,
+                    validate_model)
 
 LN2 = math.log(2.0)
 _DERIV_TOL = 1e-9
@@ -250,13 +251,8 @@ def mean_field_map(model: ValidatedModel, x) -> np.ndarray:
     model = _require_validated(model)
     _check_multi_binary(model, "mean_field_map")
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    X = np.atleast_2d(x)
-    u = _fields(model, X)
-    # tanh directly for binary spins: the atom route carries an absolute
-    # noise floor that spoils root finding at degenerate maxima.
-    out = np.tanh(u) if model.is_binary else _tilted_moments(model, u, 1)[0]
-    return out[0] if squeeze else out
+    out = _map_rows(model, np.atleast_2d(x))[0]
+    return out[0] if x.ndim == 1 else out
 
 
 def functional_fbar(model: ValidatedModel, x) -> float:
@@ -265,8 +261,6 @@ def functional_fbar(model: ValidatedModel, x) -> float:
     if not model.is_binary:
         raise UnsupportedMeasure("fbar is defined for the symmetric +-1 measure only")
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-15):
-        raise DomainError("fbar is defined on the cube [-1, 1]^n")
     return hamiltonian_density(model, x) - float(model.alpha @ entropy_I(x))
 
 
@@ -318,6 +312,8 @@ def _map_rows(model: ValidatedModel, X: np.ndarray):
 
     Each row is multiplied as its own matrix, which is bitwise equal to
     evaluating one point at a time; a (P, n) @ (n, n) product is not.
+    Binary spins take tanh directly: the atom route carries an absolute
+    noise floor that spoils root finding at degenerate maxima.
     """
     u = np.matmul(X[:, None, :], (model.J * model.alpha[None, :]).T)[:, 0] + model.h
     if model.is_binary:
@@ -326,18 +322,21 @@ def _map_rows(model: ValidatedModel, X: np.ndarray):
     return m[0], m[1] - m[0] ** 2
 
 
-def _map_defect(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
-    """X - map(X) for a batch of rows, compensated against cancellation.
+def _map_defect(model: ValidatedModel, X: np.ndarray):
+    """X - map(X) for a batch of rows, compensated against cancellation,
+    and the map's variances var_l at the same rows (as ``_map_rows``).
 
     For binary spins, x - tanh(u) is regrouped as (I - B)x - h + r(u)
     with r(u) = u - tanh(u) evaluated by series: near degenerate roots
     the naive difference rounds to zero long before the root is located.
     """
     if not model.is_binary:
-        return X - _map_rows(model, X)[0]
+        mean, var = _map_rows(model, X)
+        return X - mean, var
     B = model.J * model.alpha[None, :]
     BX = np.matmul(B, X[:, :, None])[:, :, 0]
-    return (X - BX) - model.h + _u_minus_tanh(BX + model.h)
+    u = BX + model.h
+    return (X - BX) - model.h + _u_minus_tanh(u), _sech2(u)
 
 
 def _newton_polish(model, X, opts):
@@ -360,11 +359,11 @@ def _newton_polish(model, X, opts):
     live = np.arange(len(X))
     for _ in range(opts.newton_max_iter):
         x = X[live]
-        F = _map_defect(model, x)
+        F, var = _map_defect(model, x)
         small = opts.tol * (1.0 + np.max(np.abs(x), axis=1))
         go = (np.max(np.abs(F), axis=1) > opts.tol) | (step_norm[live] > small)
         live, F = live[go], F[go]
-        JF = np.eye(model.n) - _map_rows(model, x[go])[1][:, :, None] * B
+        JF = np.eye(model.n) - var[go][:, :, None] * B
         regular = np.linalg.slogdet(JF)[0] != 0
         X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
         live, F, JF = live[regular], F[regular], JF[regular]
@@ -602,7 +601,7 @@ def pressure_limit(model: ValidatedModel,
         if v >= limit - 1e-9:
             cls = classify_maximum(model, p)
             maxima.append(replace(cls, is_global=True))
-    if _is_core_posdef(model) and model.is_binary:
+    if _is_core_posdef(model):
         agreement = abs(limit - _max_f_direct(model))
     else:
         agreement = math.nan
@@ -618,16 +617,13 @@ def cw_phase_scan(J_grid, h: float,
     the centered second difference of the pressure over the grid (nan at
     the ends).
     """
-    from .model import FiniteMeasure, ModelSpec, validate_model
-
     J_grid = np.asarray(J_grid, dtype=float)
     if np.any(J_grid <= 0) or np.any(np.diff(J_grid) <= 0):
         raise DomainError("J grid must be positive and strictly increasing")
     mu = np.empty_like(J_grid)
     pressure = np.empty_like(J_grid)
     for i, J in enumerate(J_grid):
-        m = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((float(J),),), h=(float(h),),
-                                     site_measure=FiniteMeasure.symmetric_binary()))
+        m = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((float(J),),), h=(float(h),)))
         pts = solve_fixed_points(m, opts)
         mu[i] = max(p.x[0] for p in pts)
         pressure[i] = max(p.fbar_value for p in pts)

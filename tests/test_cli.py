@@ -165,6 +165,39 @@ def test_invert_conditioned_ball_flag(tmp_path, capsys):
     assert abs(report["J"][0][0] - 1.2) < 0.15
 
 
+@pytest.mark.parametrize("command", ["limits", "sample"])
+def test_file_commands_refuse_a_missing_out_before_any_work(tmp_path, capsys, command):
+    # the work would fail otherwise: limits on two global maxima, sample on M
+    cfg = write_config(tmp_path, {"model": CW12, "sizes": [100], "M": -1})
+    assert main([command, "--config", cfg, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert err["error"] == "ConfigParse" and "--out" in err["message"]
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_invert_alpha_comes_from_alpha_or_model(tmp_path, capsys):
+    model = {"n": 2, "alpha": [0.3, 0.7], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [0.2, -0.1]}
+    cfg = write_config(tmp_path, {"model": model, "sizes": [30, 70], "M": 500})
+    sample_file = tmp_path / "s.csv"
+    assert main(["sample", "--config", cfg, "--seed", "3",
+                 "--out", str(sample_file)]) == 0
+    assert main(["invert", "--config", cfg, "--samples", str(sample_file)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    direct = mle_fit(read_samples_csv(str(sample_file)), np.array([0.3, 0.7]))
+    assert np.array_equal(np.array(report["J"]), direct.J_hat)
+
+    bare = write_config(tmp_path, {"sizes": [30, 70]}, name="bare.json")
+    assert main(["invert", "--config", bare, "--samples", str(sample_file)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse" and "alpha" in err["message"]
+    for ball in ["0.5,abc", ""]:
+        assert main(["invert", "--config", cfg, "--samples", str(sample_file),
+                     "--ball", ball]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigParse" and "--ball" in err["message"]
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -215,6 +248,8 @@ def test_bad_solver_options_exit_2(tmp_path, capsys, bad):
     ("sample", {"model": CW12, "sizes": [100], "M": 10, "seed": "abc"}),
     ("phase", {"J_grid": ["q"]}),
     ("phase", {"J_grid": [0.5, 0.6], "h": "x"}),
+    ("sample", {"model": CW12, "sizes": [100], "M": True}),
+    ("limits", {"model": CW12, "sizes": [100], "conditioned": [0.66, 0.3]}),
 ])
 def test_ill_typed_config_scalars_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

@@ -378,6 +378,13 @@ def test_normalized_law_empty_condition():
                            condition_ball=0.5)
 
 
+@pytest.mark.parametrize("k", [0, -1, 1.5, True])
+def test_normalized_law_type_must_be_a_positive_integer(k):
+    # k = 0 divided by zero; -1 and 1.5 rescaled the law by N^(-1/2), N^(1/3)
+    with pytest.raises(ConfigParse):
+        normalized_sum_law(make_cw(0.5, 0.0), [10], [0.0], k=k)
+
+
 def test_normalized_law_mean_shift():
     law = normalized_sum_law(make_cw(TINY_J, 0.4), [400],
                              [math.tanh(0.4)], k=1)
@@ -550,7 +557,7 @@ def test_non_integral_sizes_are_refused():
     assert p == log_partition(ref2, [200, 200]) / 400.0
 
 
-@pytest.mark.parametrize("M", [-1, -3, 2.5, 10.0, "10", None])
+@pytest.mark.parametrize("M", [-1, -3, 2.5, 10.0, "10", None, True])
 def test_sample_count_must_be_a_non_negative_integer(M):
     with pytest.raises(ConfigParse):
         exact_sample(make_cw(0.5, 0.0), [10], M, seed=1)

@@ -33,6 +33,7 @@ from meanfield_lab import (
 from meanfield_lab.errors import (
     DegenerateMaximum,
     DimensionMismatch,
+    EmptySample,
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
@@ -468,6 +469,11 @@ def test_ks_distance_dimension_guard():
     g2 = Gaussian(cov=np.eye(2))
     with pytest.raises(DimensionMismatch):
         ks_distance(np.array([0.0, 1.0]), g2)
+
+
+def test_ks_distance_refuses_an_empty_sample():
+    with pytest.raises(EmptySample):
+        ks_distance(np.array([]), Gaussian(cov=np.array([[1.0]])))
 
 
 # --- serialization ----------------------------------------------------------------

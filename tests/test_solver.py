@@ -615,8 +615,19 @@ def test_pressure_limit_bounded_below_by_origin():
 
 def test_pressure_limit_general_measure():
     res = pressure_limit(three_atom_model())
-    assert math.isnan(res.method_agreement)
+    assert res.method_agreement <= 1e-9
     assert res.limit_value == pytest.approx(res.maxima[0].point.f_value, abs=1e-12)
+
+
+def test_direct_route_agrees_on_random_one_species_measures():
+    # for n = 1 the core is J > 0, so every measure gets the second route
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        k = rng.integers(2, 5)
+        locs, weights = rng.uniform(-2.0, 2.0, k), rng.dirichlet(np.ones(k))
+        model = make_cw(rng.uniform(0.2, 3.0), rng.uniform(-0.3, 0.3),
+                        measure=FiniteMeasure(atoms=tuple(zip(locs, weights))))
+        assert pressure_limit(model).method_agreement <= 1e-9
 
 
 # --- phase scan -----------------------------------------------------------------
@@ -646,7 +657,7 @@ def test_phase_scan_critical_asymptotics():
 
 
 def test_direct_route_does_not_use_the_fixed_point_route(monkeypatch):
-    models = [make_cw(1.2, 0.0), make_ref3()]
+    models = [make_cw(1.2, 0.0), make_ref3(), three_atom_model()]
     want = [pressure_limit(m).limit_value for m in models]
 
     def refuse(*args, **kwargs):

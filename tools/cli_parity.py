@@ -2,7 +2,8 @@
 
 Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
-on four more configs, ``solve`` on three one-species models, and the demos.  Prints per output file "identical" or the
+on four more configs, ``solve`` on four one-species models (one with a three-atom
+measure), and the demos.  Prints per output file "identical" or the
 count of moved numbers with their largest absolute and relative change; exits 1
 if any file's non-numeric text differs.
 """
@@ -21,6 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 CW05 = {"n": 1, "alpha": [1.0], "J": [[0.5]], "h": [0.1]}
 CW08 = {"n": 1, "alpha": [1.0], "J": [[0.8]], "h": [0.3]}
+ATOM3 = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [0.2],
+         "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}}
 
 
 def number_diff(old: str, new: str):
@@ -49,7 +52,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
         config.write_text(json.dumps(doc))
         runs.append((["limits", "--config", str(config), "--out", str(out)],
                      [out, out.with_suffix(".csv")]))
-    for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08}.items():
+    for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08,
+                      "atom3": ATOM3}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         config.write_text(json.dumps({"model": doc}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
