@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import exact, inverse, limits, model, solver
-from .errors import ConfigError, ConfigParse, IoError, MeanFieldError, PreconditionError
+from .errors import ConfigError, ConfigParse, IoError, PreconditionError
 from .model import _integer, _list, _number, _numbers, _require
 
 _EPILOG = """exit codes:
@@ -339,8 +339,6 @@ def main(argv=None) -> int:
         return _emit_error(exc, 3)
     except (IoError, OSError) as exc:
         return _emit_error(exc, 4)
-    except MeanFieldError as exc:
-        return _emit_error(exc, 5)
     except Exception as exc:  # noqa: BLE001 - map anything else to code 5
         return _emit_error(exc, 5)
 

@@ -6,7 +6,9 @@ partition function, the law of the magnetization vector, moments and an
 i.i.d. sampler are all exact.  The weights are built in log space and
 normalised with one log-sum-exp; moments are then reduced from the
 probabilities through per-axis and pairwise marginals.  Every reduction
-runs in a fixed order, so results do not depend on scheduling.
+runs in a fixed order, so results do not depend on scheduling.  One cap holds
+everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
+LatticeTooLarge (CLI exit 3) before any allocation; only ``log_partition`` takes a ``cap``.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -231,22 +233,20 @@ def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
 
 
 def log_partition(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
-    """ln Z_N under the convention with the 2^-N single-spin weights."""
+    """ln Z_N under the convention with the 2^-N single-spin weights, up to ``cap`` points."""
     lattice = _prepare(model, sizes, "log_partition")
     return _lse(_lattice_log_weights(model.J, model.h, lattice, cap))
 
 
-def finite_pressure(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
-    """p_N = ln Z_N / N, with N the total of the validated sizes."""
-    lattice = _prepare(model, sizes, "finite_pressure")
-    return log_partition(model, lattice.sizes, cap) / float(lattice.total)
+def finite_pressure(model: ValidatedModel, sizes) -> float:
+    """p_N = ln Z_N / N, with N the total of the sizes ``log_partition`` validates."""
+    return log_partition(model, sizes) / float(np.sum(sizes))
 
 
-def magnetization_law(model: ValidatedModel, sizes,
-                      cap: int = LATTICE_CAP) -> MagnetizationLaw:
+def magnetization_law(model: ValidatedModel, sizes) -> MagnetizationLaw:
     """Normalized law of the magnetization vector on its lattice."""
     lattice = _prepare(model, sizes, "magnetization_law")
-    W = _lattice_log_weights(model.J, model.h, lattice, cap)
+    W = _lattice_log_weights(model.J, model.h, lattice, LATTICE_CAP)
     W -= _lse(W)
     return MagnetizationLaw(lattice=lattice, log_weights=W)
 
@@ -257,10 +257,9 @@ def _marginal(P: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
     return P.sum(axis=other) if other else P
 
 
-def exact_moments(model: ValidatedModel, sizes,
-                  cap: int = LATTICE_CAP) -> ExactMoments:
+def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
     """First and second moments of the magnetization vector."""
-    law = magnetization_law(model, sizes, cap)
+    law = magnetization_law(model, sizes)
     lattice = law.lattice
     P = np.exp(law.log_weights, out=law.log_weights)   # the law is ours alone
     mags = [lattice.mag_axis(l) for l in range(lattice.n)]
@@ -274,17 +273,17 @@ def exact_moments(model: ValidatedModel, sizes,
     return ExactMoments(mean=mean, second=second, sizes=lattice.sizes)
 
 
-def exact_sample(model: ValidatedModel, sizes, M: int, seed: int,
-                 cap: int = LATTICE_CAP) -> SampleSet:
+def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     """M i.i.d. draws of the per-species sums by inverse CDF.
 
     RNG: numpy PCG64, one stream per block of 2^16 draws, each stream
     seeded from (seed, block index).  Same inputs give bit-identical
-    output regardless of how blocks would be scheduled.  ``M`` must be an
-    integer >= 0 (ConfigParse otherwise).
+    output regardless of how blocks would be scheduled.  ``M`` and ``seed``
+    must be integers >= 0 (ConfigParse otherwise).
     """
     _integer(M, "sample count M", 0)
-    law = magnetization_law(model, sizes, cap)
+    _integer(seed, "seed", 0)
+    law = magnetization_law(model, sizes)
     cdf = np.exp(law.log_weights.ravel())
     np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
@@ -305,19 +304,17 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int,
 
 
 def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
-                       condition_ball: float | None = None,
-                       cap: int = LATTICE_CAP) -> DiscreteLaw:
+                       condition_ball: float | None = None) -> DiscreteLaw:
     """Exact law of (S_l - N_l c_l) / N_l^(1 - 1/2k) per species.
 
     With ``condition_ball`` set, the magnetization law is first restricted
     to the Euclidean ball of that radius around ``center`` and
-    renormalized.  ``k`` must be an integer >= 1 (ConfigParse otherwise).
+    renormalized.  ``k`` must be an integer >= 1 (ConfigParse otherwise);
+    ``center`` needs one finite entry per species.
     """
     _integer(k, "type k", 1)
-    law = magnetization_law(model, sizes, cap)
-    center = np.asarray(center, dtype=float)
-    if center.shape != (law.lattice.n,):
-        raise DimensionMismatch("center must have one entry per species")
+    law = magnetization_law(model, sizes)
+    center = model.check_point(center, "center")
     coords = law.points()
     lw = law.log_weights.ravel()
     if condition_ball is not None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    BadSizes,
     DimensionMismatch,
     EmptyCondition,
     EmptySample,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .exact import LATTICE_CAP, LN2, MagLattice, SampleSet, _lattice_log_weights, _lse
 from .exact import log_partition  # noqa: F401 - re-exported; perfbench traces it here
-from .model import ATOL, validate_model  # noqa: F401 - validate_model likewise
+from .model import _check_fractions, validate_model  # noqa: F401 - validate_model likewise
 
 _SATURATION = 1.0 - 1e-12
 
@@ -100,11 +99,11 @@ def invert_cw(moments: EmpiricalMoments) -> InverseEstimate:
 
 
 def invert_multi(moments: EmpiricalMoments, alpha) -> InverseEstimate:
-    """Multi-species estimate: invert the response relation, then the fields."""
+    """Invert the response relation, then the fields; ``alpha`` must fit the block sizes."""
     alpha = np.asarray(alpha, dtype=float)
-    n = len(moments.mean)
-    if alpha.shape != (n,):
+    if alpha.shape != moments.mean.shape:
         raise DimensionMismatch("alpha must have one entry per species")
+    _check_fractions(moments.sizes, alpha)
     if np.any(np.abs(moments.mean) >= _SATURATION):
         raise MagnetizationSaturated("a species mean is at the boundary")
     chi = empirical_susceptibility(moments)
@@ -150,10 +149,8 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
 def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
                            alpha: np.ndarray) -> float:
     """Exact log-likelihood of the sample rows under any real (J, h), model or not."""
+    _check_fractions(samples.sizes, alpha)
     N = float(samples.sizes.sum())
-    if np.shape(alpha) != (samples.n,) or np.any(samples.sizes < 1) \
-            or np.any(np.abs(samples.sizes / N - alpha) > ATOL):
-        raise BadSizes("sample sizes must be positive and match the species fractions")
     W = _lattice_log_weights(J, h, MagLattice(samples.sizes), LATTICE_CAP)
     ln_z = _lse(W) + N * LN2
     S = samples.sums.astype(float)

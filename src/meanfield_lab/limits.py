@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateMaximum,
     DimensionMismatch,
+    DomainError,
     EmptySample,
     MixedTypes,
     NonUniqueMaximum,
@@ -41,7 +42,6 @@ from .model import ValidatedModel, _require_validated
 from .solver import (
     HomogeneousForm,
     MaximumClassification,
-    SolverOptions,
     _curvature,
     pressure_limit,
 )
@@ -135,8 +135,10 @@ def susceptibility_cw(J: float, h: float, mu: float) -> float:
     """Single-species field response (1 - mu^2) / (1 - J (1 - mu^2)).
 
     ``h`` only identifies the equilibrium branch; the value depends on it
-    through ``mu`` alone.
+    through ``mu`` alone.  ``mu`` outside [-1, 1] or nan raises DomainError.
     """
+    if not abs(mu) <= 1.0:
+        raise DomainError(f"mu must lie in [-1, 1], got {mu!r}")
     denom = 1.0 - J * (1.0 - mu ** 2)
     if denom <= 1e-12:
         raise DegenerateMaximum("response diverges: the maximum is degenerate")
@@ -149,10 +151,7 @@ def susceptibility_matrix(model: ValidatedModel, mu) -> np.ndarray:
     chi = D^{-1} M^{-1} D for the curvature M at mu, D = diag(sqrt(alpha)):
     the solution of chi = P (I + J diag(alpha) chi), P = diag(var) (1 - mu^2 for +-1).
     """
-    model = _require_validated(model)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.n,):
-        raise DimensionMismatch("mu must have one entry per species")
+    mu = _require_validated(model).check_point(mu, "mu")
     K, s = _curvature(model, mu)
     if np.linalg.cond(K) > 1e10:
         raise SingularSystem("response system is singular at this point")
@@ -163,10 +162,7 @@ def susceptibility_matrix(model: ValidatedModel, mu) -> np.ndarray:
 def covariance_tilde(model: ValidatedModel, mu,
                      classification: MaximumClassification) -> np.ndarray:
     """Covariance M^{-1} of the rescaled sums, M at ``mu``; Cholesky-certified."""
-    model = _require_validated(model)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.n,):
-        raise DimensionMismatch("mu must have one entry per species")
+    mu = _require_validated(model).check_point(mu, "mu")
     if classification.k != 1 or classification.hessian is None:
         raise NotK1("covariance requires a type-1 maximum")
     K, s = _curvature(model, mu)
@@ -220,8 +216,7 @@ def _rescaled_form(model: ValidatedModel, cls: MaximumClassification) -> Homogen
 
 def build_limit_law(model: ValidatedModel,
                     classification: MaximumClassification | None = None,
-                    conditioned: bool = False,
-                    opts: SolverOptions | None = None) -> LimitLaw:
+                    conditioned: bool = False) -> LimitLaw:
     """Limiting law asserted by the limit theorems.
 
     With a classification: the law of the rescaled sums at that maximum,
@@ -232,7 +227,7 @@ def build_limit_law(model: ValidatedModel,
     """
     model = _require_validated(model)
     if classification is None:
-        result = pressure_limit(model, opts)
+        result = pressure_limit(model)
         k_star = max(c.k for c in result.maxima)
         kept = [c for c in result.maxima if c.k == k_star]
         log_b = np.array([_log_weight(model, c) for c in kept])
@@ -242,7 +237,7 @@ def build_limit_law(model: ValidatedModel,
         return DeltaMixture(points=pts, weights=w)
 
     if not conditioned:
-        result = pressure_limit(model, opts)
+        result = pressure_limit(model)
         if len({c.k for c in result.maxima}) > 1:
             raise MixedTypes("global maxima have differing types")
         if len(result.maxima) > 1:
@@ -334,6 +329,8 @@ def ks_distance(observed, law: LimitLaw) -> float:
         if not len(pts):
             raise EmptySample("KS comparison needs at least one sample")
         probs = np.full(len(pts), 1.0 / len(pts))
+    if np.any(np.isnan(pts)):
+        raise DomainError("KS comparison needs samples that are not nan")
     return _ks(*_cdf_table(pts, probs, law)[2:])
 
 

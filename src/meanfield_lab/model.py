@@ -27,6 +27,7 @@ from .errors import (
     ConfigParse,
     DegenerateMeasure,
     DimensionMismatch,
+    DomainError,
     NonFiniteParameter,
     NonPositiveDiagonal,
     NonSymmetricJ,
@@ -104,14 +105,12 @@ class ValidatedModel:
     J: np.ndarray
     h: np.ndarray
     site_measure: FiniteMeasure
+    is_binary: bool = field(init=False)    # the symmetric +-1 measure; set in __post_init__
 
     def __post_init__(self):
         for arr in (self.alpha, self.J, self.h):
             arr.flags.writeable = False
-
-    @property
-    def is_binary(self) -> bool:
-        return self.site_measure.is_symmetric_binary()
+        object.__setattr__(self, "is_binary", self.site_measure.is_symmetric_binary())
 
     @property
     def support_range(self) -> tuple[float, float]:
@@ -148,12 +147,25 @@ class ValidatedModel:
                 (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63))):
             raise BadSizes(f"species sizes must be integers, got {raw.tolist()}")
         sizes = raw.astype(np.int64)
-        if np.any(sizes < 1):
-            raise BadSizes("species sizes must be positive")
-        total = int(sizes.sum())
-        if np.any(np.abs(sizes / total - self.alpha) > 1e-12):
-            raise BadSizes("sizes are not proportional to the species fractions")
+        _check_fractions(sizes, self.alpha)
         return sizes
+
+    def check_point(self, x, what: str) -> np.ndarray:
+        """``x`` as a float array with one finite entry per species."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DimensionMismatch(f"{what} must have one entry per species")
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"{what} must be finite, got {x.tolist()}")
+        return x
+
+
+def _check_fractions(sizes: np.ndarray, alpha) -> None:
+    """BadSizes unless ``sizes`` holds one block >= 1 per species, in proportion ``alpha``."""
+    if np.shape(alpha) != sizes.shape or np.any(sizes < 1) \
+            or np.any(np.abs(sizes / sizes.sum() - alpha) > ATOL):
+        raise BadSizes(f"block sizes {sizes.tolist()} must be positive and "
+                       "proportional to the species fractions")
 
 
 @dataclass(frozen=True)
@@ -206,10 +218,7 @@ def _require_validated(model) -> ValidatedModel:
 def hamiltonian_density(model: ValidatedModel, m) -> float:
     """Energy density g(m); the configuration energy is -N * g(m)."""
     model = _require_validated(model)
-    m = np.asarray(m, dtype=float)
-    if m.shape != (model.n,):
-        raise DimensionMismatch(f"magnetization vector must have length {model.n}")
-    am = model.alpha * m
+    am = model.alpha * model.check_point(m, "magnetization vector")
     return float(0.5 * am @ model.J @ am + model.h @ am)
 
 

@@ -198,6 +198,19 @@ def test_invert_alpha_comes_from_alpha_or_model(tmp_path, capsys):
         assert err["error"] == "ConfigParse" and "--ball" in err["message"]
 
 
+def test_invert_ball_refuses_alpha_that_contradicts_the_sample_sizes(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": REF2, "sizes": [200, 200], "M": 2000})
+    sample_file = tmp_path / "s.csv"
+    assert main(["sample", "--config", cfg, "--seed", "1",
+                 "--out", str(sample_file)]) == 0
+    skewed = write_config(tmp_path, {"alpha": [0.3, 0.7]}, name="skewed.json")
+    out = tmp_path / "fit.json"
+    assert main(["invert", "--config", skewed, "--samples", str(sample_file),
+                 "--ball", "0.36,-0.02,0.5", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "BadSizes"
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

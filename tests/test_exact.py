@@ -26,6 +26,7 @@ from meanfield_lab.errors import (
     BadSizes,
     ConfigParse,
     DimensionMismatch,
+    DomainError,
     EmptyCondition,
     LatticeTooLarge,
     OffLattice,
@@ -561,3 +562,39 @@ def test_non_integral_sizes_are_refused():
 def test_sample_count_must_be_a_non_negative_integer(M):
     with pytest.raises(ConfigParse):
         exact_sample(make_cw(0.5, 0.0), [10], M, seed=1)
+
+
+# ref2 at [20000, 20000] has 20001^2 ~ 4e8 lattice points, over the one cap of
+# 1e8; the check runs before anything is allocated
+@pytest.mark.parametrize("entry", [
+    lambda m, sizes: finite_pressure(m, sizes),
+    lambda m, sizes: magnetization_law(m, sizes),
+    lambda m, sizes: exact_moments(m, sizes),
+    lambda m, sizes: exact_sample(m, sizes, 10, seed=1),
+    lambda m, sizes: normalized_sum_law(m, sizes, [0.0, 0.0], k=1),
+], ids=["finite_pressure", "magnetization_law", "exact_moments", "exact_sample",
+        "normalized_sum_law"])
+def test_every_lattice_entry_point_refuses_a_lattice_over_the_cap(entry):
+    with pytest.raises(LatticeTooLarge):
+        entry(make_ref2(), [20000, 20000])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_sample_seed_must_be_a_non_negative_integer(seed):
+    # 1.5 drew seed 1's stream and recorded seed=1; True was taken as 1;
+    # -1 raised numpy's untyped ValueError
+    with pytest.raises(ConfigParse):
+        exact_sample(make_cw(0.5, 0.0), [10], 5, seed=seed)
+
+
+def test_sample_seed_may_be_a_numpy_integer():
+    sample = exact_sample(make_cw(0.5, 0.0), [10], 5, seed=np.int64(3))
+    assert sample.seed == 3
+    assert np.array_equal(sample.sums, exact_sample(make_cw(0.5, 0.0), [10], 5, seed=3).sums)
+
+
+@pytest.mark.parametrize("center", [[math.nan], [math.inf]])
+def test_normalized_law_refuses_a_non_finite_center(center):
+    # a nan centre gave a law whose every point was nan
+    with pytest.raises(DomainError):
+        normalized_sum_law(make_cw(0.5, 0.0), [10], center, k=1)

@@ -295,3 +295,16 @@ def test_invert_multi_refuses_a_saturated_species(mean):
                            sizes=np.array([100, 100]), sample_count=10)
     with pytest.raises(MagnetizationSaturated):
         invert_multi(mom, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("fit", [
+    lambda sample, alpha: invert_multi(estimate_moments(sample), alpha),
+    lambda sample, alpha: invert_conditioned(sample, [0.36, -0.02], 0.5, alpha),
+    lambda sample, alpha: mle_fit(sample, alpha),
+], ids=["invert_multi", "invert_conditioned", "mle_fit"])
+def test_inverse_refuses_alpha_that_contradicts_the_block_sizes(fit):
+    # alpha is fixed by the sample's block sizes; (0.3, 0.7) against [200, 200]
+    # used to return J ~ ((1.66, 0.58), (0.58, 0.71)) with no error
+    sample = exact_sample(make_ref2(), [200, 200], 2000, seed=1)
+    with pytest.raises(BadSizes):
+        fit(sample, np.array([0.3, 0.7]))

@@ -33,6 +33,7 @@ from meanfield_lab import (
 from meanfield_lab.errors import (
     DegenerateMaximum,
     DimensionMismatch,
+    DomainError,
     EmptySample,
     NonUniqueMaximum,
     NotK1,
@@ -474,6 +475,38 @@ def test_ks_distance_dimension_guard():
 def test_ks_distance_refuses_an_empty_sample():
     with pytest.raises(EmptySample):
         ks_distance(np.array([]), Gaussian(cov=np.array([[1.0]])))
+
+
+def test_ks_distance_refuses_nan_samples():
+    law = Gaussian(cov=np.array([[1.0]]))
+    with pytest.raises(DomainError):
+        ks_distance(np.array([0.0, math.nan]), law)
+    assert ks_distance(np.array([math.inf, 0.0]), law) == 0.5
+
+
+@pytest.mark.parametrize("mu", [1.5, -1.5, math.nan, math.inf])
+def test_susceptibility_cw_refuses_mu_outside_the_cube(mu):
+    # mu = 1.5 at J = 0.5 returned -0.769
+    with pytest.raises(DomainError):
+        susceptibility_cw(0.5, 0.0, mu)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_susceptibility_matrix_refuses_a_non_finite_point(bad):
+    # nan raised numpy's LinAlgError "SVD did not converge"
+    with pytest.raises(DomainError):
+        susceptibility_matrix(make_ref2(), [bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_covariance_tilde_refuses_a_non_finite_point(bad):
+    # nan gave an all-nan covariance and inf the zero matrix
+    model = make_ref2()
+    cls = pressure_limit(model).maxima[0]
+    with pytest.raises(DomainError):
+        covariance_tilde(model, [bad, 0.0], cls)
+    with pytest.raises(DimensionMismatch):
+        covariance_tilde(model, [0.0], cls)
 
 
 # --- serialization ----------------------------------------------------------------
