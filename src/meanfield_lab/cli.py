@@ -181,12 +181,10 @@ def cmd_sample(args, doc: dict) -> int:
     if args.out is None:
         raise ConfigParse("sample requires --out")
     m = _model_from_config(doc)
-    sizes = m.check_sizes(_require(doc, "sizes"))
-    M = _require(doc, "M")
     seed = args.seed if args.seed is not None else doc.get("seed")
     if seed is None:
         raise ConfigParse("sampling requires a seed (--seed or config)")
-    samples = exact.exact_sample(m, sizes, M, _integer(seed, "seed", 0))
+    samples = exact.exact_sample(m, _require(doc, "sizes"), _require(doc, "M"), seed)
     exact.write_samples_csv(samples, args.out)
     return 0
 

@@ -9,7 +9,6 @@ inverting the self-consistency equations at the sample mean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,23 +78,10 @@ def empirical_susceptibility(moments: EmpiricalMoments) -> np.ndarray:
 
 
 def invert_cw(moments: EmpiricalMoments) -> InverseEstimate:
-    """Closed-form single-species estimate of (J, h)."""
+    """Single-species estimate of (J, h): the n = 1 case of ``invert_multi``."""
     if moments.mean.shape != (1,):
         raise DimensionMismatch("single-species inversion needs n=1 moments")
-    m = float(moments.mean[0])
-    var = float(moments.second[0, 0]) - m * m
-    if abs(m) >= _SATURATION:
-        raise MagnetizationSaturated("mean magnetization is at the boundary")
-    if var <= 1e-15:
-        raise ZeroVariance("zero variance: J is unidentifiable")
-    N = float(moments.sizes[0])
-    chi = N * var
-    J = 1.0 / (1.0 - m * m) - 1.0 / chi
-    h = math.atanh(m) - J * m
-    diag = {"saturation_margin": 1.0 - abs(m), "variance": var,
-            "chi_condition": 1.0}
-    return InverseEstimate(J_hat=np.array([[J]]), h_hat=np.array([h]),
-                           chi_hat=np.array([[chi]]), diagnostics=diag)
+    return invert_multi(moments, [1.0])
 
 
 def invert_multi(moments: EmpiricalMoments, alpha) -> InverseEstimate:
@@ -121,12 +107,6 @@ def invert_multi(moments: EmpiricalMoments, alpha) -> InverseEstimate:
                            diagnostics=diag)
 
 
-def _invert_moments(moments: EmpiricalMoments, alpha) -> InverseEstimate:
-    if len(moments.mean) == 1:
-        return invert_cw(moments)
-    return invert_multi(moments, alpha)
-
-
 def invert_conditioned(samples: SampleSet, ball_center, radius: float,
                        alpha) -> InverseEstimate:
     """Restrict the sample to a magnetization ball, then invert as usual.
@@ -143,7 +123,7 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
         raise EmptyCondition("fewer than two sample rows fall in the ball")
     restricted = SampleSet(sizes=samples.sizes, seed=samples.seed,
                            sums=samples.sums[mask])
-    return _invert_moments(estimate_moments(restricted), alpha)
+    return invert_multi(estimate_moments(restricted), alpha)
 
 
 def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
@@ -164,8 +144,7 @@ def mle_fit(samples: SampleSet, alpha) -> InverseEstimate:
     The point estimate is the moment inversion, which is asymptotically
     equivalent (N -> infinity) to maximum likelihood.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    est = _invert_moments(estimate_moments(samples), alpha)
+    est = invert_multi(estimate_moments(samples), alpha)
     try:
         ll = _sample_log_likelihood(samples, est.J_hat, est.h_hat, alpha)
     except LatticeTooLarge:

@@ -211,6 +211,33 @@ def test_invert_ball_refuses_alpha_that_contradicts_the_sample_sizes(tmp_path, c
     assert not out.exists()
 
 
+def test_invert_ball_refuses_a_one_species_alpha_that_contradicts_the_sample_size(
+        tmp_path, capsys):
+    # a single block is the whole sample: its fraction is 1, not 0.5
+    cfg = write_config(tmp_path, {"model": CW12, "sizes": [400], "M": 2000})
+    sample_file = tmp_path / "s.csv"
+    assert main(["sample", "--config", cfg, "--seed", "11",
+                 "--out", str(sample_file)]) == 0
+    half = write_config(tmp_path, {"alpha": [0.5]}, name="half.json")
+    out = tmp_path / "fit.json"
+    assert main(["invert", "--config", half, "--samples", str(sample_file),
+                 "--ball", "0.6586,0.3", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "BadSizes"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc,out,code,error", [
+    ("solve", {"sizes": [100]}, "out.json", 2, "ConfigParse"),
+    ("invert", {"alpha": [1.0]}, "out.json", 2, "ConfigParse"),
+    ("solve", {"model": CW12}, "missing/out.json", 4, "IoError"),
+], ids=["solve-without-model", "invert-without-samples", "solve-out-in-missing-dir"])
+def test_config_and_io_faults_exit_2_or_4(tmp_path, capsys, command, doc, out, code, error):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out)]) == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not (tmp_path / out).exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

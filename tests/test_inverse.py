@@ -308,3 +308,40 @@ def test_inverse_refuses_alpha_that_contradicts_the_block_sizes(fit):
     sample = exact_sample(make_ref2(), [200, 200], 2000, seed=1)
     with pytest.raises(BadSizes):
         fit(sample, np.array([0.3, 0.7]))
+
+
+def _cw12_sample():
+    return exact_sample(make_cw(1.2, 0.0), [400], 2000, seed=11)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda sample, alpha: invert_conditioned(sample, [0.6586], 0.3, alpha),
+    lambda sample, alpha: mle_fit(sample, alpha),
+], ids=["invert_conditioned", "mle_fit"])
+def test_one_species_inverse_refuses_alpha_that_contradicts_the_block_size(fit):
+    # a single block is the whole sample: its fraction is 1, not 0.5
+    with pytest.raises(BadSizes):
+        fit(_cw12_sample(), [0.5])
+
+
+@pytest.mark.parametrize("moments", [
+    lambda: moments_from_exact(make_cw(0.5, 0.2), [500]),
+    lambda: estimate_moments(_cw12_sample()),
+], ids=["exact", "sampled"])
+def test_invert_cw_is_invert_multi_at_one_species(moments):
+    mom = moments()
+    est, multi = invert_cw(mom), invert_multi(mom, [1.0])
+    for name in ("J_hat", "h_hat", "chi_hat"):
+        assert np.array_equal(getattr(est, name), getattr(multi, name))
+    assert est.diagnostics == multi.diagnostics
+    assert est.diagnostics["asymmetry"] == 0.0
+
+
+def test_mle_fit_past_the_lattice_cap_reports_no_likelihood():
+    # 20001^2 ~ 4.0e8 lattice points: over the cap, so the fit has no likelihood
+    sums = np.array([[0, 0], [2, -2], [-2, 2], [4, 4], [-4, 0], [0, 6]])
+    sample = SampleSet(sizes=np.array([20000, 20000]), seed=0, sums=sums)
+    est = mle_fit(sample, [0.5, 0.5])
+    assert est.log_likelihood is None
+    assert np.array_equal(est.J_hat,
+                          invert_multi(estimate_moments(sample), [0.5, 0.5]).J_hat)

@@ -3,10 +3,10 @@
 Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
 on four more configs, ``solve`` on four one-species models (one with a three-atom
-measure), a one-species ``sample`` then ``invert`` from a model-only config, and
-the demos.  Prints per output file "identical" or the count of moved numbers with
-their largest absolute and relative change; exits 1 if any file's non-numeric
-text differs.
+measure), a one-species ``sample`` then ``invert`` from a model-only config, with
+and without ``--ball``, and the demos.  Prints per output file "identical" or the
+count of moved numbers with their largest absolute and relative change; exits 1
+if any file's non-numeric text differs.
 """
 
 import io
@@ -62,10 +62,13 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     config.write_text(json.dumps({"model": MODELS["cw12"], "sizes": [400], "M": 2000}))
     model_only.write_text(json.dumps({"model": MODELS["cw12"]}))
     samples, out = work / "sample-cw12.csv", work / "invert-cw12.json"
+    ball_out = work / "invert-cw12-ball.json"
     runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(samples)],
               [samples]),
              (["invert", "--config", str(model_only), "--samples", str(samples),
-               "--out", str(out)], [out])]
+               "--out", str(out)], [out]),
+             (["invert", "--config", str(model_only), "--samples", str(samples),
+               "--ball", "0.66,0.3", "--out", str(ball_out)], [ball_out])]
     outputs = {}
     for argv, files in runs:
         subprocess.run([sys.executable, "-m", "meanfield_lab.cli", *argv], env=env,
