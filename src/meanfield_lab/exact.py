@@ -3,10 +3,17 @@
 For +-1 spins the per-species sums take values on a known lattice and
 the number of configurations per lattice point is a binomial, so the
 partition function, the law of the magnetization vector, moments and an
-i.i.d. sampler are all exact.  The weights are built in log space and
-normalised with one log-sum-exp; moments are then reduced from the
-probabilities through per-axis and pairwise marginals.  Every reduction
-runs in a fixed order, so results do not depend on scheduling.  One cap holds
+i.i.d. sampler are all exact.  The weights are built in log space by one
+row-block kernel (``_Weights``) and normalised by a streamed log-sum-exp
+over blocks of at most ``_BLOCK`` points: pass 1 takes the maximum, pass 2
+sums exp(W - max) over numpy's own pairwise tree (``_pairwise``) with
+leaves of at most one block, so the sum has the bits of the whole-lattice
+``sum()`` (any other order would move them).  At n >= 3 the moments are
+reduced block by block (pass 3) into the per-axis and pairwise marginals.
+Every reduction runs in a fixed order, so results do not depend on
+scheduling.  ``log_partition``, ``finite_pressure`` and the n >= 3 moments
+hold nothing larger than a block; ``magnetization_law``, ``exact_sample``
+and the n <= 2 moments hold one lattice-sized array.  One cap holds
 everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
 LatticeTooLarge (CLI exit 3) before any allocation; only ``log_partition`` takes a ``cap``.
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +49,8 @@ from .model import ValidatedModel, _integer, _require_validated
 
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
-_SAMPLE_BLOCK = 1 << 16
+_BLOCK = 1 << 16          # lattice points per pass block; draws per sampler stream
+_SCRATCH = threading.local()
 SAMPLES_HEADER = "# meanfield-lab samples v1"
 _LN_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 _LS2PI = 0.91893853320467274178         # ln sqrt(2 pi)
@@ -92,9 +101,11 @@ class MagnetizationLaw:
 
     def points(self) -> np.ndarray:
         """All lattice coordinates, shape (volume, n), C order."""
-        axes = [self.lattice.mag_axis(l) for l in range(self.lattice.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        n = self.lattice.n
+        table = np.empty(self.lattice.shape + (n,))
+        for l in range(n):
+            table[..., l] = self.lattice.mag_axis(l).reshape(_along(l, n))
+        return table.reshape(-1, n)
 
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_weights)
@@ -188,33 +199,176 @@ def log_count(N_l: int, m) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
+def _scratch(role: str, size: int) -> np.ndarray:
+    """A float buffer of ``size`` for one role in the block passes, kept per thread.
+
+    Reusing it spares each call the page faults of fresh buffers, so one
+    thread runs one ``_Weights`` at a time.  A buffer larger than two blocks
+    (a lattice row longer than a block) is not kept.
+    """
+    buf = getattr(_SCRATCH, role, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        if size <= 2 * _BLOCK:
+            setattr(_SCRATCH, role, buf)
+    return buf[:size]
+
+
+def _along(l: int, n: int) -> list[int]:
+    """Broadcast shape of a vector on axis l of an n-axis lattice."""
+    return [-1 if a == l else 1 for a in range(n)]
+
+
+class _Weights:
+    """Unnormalized log weights ln A + N g(m) - N ln 2 for any real (J, h), by row blocks.
+
+    ``rows(a, b)`` is W[a:b], rows a..b-1 of axis 0, evaluated with the
+    operations of the full-array definition in its order: -N ln 2, the axis
+    terms 0..n-1, then the cross terms (l, s), l < s, in lexicographic order;
+    so every entry has the same bits in whichever block it is evaluated.
+    The prefix -N ln 2 + axis_0 + ... + axis_(n-2) is folded once on the first
+    n - 1 axes and the cross terms off axis 0 once on their pair grids; the
+    cross terms with axis 0 are formed per block.  Iterating yields the row
+    blocks of at most ``_BLOCK`` points (one row if a row is larger), flat.
+    No ufunc here takes two broadcast operands: on rows of up to a few
+    thousand points numpy runs those slower than a broadcast copy followed
+    by an in-place ufunc with one broadcast operand.
+    """
+
+    def __init__(self, J: np.ndarray, h: np.ndarray, lattice: MagLattice, cap: int):
+        volume = lattice.volume()
+        if volume > cap:
+            raise LatticeTooLarge(f"lattice volume {volume} exceeds the cap {cap}")
+        n, N = lattice.n, lattice.total
+        S = [lattice.sum_axis(l).astype(float) for l in range(n)]
+        terms = []
+        for l in range(n):
+            N_l = int(lattice.sizes[l])
+            T = _log_factorial(np.arange(N_l + 1.0))
+            counts = T[N_l] - (T + T[::-1])      # ln C(N_l, k), k = 0..N_l
+            terms.append((counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N))
+                         .reshape(_along(l, n)))
+        S = [S_l.reshape(_along(l, n)) for l, S_l in enumerate(S)]
+        self.prefix = -N * LN2
+        for t in terms[:-1]:
+            self.prefix = self.prefix + t
+        self.last, self.s0 = terms[-1], S[0]
+        self.cross0 = [(J[0, s] / N, S[s]) for s in range(1, n)]
+        self.cross = [J[l, s] / N * (S[l] * S[s]) for l in range(1, n) for s in range(l + 1, n)]
+        self.shape = lattice.shape
+        self.row = volume // self.shape[0]                 # points per row of axis 0
+        step = min(max(1, _BLOCK // self.row), self.shape[0])
+        self.ranges = [(a, min(a + step, self.shape[0])) for a in range(0, self.shape[0], step)]
+        self._W, self._t = _scratch("W", step * self.row), _scratch("t", step * self.row)
+
+    def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """W[a:b], written into ``out`` or else into this thread's scratch block."""
+        if out is None:
+            out = self._W[:(b - a) * self.row].reshape((b - a,) + self.shape[1:])
+        if len(self.shape) == 1:            # the prefix is the scalar -N ln 2
+            np.add(self.prefix, self.last[a:b], out=out)
+        else:
+            np.copyto(out, self.prefix[a:b])
+            out += self.last
+        for c, S_s in self.cross0:
+            t = self._t[:(b - a) * S_s.size].reshape((b - a,) + S_s.shape[1:])
+            np.copyto(t, self.s0[a:b])
+            t *= S_s
+            t *= c
+            out += t
+        for t in self.cross:
+            out += t
+        return out
+
+    def __iter__(self):
+        for a, b in self.ranges:
+            yield self.rows(a, b).reshape(-1)
+
+
 def _lattice_log_weights(J: np.ndarray, h: np.ndarray, lattice: MagLattice,
                          cap: int) -> np.ndarray:
-    """Unnormalized log weights ln A + N g(m) - N ln 2 for any real (J, h)."""
-    if lattice.volume() > cap:
-        raise LatticeTooLarge(f"lattice volume {lattice.volume()} exceeds the cap {cap}")
-    n, N = lattice.n, lattice.total
-    S = [lattice.sum_axis(l).astype(float) for l in range(n)]
-    W = np.full(lattice.shape, -N * LN2)
-    for l in range(n):
-        N_l = int(lattice.sizes[l])
-        T = _log_factorial(np.arange(N_l + 1.0))
-        counts = T[N_l] - (T + T[::-1])      # ln C(N_l, k), k = 0..N_l
-        axis_term = counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N)
-        W += axis_term.reshape([-1 if a == l else 1 for a in range(n)])
-    for l in range(n):
-        for s in range(l + 1, n):
-            cross = (J[l, s] / N) * np.multiply.outer(S[l], S[s])
-            W += cross.reshape([len(S[a]) if a in (l, s) else 1 for a in range(n)])
+    """The whole lattice of ``_Weights``, assembled row block by row block."""
+    weights = _Weights(J, h, lattice, cap)
+    W = np.empty(lattice.shape)
+    for a, b in weights.ranges:
+        weights.rows(a, b, out=W[a:b])
     return W
+
+
+class _Leaves:
+    """exp(W - max) over the flat blocks, cut into consecutive leaves for ``_pairwise``.
+
+    Each block is exponentiated into one buffer behind the values left from
+    the block before, so a leaf is always one contiguous view.  The entries
+    equal to the maximum are counted in ``tops`` and summed as 0; only blocks
+    whose own maximum is the maximum are searched for them.
+    """
+
+    def __init__(self, blocks, maxima: np.ndarray, volume: int, largest: int):
+        self._blocks = zip(blocks, maxima)
+        self.a_max, self.tops = maxima.max(), 0
+        self._buf = _scratch("leaves", min(_BLOCK + largest, volume))
+        self._start = self._end = 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` <= _BLOCK values, valid until the next call."""
+        while self._end - self._start < count:
+            W, w_max = next(self._blocks)
+            kept = self._end - self._start
+            self._buf[:kept] = self._buf[self._start:self._end]
+            E = self._buf[kept:kept + W.size]
+            np.subtract(W, self.a_max, out=E)
+            np.exp(E, out=E)
+            if w_max == self.a_max:
+                top = W == self.a_max
+                self.tops += np.count_nonzero(top)
+                E[top] = 0.0
+            self._start, self._end = 0, kept + W.size
+        self._start += count
+        return self._buf[self._start - count:self._start]
+
+
+def _pairwise(leaves: _Leaves, count: int):
+    """Sum of the next ``count`` leaf values in numpy's pairwise order.
+
+    numpy sums a contiguous array by splitting it at count/2 rounded down to
+    a multiple of 8, down to blocks of 128; here the same tree is walked down
+    to leaves of at most ``_BLOCK`` values, which numpy's own sum finishes.
+    """
+    if count <= _BLOCK:
+        return leaves.take(count).sum()
+    half = count // 2
+    half -= half % 8
+    return _pairwise(leaves, half) + _pairwise(leaves, count - half)
+
+
+def _lse_blocks(blocks) -> float:
+    """ln sum exp over the flat blocks (an iterable read twice), one block at a time.
+
+    Bit for bit scipy's logsumexp of their concatenation: the m entries equal
+    to the maximum stay out of the shifted sum, ln(1 + sum/m) + ln m + max.
+    """
+    maxima, volume, largest = [], 0, 0
+    for W in blocks:
+        maxima.append(W.max())
+        volume, largest = volume + W.size, max(largest, W.size)
+    # a single block is still at hand from pass 1
+    leaves = _Leaves([W] if len(maxima) == 1 else blocks, np.array(maxima), volume, largest)
+    total = _pairwise(leaves, volume)
+    m = np.float64(leaves.tops)
+    return float(np.log1p(total / m) + np.log(m) + leaves.a_max)
 
 
 def _lse(W: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     """ln sum exp(W), over all of W or along ``axis``; scipy's logsumexp, bit for bit.
 
-    The m entries equal to the maximum stay out of the shifted sum:
-    ln(1 + sum/m) + ln m + max.  One temporary the size of W.
+    Over all of W it is ``_lse_blocks`` on blocks of W; along an axis the m
+    entries equal to the maximum stay out of the shifted sum, with one
+    temporary the size of W.
     """
+    if axis is None:
+        flat = W.reshape(-1)
+        return _lse_blocks([flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK)])
     a_max = W.max(axis=axis, keepdims=True)
     top = W == a_max
     m = np.count_nonzero(top, axis=axis, keepdims=True).astype(float)
@@ -222,7 +376,7 @@ def _lse(W: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     np.exp(E, out=E)
     E[top] = 0.0
     out = np.log1p(E.sum(axis=axis, keepdims=True) / m) + np.log(m) + a_max
-    return float(out.item()) if axis is None else out.squeeze(axis)
+    return out.squeeze(axis)
 
 
 def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
@@ -232,10 +386,15 @@ def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
     return MagLattice(sizes=model.check_sizes(sizes))
 
 
+def _log_z(J: np.ndarray, h: np.ndarray, lattice: MagLattice, cap: int) -> float:
+    """ln Z with the 2^-N single-spin weights for any real (J, h), streamed."""
+    return _lse_blocks(_Weights(J, h, lattice, cap))
+
+
 def log_partition(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
     """ln Z_N under the convention with the 2^-N single-spin weights, up to ``cap`` points."""
     lattice = _prepare(model, sizes, "log_partition")
-    return _lse(_lattice_log_weights(model.J, model.h, lattice, cap))
+    return _log_z(model.J, model.h, lattice, cap)
 
 
 def finite_pressure(model: ValidatedModel, sizes) -> float:
@@ -258,18 +417,46 @@ def _marginal(P: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 
 
 def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
-    """First and second moments of the magnetization vector."""
-    law = magnetization_law(model, sizes)
-    lattice = law.lattice
-    P = np.exp(law.log_weights, out=law.log_weights)   # the law is ours alone
-    mags = [lattice.mag_axis(l) for l in range(lattice.n)]
-    mean, second = np.empty(lattice.n), np.empty((lattice.n, lattice.n))
+    """First and second moments of the magnetization vector.
+
+    They are reduced from P = exp(W - ln Z) through its per-axis and pairwise
+    marginals.  At n <= 2 the (0, n - 1) marginal is the lattice itself, so P
+    is held there: W is assembled once and normalised in place.  At n >= 3
+    the marginals are smaller than the lattice and P is streamed (pass 3):
+    the marginals on axis 0 take the rows of each block and the pairwise ones
+    off axis 0 accumulate.  The per-axis ones off axis 0 are the (0, l)
+    marginals summed over axis 0.
+    """
+    lattice = _prepare(model, sizes, "exact_moments")
+    n, shape = lattice.n, lattice.shape
+    keeps = [(0,)] + [(l, s) for l in range(n) for s in range(l + 1, n)]
+    if n <= 2:
+        P = _lattice_log_weights(model.J, model.h, lattice, LATTICE_CAP)
+        P -= _lse(P)
+        np.exp(P, out=P)
+        marg = {keep: _marginal(P, keep) for keep in keeps}
+    else:
+        weights = _Weights(model.J, model.h, lattice, LATTICE_CAP)
+        ln_z = _lse_blocks(weights)
+        marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps}
+        for a, b in weights.ranges:
+            P = weights.rows(a, b)
+            P -= ln_z
+            np.exp(P, out=P)
+            for keep in keeps:
+                if keep[0] == 0:
+                    marg[keep][a:b] = _marginal(P, keep)
+                else:
+                    marg[keep] += _marginal(P, keep)
+    for l in range(1, n):
+        marg[l,] = marg[0, l].sum(axis=0)
+    mags = [lattice.mag_axis(l) for l in range(n)]
+    mean, second = np.empty(n), np.empty((n, n))
     for l, ml in enumerate(mags):
-        marg = _marginal(P, (l,))
-        mean[l] = ml @ marg
-        second[l, l] = (ml * ml) @ marg
-        for s in range(l + 1, lattice.n):
-            second[l, s] = second[s, l] = ml @ _marginal(P, (l, s)) @ mags[s]
+        mean[l] = ml @ marg[l,]
+        second[l, l] = (ml * ml) @ marg[l,]
+        for s in range(l + 1, n):
+            second[l, s] = second[s, l] = ml @ marg[l, s] @ mags[s]
     return ExactMoments(mean=mean, second=second, sizes=lattice.sizes)
 
 
@@ -284,15 +471,16 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     _integer(M, "sample count M", 0)
     _integer(seed, "seed", 0)
     law = magnetization_law(model, sizes)
-    cdf = np.exp(law.log_weights.ravel())
+    cdf = law.log_weights.reshape(-1)       # the law is ours alone
+    np.exp(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
     shape = law.lattice.shape
     sums_axes = [law.lattice.sum_axis(l) for l in range(law.lattice.n)]
 
     draws = np.empty((M, law.lattice.n), dtype=np.int64)
-    for block, start in enumerate(range(0, M, _SAMPLE_BLOCK)):
-        count = min(_SAMPLE_BLOCK, M - start)
+    for block, start in enumerate(range(0, M, _BLOCK)):
+        count = min(_BLOCK, M - start)
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([int(seed), block])))
         u = rng.random(count)
@@ -315,20 +503,20 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
     _integer(k, "type k", 1)
     law = magnetization_law(model, sizes)
     center = model.check_point(center, "center")
-    coords = law.points()
+    z = law.points()
     lw = law.log_weights.ravel()
     if condition_ball is not None:
-        mask = np.linalg.norm(coords - center[None, :], axis=1) <= condition_ball
+        mask = np.linalg.norm(z - center[None, :], axis=1) <= condition_ball
         if not np.any(mask):
             raise EmptyCondition("conditioning ball contains no lattice points")
-        coords, lw = coords[mask], lw[mask]
+        z, lw = z[mask], lw[mask]
         norm = _lse(lw)
         if not np.isfinite(norm):
             raise EmptyCondition("conditioning ball captures no probability mass")
-        lw = lw - norm
-    scale = law.lattice.sizes ** (1.0 / (2.0 * k))
-    z = scale[None, :] * (coords - center[None, :])
-    return DiscreteLaw(points=z, probs=np.exp(lw))
+        lw -= norm
+    z -= center
+    z *= law.lattice.sizes ** (1.0 / (2.0 * k))
+    return DiscreteLaw(points=z, probs=np.exp(lw, out=lw))   # the law is ours alone
 
 
 # --- file formats ---------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     SingularChi,
     ZeroVariance,
 )
-from .exact import LATTICE_CAP, LN2, MagLattice, SampleSet, _lattice_log_weights, _lse
+from .exact import LATTICE_CAP, LN2, MagLattice, SampleSet, _log_z
 from .exact import log_partition  # noqa: F401 - re-exported; perfbench traces it here
 from .model import _check_fractions, validate_model  # noqa: F401 - validate_model likewise
 
@@ -131,8 +131,7 @@ def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
     """Exact log-likelihood of the sample rows under any real (J, h), model or not."""
     _check_fractions(samples.sizes, alpha)
     N = float(samples.sizes.sum())
-    W = _lattice_log_weights(J, h, MagLattice(samples.sizes), LATTICE_CAP)
-    ln_z = _lse(W) + N * LN2
+    ln_z = _log_z(J, h, MagLattice(samples.sizes), LATTICE_CAP) + N * LN2
     S = samples.sums.astype(float)
     energies = 0.5 / N * np.einsum("bi,ij,bj->b", S, J, S) + S @ h
     return float(energies.sum() - samples.sample_count * ln_z)

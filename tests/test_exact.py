@@ -33,11 +33,14 @@ from meanfield_lab.errors import (
     UnsupportedMeasure,
 )
 from meanfield_lab.exact import (
+    _BLOCK,
     MagLattice,
     SampleSet,
     _lattice_log_weights,
+    _Leaves,
     _log_factorial,
     _lse,
+    _pairwise,
 )
 
 from conftest import (
@@ -293,6 +296,118 @@ def test_lse_tied_maximum():
     W = np.array([-0.1, -0.84, 0.88, -2.36, 0.88])
     assert _lse(W) == float(logsumexp(W))
     assert _lse(np.zeros(7)) == math.log(7.0)
+
+
+def _full_array_weights(J, h, sizes):
+    """The lattice log-weights as one whole-array expression, term by term."""
+    lattice = MagLattice(np.asarray(sizes))
+    n, N = lattice.n, lattice.total
+    S = [lattice.sum_axis(l).astype(float) for l in range(n)]
+    W = np.full(lattice.shape, -N * math.log(2.0))
+    for l in range(n):
+        T = _log_factorial(np.arange(sizes[l] + 1.0))
+        counts = T[sizes[l]] - (T + T[::-1])
+        W += (counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N)).reshape(
+            [-1 if a == l else 1 for a in range(n)])
+    for l in range(n):
+        for s in range(l + 1, n):
+            W += ((J[l, s] / N) * np.multiply.outer(S[l], S[s])).reshape(
+                [len(S[a]) if a in (l, s) else 1 for a in range(n)])
+    return W
+
+
+@pytest.mark.parametrize("sizes", [[200000], [3, 70000], [70000, 3], [60, 90, 150],
+                                   [5, 6, 7, 8]])
+def test_row_blocks_reproduce_the_full_array_weights(sizes):
+    # blocks of many rows, one row longer than a block, and n = 4
+    rng = np.random.default_rng(len(sizes) * 1000 + sizes[0])
+    n = len(sizes)
+    A = rng.normal(size=(n, n))
+    J, h = (A + A.T) / 2.0, rng.uniform(-0.3, 0.3, n)
+    W = _lattice_log_weights(J, h, MagLattice(np.asarray(sizes)), 10 ** 8)
+    assert W.tobytes() == _full_array_weights(J, h, sizes).tobytes()
+
+
+@pytest.mark.parametrize("model,sizes", [
+    (make_cw(1.2, 0.0), [200000]),      # two tied maxima in different blocks
+    (make_ref2(), [1600, 1600]),
+    (make_ref3(), [60, 90, 150]),
+])
+def test_streamed_sums_match_scipy_bitwise_across_blocks(model, sizes):
+    from scipy.special import logsumexp
+
+    lattice = MagLattice(np.asarray(sizes))
+    W = _lattice_log_weights(model.J, model.h, lattice, 10 ** 8)
+    assert W.size > 2 * _BLOCK
+    want = logsumexp(W)
+    assert log_partition(model, sizes) == float(want)
+    law = magnetization_law(model, sizes)
+    assert law.log_weights.tobytes() == (W - want).tobytes()
+    if model.n == 1:
+        assert np.count_nonzero(W == W.max()) == 2
+
+    # the full-array moment formula: per-axis and pairwise marginals of P
+    P = np.exp(law.log_weights)
+    del law, W
+    axes = [lattice.mag_axis(l) for l in range(model.n)]
+
+    def marginal(keep):
+        other = tuple(a for a in range(model.n) if a not in keep)
+        return P.sum(axis=other) if other else P
+
+    mean, second = np.empty(model.n), np.empty((model.n, model.n))
+    for l, m in enumerate(axes):
+        mean[l] = m @ marginal((l,))
+        second[l, l] = (m * m) @ marginal((l,))
+        for s in range(l + 1, model.n):
+            second[l, s] = second[s, l] = m @ marginal((l, s)) @ axes[s]
+    mom = exact_moments(model, sizes)
+    if model.n <= 2:
+        assert mom.mean.tobytes() == mean.tobytes()
+        assert mom.second.tobytes() == second.tobytes()
+    else:
+        assert np.max(np.abs(mom.mean - mean) / np.abs(mean)) <= 1e-13
+        assert np.max(np.abs(mom.second - second) / np.abs(second)) <= 1e-13
+
+
+def test_pairwise_walk_sums_in_numpys_order():
+    # blocks shorter and longer than a leaf; the summands are of one order
+    # of magnitude, so another summation order often moves the last bits
+    sizes = [1000, 100000, 30000, _BLOCK, 7, 250000, 40001, 513459]
+    for seed in range(6):
+        W = np.random.default_rng(seed).uniform(-3.0, 0.0, size=sum(sizes))
+        blocks = np.split(W, np.cumsum(sizes)[:-1])
+        E = np.exp(W - W.max())
+        E[W == W.max()] = 0.0
+        leaves = _Leaves(blocks, np.array([b.max() for b in blocks]), W.size, max(sizes))
+        assert _pairwise(leaves, W.size) == E.sum()
+        assert leaves.tops == 1
+
+
+def test_streamed_sums_hold_no_lattice_sized_array():
+    import tracemalloc
+
+    from meanfield_lab.inverse import _sample_log_likelihood
+
+    ref2 = make_ref2()
+    sample = SampleSet(sizes=np.array([3000, 3000]), seed=0,
+                       sums=np.array([[0, 0], [2, -2], [40, 12], [-6, 8]]))
+    calls = {
+        "log_partition ref2 [3000, 3000]":          # 9 M points, 72 MB of weights
+            lambda: log_partition(ref2, [3000, 3000]),
+        "exact_moments ref3 [120, 180, 300]":       # 6.6 M points
+            lambda: exact_moments(make_ref3(), [120, 180, 300]),
+        "_sample_log_likelihood [3000, 3000]":
+            lambda: _sample_log_likelihood(sample, ref2.J, ref2.h, ref2.alpha),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"{name}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 # --- sampling -----------------------------------------------------------------------
