@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteParameter,
     NonPositiveDiagonal,
     NonSymmetricJ,
+    UnsupportedMeasure,
 )
 
 ATOL = 1e-12
@@ -122,6 +123,10 @@ class ValidatedModel:
         d = np.sqrt(self.alpha)
         return d[:, None] * self.J * d[None, :]
 
+    def row_couplings(self) -> tuple[np.ndarray, np.ndarray]:
+        """B = J diag(alpha) and h: the fields are u = B x + h."""
+        return self.J * self.alpha[None, :], self.h
+
     def species_sizes(self, total: int) -> np.ndarray:
         """Split ``total`` spins into species blocks; errors unless exact."""
         raw = self.alpha * total
@@ -158,6 +163,12 @@ class ValidatedModel:
         if not np.all(np.isfinite(x)):
             raise DomainError(f"{what} must be finite, got {x.tolist()}")
         return x
+
+    def check_measure(self, what: str) -> None:
+        """UnsupportedMeasure for several species under a measure other than +-1."""
+        if self.n > 1 and not self.is_binary:
+            raise UnsupportedMeasure(
+                f"{what} supports general measures only for a single species")
 
 
 def _check_fractions(sizes: np.ndarray, alpha) -> None:

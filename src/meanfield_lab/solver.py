@@ -26,7 +26,6 @@ gap is reported as ``method_agreement``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -60,6 +59,8 @@ _CURVATURE_FLOOR = 1e-12
 _ARMIJO = 1e-4
 _ASCENT_STEPS = 200
 _HALVINGS = 60
+# Newton stops a row whose defect has not fallen over this many steps.
+_STALL_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ def entropy_I(x):
 
 def _fields(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
     """Effective fields u_l = sum_s alpha_s J_ls x_s + h_l, batched."""
-    return x @ (model.J * model.alpha[None, :]).T + model.h
+    B, h = model.row_couplings()
+    return x @ B.T + h
 
 
 def _tilted_moments(model: ValidatedModel, u: np.ndarray, order: int) -> np.ndarray:
@@ -216,12 +218,6 @@ def _cumulants_from_moments(m: np.ndarray) -> np.ndarray:
     return k
 
 
-def _check_multi_binary(model: ValidatedModel, what: str):
-    if model.n > 1 and not model.is_binary:
-        raise UnsupportedMeasure(
-            f"{what} supports general measures only for a single species")
-
-
 def _sech2(u: np.ndarray) -> np.ndarray:
     """1 / cosh(u)^2 without overflow."""
     a = np.exp(-np.abs(u))
@@ -233,25 +229,12 @@ _TANH_REMAINDER = (1.0 / 3.0, -2.0 / 15.0, 17.0 / 315.0, -62.0 / 2835.0,
                    1382.0 / 155925.0, -21844.0 / 6081075.0)
 
 
-def _u_minus_tanh(u: np.ndarray) -> np.ndarray:
-    """u - tanh(u) without cancellation for small u."""
-    out = u - np.tanh(u)
-    small = np.abs(u) <= 0.1
-    if np.any(small):
-        us = u[small]
-        acc = np.zeros_like(us)
-        for c in reversed(_TANH_REMAINDER):
-            acc = us * us * (c + acc)
-        out[small] = us * acc
-    return out
-
-
 def mean_field_map(model: ValidatedModel, x) -> np.ndarray:
     """Right-hand side of the self-consistency system at x."""
     model = _require_validated(model)
-    _check_multi_binary(model, "mean_field_map")
+    model.check_measure("mean_field_map")
     x = np.asarray(x, dtype=float)
-    out = _map_rows(model, np.atleast_2d(x))[0]
+    out = _map_rows(model, np.atleast_2d(x), *model.row_couplings())[0]
     return out[0] if x.ndim == 1 else out
 
 
@@ -270,7 +253,7 @@ def functional_f(model: ValidatedModel, x) -> float | np.ndarray:
     Accepts a single point (returns a float) or a batch of rows.
     """
     model = _require_validated(model)
-    _check_multi_binary(model, "functional_f")
+    model.check_measure("functional_f")
     x = np.asarray(x, dtype=float)
     vals = _f_batch(model, np.atleast_2d(x))
     return float(vals[0]) if x.ndim == 1 else vals
@@ -299,71 +282,87 @@ def _grad_f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
 # --- fixed-point search ---------------------------------------------------
 
 
+def _grid(axis: np.ndarray, n: int) -> np.ndarray:
+    """Every point of axis^n as a row, in itertools.product order."""
+    return axis[np.indices((len(axis),) * n).reshape(n, -1)].T.copy()
+
+
 def _start_grid(model: ValidatedModel, opts: SolverOptions) -> np.ndarray:
     lo, hi = model.support_range
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    axis = np.linspace(mid - 0.99 * half, mid + 0.99 * half, opts.grid_points)
-    pts = itertools.product(*([axis] * model.n))
-    return np.array(list(pts))
+    return _grid(np.linspace(mid - 0.99 * half, mid + 0.99 * half, opts.grid_points),
+                 model.n)
 
 
-def _map_rows(model: ValidatedModel, X: np.ndarray):
-    """Map values and their variances var_l at a batch of rows.
+def _map_rows(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarray):
+    """Map values and variances var_l at a batch of rows, fields u = B x + h.
 
-    Each row is multiplied as its own matrix, which is bitwise equal to
-    evaluating one point at a time; a (P, n) @ (n, n) product is not.
-    Binary spins take tanh directly: the atom route carries an absolute
-    noise floor that spoils root finding at degenerate maxima.
+    B, h are shared, (n, n) and (n,), or one pair per row, (P, n, n) and
+    (P, n).  Each row is multiplied as its own matrix: bitwise equal to one
+    point at a time, which a (P, n) @ (n, n) product is not.  Binary spins
+    take tanh: the atom route's noise floor spoils degenerate roots.
     """
-    u = np.matmul(X[:, None, :], (model.J * model.alpha[None, :]).T)[:, 0] + model.h
+    u = np.matmul(X[:, None, :], np.swapaxes(B, -1, -2))[:, 0] + h
     if model.is_binary:
         return np.tanh(u), _sech2(u)
     m = _tilted_moments(model, u, 2)
     return m[0], m[1] - m[0] ** 2
 
 
-def _map_defect(model: ValidatedModel, X: np.ndarray):
-    """X - map(X) for a batch of rows, compensated against cancellation,
-    and the map's variances var_l at the same rows (as ``_map_rows``).
+def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarray):
+    """X - map(X), compensated against cancellation, and var_l (as ``_map_rows``).
 
-    For binary spins, x - tanh(u) is regrouped as (I - B)x - h + r(u)
-    with r(u) = u - tanh(u) evaluated by series: near degenerate roots
-    the naive difference rounds to zero long before the root is located.
+    For binary spins, x - tanh(u) is regrouped as (I - B)x - h + r(u) with
+    r(u) = u - tanh(u) by series: near degenerate roots the naive
+    difference rounds to zero long before the root is located.
     """
     if not model.is_binary:
-        mean, var = _map_rows(model, X)
+        mean, var = _map_rows(model, X, B, h)
         return X - mean, var
-    B = model.J * model.alpha[None, :]
     BX = np.matmul(B, X[:, :, None])[:, :, 0]
-    u = BX + model.h
-    return (X - BX) - model.h + _u_minus_tanh(u), _sech2(u)
+    u = BX + h
+    r = u - np.tanh(u)
+    small = np.abs(u) <= 0.1
+    if np.any(small):
+        us = u[small]
+        acc = np.zeros_like(us)
+        for c in reversed(_TANH_REMAINDER):
+            acc = us * us * (c + acc)
+        r[small] = us * acc
+    return (X - BX) - h + r, _sech2(u)
 
 
-def _newton_polish(model, X, opts):
-    """Newton on x - map(x) = 0 for a batch of rows.
+def _newton_polish(model, X, opts, B=None, h=None):
+    """Newton on x - map(x) = 0 for a batch of rows; every row and its residual.
 
-    Returns the rows that converge and their residuals.  Each row takes
-    exactly the steps it would take alone.  A row stops once both its
-    defect and its last step are small: at a degenerate root the defect
-    is cubically flat in x, so a residual test alone would accept points
-    far from the root.  A row also stops at an exactly singular Jacobian,
-    and is dropped there before its first step unless its defect is 0.
-    Every root lies in the closed support hull [lo, hi]^n (the map is a
-    tilted mean), so a row is dropped once its iterate leaves the hull,
-    and at the end if its residual is above tol.
+    B = J diag(alpha) and h are the model's unless given (as ``_map_rows``),
+    so one batch can hold many models' starts.  Each row takes exactly the
+    steps it would take alone.  A row stops once its defect and last step
+    are both small (at a degenerate root the defect is cubically flat), at
+    an exactly singular Jacobian (dropped before its first step unless its
+    defect is 0), or when its defect, above tol, is no lower than
+    ``_STALL_STEPS`` steps before.  Roots lie in the support hull [lo, hi]^n,
+    so a row that leaves it is dropped (nan).
     """
+    if B is None:
+        B, h = model.row_couplings()
     X = X.copy()
     lo, hi = model.support_range
-    B = model.J * model.alpha[None, :]
     step_norm = np.full(len(X), np.inf)
+    mark = np.full(len(X), np.inf)
     live = np.arange(len(X))
-    for _ in range(opts.newton_max_iter):
+    for it in range(opts.newton_max_iter):
         x = X[live]
-        F, var = _map_defect(model, x)
+        Bx, hx = (B[live], h[live]) if B.ndim == 3 else (B, h)
+        F, var = _map_defect(model, x, Bx, hx)
+        JF = np.eye(model.n) - var[:, :, None] * Bx
+        defect = np.max(np.abs(F), axis=1)
         small = opts.tol * (1.0 + np.max(np.abs(x), axis=1))
-        go = (np.max(np.abs(F), axis=1) > opts.tol) | (step_norm[live] > small)
-        live, F = live[go], F[go]
-        JF = np.eye(model.n) - var[go][:, :, None] * B
+        go = (defect > opts.tol) | (step_norm[live] > small)
+        if it % _STALL_STEPS == 0:
+            go &= (defect < mark[live]) | (defect <= opts.tol)
+            mark[live] = defect
+        live, F, JF = live[go], F[go], JF[go]
         regular = np.linalg.slogdet(JF)[0] != 0
         X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
         live, F, JF = live[regular], F[regular], JF[regular]
@@ -375,9 +374,20 @@ def _newton_polish(model, X, opts):
         X[live[~inside]] = np.nan      # fails the final residual test
         live = live[inside]
         step_norm[live] = np.max(np.abs(step[inside]), axis=1)
-    res = np.max(np.abs(X - _map_rows(model, X)[0]), axis=1)
+    return X, np.max(np.abs(X - _map_rows(model, X, B, h)[0]), axis=1)
+
+
+def _stationary_points(model: ValidatedModel, X: np.ndarray, res: np.ndarray,
+                       opts: SolverOptions) -> list[StationaryPoint]:
+    """The distinct rows of one model's polish within tol; NoConvergence if none."""
     keep = res <= opts.tol
-    return X[keep], res[keep]
+    if not np.any(keep):
+        raise NoConvergence("no start converged to the requested residual")
+    return [StationaryPoint(x=x, residual=r,
+                            f_value=float(_f_batch(model, x[None, :])[0]),
+                            fbar_value=functional_fbar(model, x)
+                            if model.is_binary else None)
+            for x, r in _dedup_points(X[keep], res[keep], opts.dedup_radius)]
 
 
 def solve_fixed_points(model: ValidatedModel,
@@ -389,33 +399,24 @@ def solve_fixed_points(model: ValidatedModel,
     fail to converge are dropped; NoConvergence is raised only if all fail.
     """
     model = _require_validated(model)
-    _check_multi_binary(model, "solve_fixed_points")
+    model.check_measure("solve_fixed_points")
     opts = opts or SolverOptions()
-    pts, res = _newton_polish(model, _start_grid(model, opts), opts)
-    if not len(pts):
-        raise NoConvergence("no start converged to the requested residual")
-
-    order = np.lexsort(pts.T[::-1])
-    kept = _dedup_points(pts[order], res[order], opts.dedup_radius)
-    return [StationaryPoint(x=x, residual=r,
-                            f_value=float(_f_batch(model, x[None, :])[0]),
-                            fbar_value=functional_fbar(model, x)
-                            if model.is_binary else None)
-            for x, r in kept]
+    return _stationary_points(model, *_newton_polish(model, _start_grid(model, opts), opts),
+                              opts)
 
 
 def _dedup_points(pts: np.ndarray, res: np.ndarray,
                   radius: float) -> list[tuple[np.ndarray, float]]:
     """Single-linkage clustering; each cluster keeps its best point.
 
-    Repeated rows, which sit next to each other after the sort, are
-    collapsed first.  Distinct rows within max-norm ``radius`` are linked,
-    and a cluster is a chain of links, so points spread wider than the
-    radius around one degenerate root still merge.  The best point has
-    the smallest (residual, max|x|), the earliest on ties.  Input must be
-    lexicographically sorted; the output preserves that order, so the
-    result is independent of how starts were scheduled.
+    Rows are sorted lexicographically and repeats collapsed.  Rows within
+    max-norm ``radius`` are linked and a cluster is a chain of links, so
+    points spread wider than the radius around a degenerate root merge.
+    The best point has the smallest (residual, max|x|), the earliest on
+    ties; the output keeps the sorted order, independent of the starts.
     """
+    order = np.lexsort(pts.T[::-1])
+    pts, res = pts[order], res[order]
     fresh = np.ones(len(pts), dtype=bool)
     fresh[1:] = np.any(pts[1:] != pts[:-1], axis=1) | (res[1:] != res[:-1])
     pts, res = pts[fresh], res[fresh]
@@ -461,7 +462,8 @@ def _curvature(model: ValidatedModel, x) -> tuple[np.ndarray, np.ndarray]:
     J, positive definite exactly at a quadratic maximum; S M S = I - S D J D S has
     its inertia and stays finite where a spin is nearly frozen (1/var overflows).
     """
-    s = np.sqrt(_map_rows(model, np.asarray(x, dtype=float)[None, :])[1][0])
+    x = np.asarray(x, dtype=float)[None, :]
+    s = np.sqrt(_map_rows(model, x, *model.row_couplings())[1][0])
     return np.eye(model.n) - s[:, None] * model.coupling_core() * s[None, :], s
 
 
@@ -487,13 +489,13 @@ def classify_maximum(model: ValidatedModel,
     (``HomogeneousForm.definiteness_fault``).  One species is the ray R = (J).
     """
     model = _require_validated(model)
-    _check_multi_binary(model, "classify_maximum")
+    model.check_measure("classify_maximum")
     x = np.asarray(point.x, dtype=float)
     eigs = np.linalg.eigvalsh(_curvature(model, x)[0])
     if eigs.min() < -_DERIV_TOL:
         raise NotAMaximum("curvature diag(1/var) - D J D has a negative eigenvalue")
     u = _fields(model, x[None, :])[0]
-    rays = model.J * model.alpha[None, :]
+    rays = model.row_couplings()[0]
     if eigs.min() > _DERIV_TOL:
         # a fold located _POS_ERR off its double root shows cubic term * offset
         if eigs.min() <= 10.0 * _term_sizes(model, u, rays, 3)[1][2].max() * _POS_ERR:
@@ -530,14 +532,6 @@ def classify_maximum(model: ValidatedModel,
 # --- pressure limit and scans ---------------------------------------------
 
 
-def _is_core_posdef(model: ValidatedModel) -> bool:
-    try:
-        np.linalg.cholesky(model.coupling_core())
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _max_f_direct(model: ValidatedModel) -> float:
     """Global maximum of f on R^n by the direct route, for the cross-check.
 
@@ -554,7 +548,7 @@ def _max_f_direct(model: ValidatedModel) -> float:
     lo, hi = model.support_range
     axis = np.linspace(lo * 0.9, hi * 0.9, 5) if model.n > 1 else \
         np.linspace(lo * 0.99, hi * 0.99, 9)
-    X = np.array(list(itertools.product(*([axis] * model.n))))
+    X = _grid(axis, model.n)
     F = _f_batch(model, X)
     live = np.arange(len(X))
     for _ in range(_ASCENT_STEPS):
@@ -591,20 +585,19 @@ def pressure_limit(model: ValidatedModel,
     model = _require_validated(model)
     opts = opts or SolverOptions()
     points = solve_fixed_points(model, opts)
-    if model.is_binary:
-        values = np.array([p.fbar_value for p in points])
-    else:
-        values = np.array([p.f_value for p in points])
+    values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
     limit = float(values.max())
     maxima = []
     for p, v in zip(points, values):
         if v >= limit - 1e-9:
             cls = classify_maximum(model, p)
             maxima.append(replace(cls, is_global=True))
-    if _is_core_posdef(model):
-        agreement = abs(limit - _max_f_direct(model))
-    else:
+    try:
+        np.linalg.cholesky(model.coupling_core())
+    except np.linalg.LinAlgError:
         agreement = math.nan
+    else:
+        agreement = abs(limit - _max_f_direct(model))
     return PressureResult(limit_value=limit, maxima=maxima,
                           method_agreement=agreement, fixed_points=points)
 
@@ -615,22 +608,28 @@ def cw_phase_scan(J_grid, h: float,
 
     Columns: J, mu (largest fixed point), pressure, dp_dJ (= mu^2 / 2) and
     the centered second difference of the pressure over the grid (nan at
-    the ends).
+    the ends).  Every J's starts form one Newton batch; each J's rows then
+    give its fixed points exactly as ``solve_fixed_points`` would.
     """
     J_grid = np.asarray(J_grid, dtype=float)
     if np.any(J_grid <= 0) or np.any(np.diff(J_grid) <= 0):
         raise DomainError("J grid must be positive and strictly increasing")
+    opts = opts or SolverOptions()
+    models = [validate_model(ModelSpec(n=1, alpha=(1.0,), J=((float(J),),), h=(float(h),)))
+              for J in J_grid]
+    g = opts.grid_points
     mu = np.empty_like(J_grid)
     pressure = np.empty_like(J_grid)
-    for i, J in enumerate(J_grid):
-        m = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((float(J),),), h=(float(h),)))
-        pts = solve_fixed_points(m, opts)
+    for i, model in enumerate(models):
+        if not i:   # one Newton batch for every J; alpha = 1, so B = J
+            X = np.tile(_start_grid(model, opts), (len(J_grid), 1))
+            X, res = _newton_polish(model, X, opts, np.repeat(J_grid, g)[:, None, None],
+                                    np.full_like(X, h))
+        pts = _stationary_points(model, X[i * g:(i + 1) * g], res[i * g:(i + 1) * g], opts)
         mu[i] = max(p.x[0] for p in pts)
         pressure[i] = max(p.fbar_value for p in pts)
+    dj = np.diff(J_grid)
     d2p = np.full_like(J_grid, np.nan)
-    if len(J_grid) >= 3:
-        dj = np.diff(J_grid)
-        inner = (pressure[2:] - 2.0 * pressure[1:-1] + pressure[:-2]) / (dj[1:] * dj[:-1])
-        d2p[1:-1] = inner
+    d2p[1:-1] = (pressure[2:] - 2.0 * pressure[1:-1] + pressure[:-2]) / (dj[1:] * dj[:-1])
     return {"J": J_grid, "mu": mu, "pressure": pressure,
             "dp_dJ": 0.5 * mu ** 2, "d2p": d2p}

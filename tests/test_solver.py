@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -25,6 +26,7 @@ from meanfield_lab import (
 )
 from meanfield_lab.errors import (
     DomainError,
+    NonFiniteParameter,
     NotAMaximum,
     UnsupportedDegeneracy,
     UnsupportedMeasure,
@@ -35,6 +37,7 @@ from meanfield_lab.solver import (
     _f_batch,
     _fields,
     _grad_f_batch,
+    _grid,
     _hessian_f,
     _max_f_direct,
     _newton_polish,
@@ -367,6 +370,68 @@ def test_newton_polish_batch_matches_single_rows(model_fn):
     assert res.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
 
 
+def test_dedup_sorts_its_input():
+    rng = np.random.default_rng(5)
+    pts = np.round(rng.uniform(-1.0, 1.0, (40, 2)), 1)
+    res = rng.uniform(0.0, 1e-12, 40)
+    order = np.lexsort(pts.T[::-1])
+    want = _dedup_points(pts[order], res[order], 0.15)
+    got = _dedup_points(pts, res, 0.15)
+    assert [(x.tobytes(), r) for x, r in got] == [(x.tobytes(), r) for x, r in want]
+
+
+def test_grid_rows_are_the_product_rows():
+    axis = np.linspace(-0.99, 0.99, 4)
+    for n in range(1, 6):
+        want = np.array(list(itertools.product(axis, repeat=n)))
+        got = _grid(axis, n)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def two_species(J12, h):
+    return validate_model(ModelSpec(n=2, alpha=(0.4, 0.6), J=((1.5, J12), (J12, 1.2)),
+                                    h=h))
+
+
+@pytest.mark.parametrize("models", [
+    [make_cw(J, h) for J, h in ((0.5, 0.1), (1.0, 0.0), (1.2, 0.05), (1.5, -0.2))],
+    [three_atom_model(J, h) for J, h in ((0.8, 0.0), (1.0, 0.2), (2.5, -0.1))],
+    [two_species(J12, h) for J12, h in ((-0.7, (0.3, 0.1)), (0.4, (0.0, 0.0)),
+                                         (1.1, (-0.2, 0.05)))],
+], ids=["cw", "three-atom", "two-species"])
+def test_newton_polish_with_per_row_pairs_matches_each_model(models):
+    opts = SolverOptions(grid_points=9)
+    starts = [_start_grid(m, opts) for m in models]
+    B = np.concatenate([np.repeat([m.J * m.alpha], len(s), axis=0)
+                        for m, s in zip(models, starts)])
+    h = np.concatenate([np.repeat([m.h], len(s), axis=0) for m, s in zip(models, starts)])
+    pts, res = _newton_polish(models[0], np.concatenate(starts), opts, B, h)
+    alone = [_newton_polish(m, s, opts) for m, s in zip(models, starts)]
+    assert pts.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+    assert res.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+
+
+def test_newton_drops_rows_whose_defect_stops_falling(monkeypatch):
+    # 8 of the 121 default starts cycle inside the hull near (0.63, 0.055)
+    # without converging; without the stall window they run every step
+    model = validate_model(ModelSpec(
+        n=2, alpha=(0.6566499589677139, 0.34335004103228606),
+        J=((2.515390604750113, -0.09778740951616982),
+           (-0.09778740951616982, 0.8749531058876174)),
+        h=(-0.29764909021025676, 0.0791134927721962)))
+    steps = []
+    real = solver._map_defect
+
+    def counted(*args):
+        steps.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_map_defect", counted)
+    assert len(solve_fixed_points(model)) == 1
+    assert len(steps) < SolverOptions().newton_max_iter
+
+
 @pytest.mark.parametrize("model_fn", [lambda: make_cw(0.8, 0.1),
                                       make_ref2, three_atom_model])
 def test_gradient_matches_finite_differences(model_fn):
@@ -651,6 +716,41 @@ def test_phase_scan_critical_asymptotics():
     mu0 = table["mu"][0]
     ratio = mu0 / math.sqrt(3.0 * (1.0 - 1.0 / 1.001))
     assert abs(ratio - 1.0) < 0.02
+
+
+PHASE_GRIDS = {
+    "bench": (np.linspace(0.5, 1.5, 41), 0.0),
+    "criterion-11": (np.round(np.arange(1.000, 1.0041, 0.001), 10), 0.0),
+    "straddle-J1": (np.linspace(0.9, 1.1, 21), 0.0),
+    "h+0.1": (np.linspace(0.9, 1.1, 21), 0.1),
+    "h-0.1": (np.linspace(0.9, 1.1, 21), -0.1),
+    "h1e-12": (np.linspace(0.9, 1.1, 21), 1e-12),
+}
+
+
+@pytest.mark.parametrize("grid_points", [5, 21])
+@pytest.mark.parametrize("name", PHASE_GRIDS)
+def test_phase_scan_is_the_per_coupling_solve_bit_for_bit(name, grid_points):
+    grid, h = PHASE_GRIDS[name]
+    opts = SolverOptions(grid_points=grid_points)
+    table = cw_phase_scan(grid, h, opts)
+    points = [solve_fixed_points(make_cw(J, h), opts) for J in grid]
+    mu = np.array([max(p.x[0] for p in pts) for pts in points])
+    pressure = np.array([max(p.fbar_value for p in pts) for pts in points])
+    assert table["mu"].tobytes() == mu.tobytes()
+    assert table["pressure"].tobytes() == pressure.tobytes()
+
+
+def test_phase_scan_of_an_empty_grid_is_empty():
+    table = cw_phase_scan([], 0.0)
+    assert sorted(table) == ["J", "d2p", "dp_dJ", "mu", "pressure"]
+    assert all(col.shape == (0,) for col in table.values())
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [0.5, 1.0, math.inf]])
+def test_phase_scan_refuses_a_non_finite_coupling(grid):
+    with pytest.raises(NonFiniteParameter):
+        cw_phase_scan(grid, 0.0)
 
 
 # --- two-route cross-check --------------------------------------------------------

@@ -3,8 +3,9 @@
 Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
 on four more configs, ``solve`` on four one-species models (one with a three-atom
-measure), a three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums
-run over row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert``
+measure), ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical
+grid J = 1.000..1.004, a three-species ``pressure`` (ref3 at N = 300 and 600,
+so the exact sums run over row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert``
 from a model-only config, with and without ``--ball``, and the demos.  Prints per output file "identical" or the
 count of moved numbers with their largest absolute and relative change; exits 1
 if any file's non-numeric text differs.
@@ -59,6 +60,12 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         config.write_text(json.dumps({"model": doc}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
+    for name, doc in {"h005": {"J_grid": [round(0.5 + 0.005 * i, 10) for i in range(201)],
+                               "h": 0.05},
+                      "crit": {"J_grid": [1.0, 1.001, 1.002, 1.003, 1.004], "h": 0.0}}.items():
+        config, out = work / f"config-phase-{name}.json", work / f"phase-{name}.csv"
+        config.write_text(json.dumps(doc))
+        runs.append((["phase", "--config", str(config), "--out", str(out)], [out]))
     config, out = work / "config-pressure-ref3.json", work / "pressure-ref3.csv"
     config.write_text(json.dumps({"model": MODELS["ref3"], "N_values": [300, 600]}))
     runs.append((["pressure", "--config", str(config), "--out", str(out)], [out]))
