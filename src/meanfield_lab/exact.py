@@ -11,7 +11,8 @@ leaves of at most one block, so the sum has the bits of the whole-lattice
 ``sum()`` (any other order would move them).  At n >= 3 the moments are
 reduced block by block (pass 3) into the per-axis and pairwise marginals.
 Every reduction runs in a fixed order, so results do not depend on
-scheduling.  ``log_partition``, ``finite_pressure`` and the n >= 3 moments
+scheduling.  Each pass allocates its own block buffers and nothing is kept
+across calls.  ``log_partition``, ``finite_pressure`` and the n >= 3 moments
 hold nothing larger than a block; ``magnetization_law``, ``exact_sample``
 and the n <= 2 moments hold one lattice-sized array.  One cap holds
 everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +49,8 @@ from .model import ValidatedModel, _integer, _require_validated
 
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
-_BLOCK = 1 << 16          # lattice points per pass block; draws per sampler stream
-_SCRATCH = threading.local()
+_BLOCK = 1 << 16          # lattice points per pass block
+_STREAM = 1 << 16         # draws per sampler stream; fixes the bytes of every sample file
 SAMPLES_HEADER = "# meanfield-lab samples v1"
 _LN_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 _LS2PI = 0.91893853320467274178         # ln sqrt(2 pi)
@@ -199,21 +199,6 @@ def log_count(N_l: int, m) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _scratch(role: str, size: int) -> np.ndarray:
-    """A float buffer of ``size`` for one role in the block passes, kept per thread.
-
-    Reusing it spares each call the page faults of fresh buffers, so one
-    thread runs one ``_Weights`` at a time.  A buffer larger than two blocks
-    (a lattice row longer than a block) is not kept.
-    """
-    buf = getattr(_SCRATCH, role, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size)
-        if size <= 2 * _BLOCK:
-            setattr(_SCRATCH, role, buf)
-    return buf[:size]
-
-
 def _along(l: int, n: int) -> list[int]:
     """Broadcast shape of a vector on axis l of an n-axis lattice."""
     return [-1 if a == l else 1 for a in range(n)]
@@ -259,10 +244,10 @@ class _Weights:
         self.row = volume // self.shape[0]                 # points per row of axis 0
         step = min(max(1, _BLOCK // self.row), self.shape[0])
         self.ranges = [(a, min(a + step, self.shape[0])) for a in range(0, self.shape[0], step)]
-        self._W, self._t = _scratch("W", step * self.row), _scratch("t", step * self.row)
+        self._W, self._t = np.empty(step * self.row), np.empty(step * self.row)
 
     def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
-        """W[a:b], written into ``out`` or else into this thread's scratch block."""
+        """W[a:b], into ``out`` or else this pass's own block buffer; none outlives the call."""
         if out is None:
             out = self._W[:(b - a) * self.row].reshape((b - a,) + self.shape[1:])
         if len(self.shape) == 1:            # the prefix is the scalar -N ln 2
@@ -307,7 +292,7 @@ class _Leaves:
     def __init__(self, blocks, maxima: np.ndarray, volume: int, largest: int):
         self._blocks = zip(blocks, maxima)
         self.a_max, self.tops = maxima.max(), 0
-        self._buf = _scratch("leaves", min(_BLOCK + largest, volume))
+        self._buf = np.empty(min(_BLOCK + largest, volume))
         self._start = self._end = 0
 
     def take(self, count: int) -> np.ndarray:
@@ -352,8 +337,7 @@ def _lse_blocks(blocks) -> float:
     for W in blocks:
         maxima.append(W.max())
         volume, largest = volume + W.size, max(largest, W.size)
-    # a single block is still at hand from pass 1
-    leaves = _Leaves([W] if len(maxima) == 1 else blocks, np.array(maxima), volume, largest)
+    leaves = _Leaves(blocks, np.array(maxima), volume, largest)
     total = _pairwise(leaves, volume)
     m = np.float64(leaves.tops)
     return float(np.log1p(total / m) + np.log(m) + leaves.a_max)
@@ -463,9 +447,9 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
 def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     """M i.i.d. draws of the per-species sums by inverse CDF.
 
-    RNG: numpy PCG64, one stream per block of 2^16 draws, each stream
-    seeded from (seed, block index).  Same inputs give bit-identical
-    output regardless of how blocks would be scheduled.  ``M`` and ``seed``
+    RNG: numpy PCG64, one stream per ``_STREAM`` = 2^16 draws, each
+    seeded from (seed, stream index).  Same inputs give bit-identical
+    output regardless of how streams would be scheduled.  ``M`` and ``seed``
     must be integers >= 0 (ConfigParse otherwise).
     """
     _integer(M, "sample count M", 0)
@@ -479,10 +463,10 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     sums_axes = [law.lattice.sum_axis(l) for l in range(law.lattice.n)]
 
     draws = np.empty((M, law.lattice.n), dtype=np.int64)
-    for block, start in enumerate(range(0, M, _BLOCK)):
-        count = min(_BLOCK, M - start)
+    for stream, start in enumerate(range(0, M, _STREAM)):
+        count = min(_STREAM, M - start)
         rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(seed), block])))
+            np.random.SeedSequence([int(seed), stream])))
         u = rng.random(count)
         flat_idx = np.searchsorted(cdf, u, side="right")
         multi = np.unravel_index(flat_idx, shape)

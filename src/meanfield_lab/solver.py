@@ -314,14 +314,16 @@ def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarr
 
     For binary spins, x - tanh(u) is regrouped as (I - B)x - h + r(u) with
     r(u) = u - tanh(u) by series: near degenerate roots the naive
-    difference rounds to zero long before the root is located.
+    difference rounds to zero long before the root is located.  Where
+    tanh(u) rounds to +-1 the plain difference is exact and is kept.
     """
     if not model.is_binary:
         mean, var = _map_rows(model, X, B, h)
         return X - mean, var
     BX = np.matmul(B, X[:, :, None])[:, :, 0]
     u = BX + h
-    r = u - np.tanh(u)
+    t = np.tanh(u)
+    r = u - t
     small = np.abs(u) <= 0.1
     if np.any(small):
         us = u[small]
@@ -329,7 +331,7 @@ def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarr
         for c in reversed(_TANH_REMAINDER):
             acc = us * us * (c + acc)
         r[small] = us * acc
-    return (X - BX) - h + r, _sech2(u)
+    return np.where(np.abs(t) == 1.0, X - t, (X - BX) - h + r), _sech2(u)
 
 
 def _newton_polish(model, X, opts, B=None, h=None):

@@ -116,6 +116,15 @@ def test_phase_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_phase_with_a_saturating_field(tmp_path):
+    # at h = 1e16 every start was dropped and phase exited 3
+    cfg = write_config(tmp_path, {"J_grid": [0.5, 1.0], "h": 1e16})
+    out = tmp_path / "phase.csv"
+    assert main(["phase", "--config", cfg, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [1.0, 1.0]
+
+
 def test_limits_outputs(tmp_path):
     cfg = write_config(tmp_path, {"model": {"n": 1, "alpha": [1.0],
                                             "J": [[0.5]], "h": [0.0]},

@@ -10,6 +10,7 @@ from meanfield_lab import (
     FiniteMeasure,
     ModelSpec,
     entropy_I,
+    exact,
     exact_moments,
     exact_sample,
     finite_pressure,
@@ -41,6 +42,7 @@ from meanfield_lab.exact import (
     _log_factorial,
     _lse,
     _pairwise,
+    _Weights,
 )
 
 from conftest import (
@@ -410,6 +412,20 @@ def test_streamed_sums_hold_no_lattice_sized_array():
         assert peak < 8e6, f"{name}: tracemalloc peak {peak / 1e6:.1f} MB"
 
 
+def test_two_weight_streams_zipped_in_one_thread_keep_their_own_blocks():
+    # two streams once shared one per-thread buffer, so zipped blocks compared equal
+    lattice = MagLattice(np.array([300, 300]))
+    other = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.5, -0.3), (-0.3, 0.8)),
+                                     h=(0.0, 0.3)))
+    models = [make_ref2(), other]
+    alone = [[W.copy() for W in _Weights(m.J, m.h, lattice, 10 ** 8)] for m in models]
+    streams = [_Weights(m.J, m.h, lattice, 10 ** 8) for m in models]
+    for i, (W0, W1) in enumerate(zip(*streams)):
+        assert W0.tobytes() == alone[0][i].tobytes()
+        assert W1.tobytes() == alone[1][i].tobytes()
+    assert i + 1 == len(alone[0]) == len(alone[1]) > 1
+
+
 # --- sampling -----------------------------------------------------------------------
 
 
@@ -433,6 +449,21 @@ def test_sample_block_boundary_stability():
     small = exact_sample(model, [50], 1000, seed=3)
     large = exact_sample(model, [50], (1 << 16) + 1000, seed=3)
     assert np.array_equal(small.sums, large.sums[:1000])
+
+
+def test_the_pass_block_size_moves_no_sum_law_or_draw(monkeypatch):
+    # _BLOCK sizes the lattice passes only; the sampler draws streams of _STREAM
+    cw, ref2 = make_cw(1.2, 0.0), make_ref2()
+
+    def outputs():
+        return [np.float64(log_partition(ref2, [300, 300])).tobytes(),
+                np.float64(log_partition(cw, [200000])).tobytes(),
+                magnetization_law(ref2, [300, 300]).log_weights.tobytes(),
+                exact_sample(ref2, [300, 300], 3 * 2 ** 10 + 5, seed=4).sums.tobytes()]
+
+    before = outputs()
+    monkeypatch.setattr(exact, "_BLOCK", 2 ** 10)
+    assert outputs() == before
 
 
 def test_sample_clt_band():

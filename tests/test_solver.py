@@ -300,6 +300,24 @@ def test_a_start_at_a_singular_jacobian_is_not_a_root():
     assert len(pts) == 1 and pts[0].x[0] > 1e-4
 
 
+@pytest.mark.parametrize("h", [1e16, -1e16])
+def test_a_saturating_field_gives_one_fixed_point_at_its_sign(h):
+    # the regrouped defect rounded to 0 here (Bx below ulp(h)), so every start was dropped
+    res = pressure_limit(make_cw(0.5, h))
+    assert [p.x[0] for p in res.fixed_points] == [math.copysign(1.0, h)]
+
+
+@pytest.mark.parametrize("h,root", [
+    (1e-12, 1.442249564307408383e-4),       # mpmath roots of x = tanh(x + h)
+    (1e-9, 1.442248970307515388e-3),
+    (1e-6, 1.442189571377182238e-2),
+])
+def test_critical_curie_weiss_roots_are_within_two_ulp_of_mpmath(h, root):
+    pts = solve_fixed_points(make_cw(1.0, h))
+    assert len(pts) == 1
+    assert abs(pts[0].x[0] - root) <= 2 * np.spacing(root)
+
+
 def test_global_maximizer_follows_field_sign():
     res = pressure_limit(make_cw(1.2, 0.1))
     assert len(res.maxima) == 1

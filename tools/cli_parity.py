@@ -3,7 +3,8 @@
 Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
 on four more configs, ``solve`` on four one-species models (one with a three-atom
-measure), ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical
+measure) and on a two-species model whose first field, h = 400, saturates
+tanh, ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical
 grid J = 1.000..1.004, a three-species ``pressure`` (ref3 at N = 300 and 600,
 so the exact sums run over row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert``
 from a model-only config, with and without ``--ball``, and the demos.  Prints per output file "identical" or the
@@ -27,6 +28,7 @@ CW05 = {"n": 1, "alpha": [1.0], "J": [[0.5]], "h": [0.1]}
 CW08 = {"n": 1, "alpha": [1.0], "J": [[0.8]], "h": [0.3]}
 ATOM3 = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [0.2],
          "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}}
+SAT2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [400.0, 0.1]}
 
 
 def number_diff(old: str, new: str):
@@ -56,7 +58,7 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
         runs.append((["limits", "--config", str(config), "--out", str(out)],
                      [out, out.with_suffix(".csv")]))
     for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08,
-                      "atom3": ATOM3}.items():
+                      "atom3": ATOM3, "sat2": SAT2}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         config.write_text(json.dumps({"model": doc}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
