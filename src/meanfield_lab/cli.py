@@ -80,8 +80,8 @@ def _write_text(path: str | None, text: str):
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _csv(header: list[str], *blocks) -> str:
-    """CSV text of 1-d (one column) or 2-d blocks side by side, from one template.
+def _csv_rows(*blocks) -> str:
+    """CSV rows of 1-d (one column) or 2-d blocks side by side, from one template.
 
     Integer blocks print as integers, floats with 17 significant digits,
     and every non-finite cell as nan.
@@ -91,8 +91,23 @@ def _csv(header: list[str], *blocks) -> str:
                    for b in blocks for _ in range(b.shape[1] if b.ndim == 2 else 1))
     table = np.column_stack(blocks).astype(float)
     table[~np.isfinite(table)] = np.nan
-    body = "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
-    return ",".join(header) + "\n" + body
+    return "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
+
+
+def _csv(header: list[str], *blocks) -> str:
+    """CSV text: the header, then ``_csv_rows`` of the blocks."""
+    return ",".join(header) + "\n" + _csv_rows(*blocks)
+
+
+def _write_csv(path: str, header: list[str], row_blocks):
+    """A CSV file written one block of rows at a time, each a tuple of ``_csv_rows`` blocks."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for blocks in row_blocks:
+                fh.write(_csv_rows(*blocks))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 # --- config helpers ----------------------------------------------------------
@@ -225,19 +240,24 @@ def cmd_limits(args, doc: dict) -> int:
         "sizes": [int(v) for v in sizes],
         "exact_cov": zlaw.cov(),
     }
-    if m.n == 1:
-        blocks = limits._cdf_table(zlaw.points[:, 0], zlaw.probs, law)
-        report["ks_distance"] = limits._ks(*blocks[2:])
-        report["law_variance"] = (float(law.cov[0, 0])
-                                  if isinstance(law, limits.Gaussian) else None)
-        header = ["z", "probability", "exact_cdf", "law_cdf"]
-    else:
-        header = [f"z_{l + 1}" for l in range(m.n)] + ["probability"]
-        blocks = [zlaw.points, zlaw.probs]
-    _write_text(args.out, dumps17(report))
     csv_path = args.out + ".csv" if not args.out.endswith(".json") \
         else args.out[:-5] + ".csv"
-    _write_text(csv_path, _csv(header, *blocks))
+    if m.n == 1:
+        ks = []
+
+        def rows():
+            for z, probs, cum, F, d in limits._cdf_blocks(zlaw, law):
+                ks.append(d)
+                yield z, probs, cum, F
+
+        _write_csv(csv_path, ["z", "probability", "exact_cdf", "law_cdf"], rows())
+        report["ks_distance"] = float(np.max(ks))
+        report["law_variance"] = (float(law.cov[0, 0])
+                                  if isinstance(law, limits.Gaussian) else None)
+    else:
+        _write_csv(csv_path, [f"z_{l + 1}" for l in range(m.n)] + ["probability"],
+                   zlaw.blocks())
+    _write_text(args.out, dumps17(report))
     return 0
 
 

@@ -4,19 +4,22 @@ For +-1 spins the per-species sums take values on a known lattice and
 the number of configurations per lattice point is a binomial, so the
 partition function, the law of the magnetization vector, moments and an
 i.i.d. sampler are all exact.  The weights are built in log space by one
-row-block kernel (``_Weights``) and normalised by a streamed log-sum-exp
-over blocks of at most ``_BLOCK`` points: pass 1 takes the maximum, pass 2
-sums exp(W - max) over numpy's own pairwise tree (``_pairwise``) with
-leaves of at most one block, so the sum has the bits of the whole-lattice
-``sum()`` (any other order would move them).  At n >= 3 the moments are
-reduced block by block (pass 3) into the per-axis and pairwise marginals.
-Every reduction runs in a fixed order, so results do not depend on
-scheduling.  Each pass allocates its own block buffers and nothing is kept
-across calls.  ``log_partition``, ``finite_pressure`` and the n >= 3 moments
-hold nothing larger than a block; ``magnetization_law``, ``exact_sample``
-and the n <= 2 moments hold one lattice-sized array.  One cap holds
-everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
-LatticeTooLarge (CLI exit 3) before any allocation; only ``log_partition`` takes a ``cap``.
+block kernel (``_Weights``) and normalised by a streamed log-sum-exp over
+C-order blocks of at most ``_BLOCK`` points (runs of rows of axis 0, or
+pieces of one row cut along axis 1 where a row is longer): pass 1 takes
+the maximum, pass 2 sums exp(W - max) over numpy's own pairwise tree
+(``_pairwise``) with leaves of at most one block, so the sum has the bits
+of the whole-lattice ``sum()`` (any other order would move them).  At
+n >= 3 the moments are reduced block by block (pass 3) into the per-axis
+and pairwise marginals.  Every reduction runs in a fixed order, so results
+do not depend on scheduling.  Each pass allocates its own block buffers and
+nothing is kept across calls.  ``log_partition``, ``finite_pressure`` and
+the n >= 3 moments hold a few blocks; ``magnetization_law``,
+``exact_sample`` and the n <= 2 moments hold one lattice-sized array, and
+``normalized_sum_law`` one float per point, plus one byte with a
+conditioning ball (``DiscreteLaw``).  One cap holds everywhere: a lattice
+of more than ``LATTICE_CAP`` = 10^8 points raises LatticeTooLarge (CLI
+exit 3) before any allocation; only ``log_partition`` takes a ``cap``.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -30,6 +33,7 @@ that numpy's log can differ from the C library's by one ulp.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,6 +54,7 @@ from .model import ValidatedModel, _integer, _require_validated
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
 _BLOCK = 1 << 16          # lattice points per pass block
+_CHUNK = 1 << 12          # lattice points per chunk of the sum law's per-point work
 _STREAM = 1 << 16         # draws per sampler stream; fixes the bytes of every sample file
 SAMPLES_HEADER = "# meanfield-lab samples v1"
 _LN_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
@@ -80,13 +85,14 @@ class MagLattice:
     def shape(self) -> tuple[int, ...]:
         return tuple(int(N) + 1 for N in self.sizes)
 
-    def sum_axis(self, l: int) -> np.ndarray:
-        """Per-species sum values -N_l, -N_l + 2, ..., N_l."""
+    def sum_axis(self, l: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Per-species sum values -N_l, -N_l + 2, ..., N_l; entries lo..hi-1 if given."""
         N = int(self.sizes[l])
-        return np.arange(-N, N + 1, 2, dtype=np.int64)
+        hi = N + 1 if hi is None else hi
+        return np.arange(2 * lo - N, 2 * hi - N, 2, dtype=np.int64)
 
-    def mag_axis(self, l: int) -> np.ndarray:
-        return self.sum_axis(l) / float(self.sizes[l])
+    def mag_axis(self, l: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        return self.sum_axis(l, lo, hi) / float(self.sizes[l])
 
     def volume(self) -> int:
         return int(np.prod([s + 1 for s in self.sizes.astype(object)]))
@@ -101,11 +107,7 @@ class MagnetizationLaw:
 
     def points(self) -> np.ndarray:
         """All lattice coordinates, shape (volume, n), C order."""
-        n = self.lattice.n
-        table = np.empty(self.lattice.shape + (n,))
-        for l in range(n):
-            table[..., l] = self.lattice.mag_axis(l).reshape(_along(l, n))
-        return table.reshape(-1, n)
+        return _table([self.lattice.mag_axis(l) for l in range(self.lattice.n)])
 
     def probabilities(self) -> np.ndarray:
         return np.exp(self.log_weights)
@@ -120,21 +122,88 @@ class ExactMoments:
 
 @dataclass(frozen=True)
 class DiscreteLaw:
-    """Generic finitely supported law: points (P, n) with probabilities."""
+    """Exact law of the rescaled sums z_l = (m_l - c_l) N_l^(1/2k) on the lattice.
 
-    points: np.ndarray
-    probs: np.ndarray
+    It holds one float per lattice point, the probabilities ``P`` (0 off the
+    conditioning ball), and with a ball its boolean ``mask``; ``axis(l)`` gives
+    the coordinates of axis l.  ``points`` and ``probs`` list the supported
+    points in C order, and ``blocks`` yields them a lattice block at a time.
+    ``mean``, ``cov`` and ``variance`` reduce the per-axis and pairwise
+    marginals of P, so no (points, n) table is formed.
+    """
+
+    lattice: MagLattice
+    center: np.ndarray
+    scale: np.ndarray           # N_l^(1/2k)
+    P: np.ndarray
+    mask: np.ndarray | None = None
+
+    def axis(self, l: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rescaled coordinates of axis l, entries lo..hi-1 if given."""
+        return (self.lattice.mag_axis(l, lo, hi) - self.center[l]) * self.scale[l]
+
+    def blocks(self, size: int = _CHUNK):
+        """(points, probs) of the supported points, blocks of at most ``size`` lattice points."""
+        for key in _blocks(self.P.shape, size):
+            table = _table([self.axis(l, s.start, s.stop) for l, s in enumerate(key)])
+            probs = self.P[key].reshape(-1)
+            if self.mask is not None:
+                inside = self.mask[key].reshape(-1)
+                table, probs = table[inside], probs[inside]
+            yield table, probs
+
+    @property
+    def points(self) -> np.ndarray:
+        return next(self.blocks(self.P.size))[0]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self.P.reshape(-1) if self.mask is None else self.P[self.mask]
+
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance from the marginals of P, every total a ``math.fsum``.
+
+        The marginals off axis 0 add up chunks of rows of at most ``_CHUNK``
+        points, Neumaier-compensated; the second moments are centred on the
+        means (Chan, Golub & LeVeque, *Am. Stat.*, 1983).  A pairwise marginal
+        is contracted with its second axis first, row by row, and axis 0 (the
+        lattice itself at n = 1) is taken a chunk at a time.
+        """
+        n, P = self.lattice.n, self.P
+        step = max(1, _CHUNK * P.shape[0] // P.size)
+        rows = [(a, min(a + step, P.shape[0])) for a in range(0, P.shape[0], step)]
+        marg = {(0,): _marginal(P, (0,))}
+        for keep in [(l,) for l in range(1, n)] + [(l, s) for l in range(1, n)
+                                                   for s in range(l + 1, n)]:
+            marg[keep] = _compensated(_marginal(P[a:b], keep) for a, b in rows)
+        parts = [[(a, min(a + _CHUNK, e)) for a in range(0, e, _CHUNK)] for e in P.shape]
+        mean = np.array([_fsum(self.axis(l, a, b) * marg[l,][a:b] for a, b in parts[l])
+                         for l in range(n)])
+
+        def centred(l, a=0, b=None):
+            return self.axis(l, a, b) - mean[l]
+
+        cov = np.empty((n, n))
+        for l in range(n):
+            cov[l, l] = _fsum(marg[l,][a:b] * centred(l, a, b) ** 2 for a, b in parts[l])
+            for s in range(l + 1, n):
+                d_s = centred(s)
+                if l == 0:
+                    terms = (centred(0, a, b) * (_marginal(P[a:b], (0, s)) * d_s).sum(axis=1)
+                             for a, b in rows)
+                else:
+                    terms = [centred(l) * (marg[l, s] * d_s).sum(axis=1)]
+                cov[l, s] = cov[s, l] = _fsum(terms)
+        return mean, cov
 
     def mean(self) -> np.ndarray:
-        return self.probs @ self.points
+        return self._moments()[0]
 
     def cov(self) -> np.ndarray:
-        mu = self.mean()
-        centered = self.points - mu
-        return (self.probs[:, None] * centered).T @ centered
+        return self._moments()[1]
 
     def variance(self) -> float:
-        if self.points.shape[1] != 1:
+        if self.lattice.n != 1:
             raise DimensionMismatch("variance is for one-dimensional laws")
         return float(self.cov()[0, 0])
 
@@ -204,79 +273,148 @@ def _along(l: int, n: int) -> list[int]:
     return [-1 if a == l else 1 for a in range(n)]
 
 
-class _Weights:
-    """Unnormalized log weights ln A + N g(m) - N ln 2 for any real (J, h), by row blocks.
+def _table(axes: list[np.ndarray]) -> np.ndarray:
+    """The product of per-axis vectors as a (points, n) table, C order."""
+    n = len(axes)
+    table = np.empty(tuple(len(a) for a in axes) + (n,))
+    for l, a in enumerate(axes):
+        table[..., l] = a.reshape(_along(l, n))
+    return table.reshape(-1, n)
 
-    ``rows(a, b)`` is W[a:b], rows a..b-1 of axis 0, evaluated with the
-    operations of the full-array definition in its order: -N ln 2, the axis
-    terms 0..n-1, then the cross terms (l, s), l < s, in lexicographic order;
-    so every entry has the same bits in whichever block it is evaluated.
-    The prefix -N ln 2 + axis_0 + ... + axis_(n-2) is folded once on the first
-    n - 1 axes and the cross terms off axis 0 once on their pair grids; the
-    cross terms with axis 0 are formed per block.  Iterating yields the row
-    blocks of at most ``_BLOCK`` points (one row if a row is larger), flat.
-    No ufunc here takes two broadcast operands: on rows of up to a few
-    thousand points numpy runs those slower than a broadcast copy followed
-    by an in-place ufunc with one broadcast operand.
+
+def _blocks(shape: tuple[int, ...], size: int):
+    """The lattice in C order as blocks of at most ``size`` points, one slice per axis.
+
+    A block is a run of whole rows of axis 0, or, where one row holds more
+    than ``size`` points, a run of that row along axis 1.  The first block
+    is the largest.
+    """
+    row = math.prod(shape[1:])
+    rest = tuple(slice(0, e) for e in shape[1:])
+    if row <= size:
+        step = min(size // row, shape[0])
+        for a in range(0, shape[0], step):
+            yield (slice(a, min(a + step, shape[0])),) + rest
+    else:
+        step = min(max(1, size // (row // shape[1])), shape[1])
+        for a in range(shape[0]):
+            for c in range(0, shape[1], step):
+                yield (slice(a, a + 1), slice(c, min(c + step, shape[1]))) + rest[1:]
+
+
+def _fsum(chunks) -> float:
+    """math.fsum over the entries of the arrays ``chunks`` yields."""
+    return math.fsum(itertools.chain.from_iterable(c.tolist() for c in chunks))
+
+
+def _compensated(parts) -> np.ndarray:
+    """The sum of the arrays ``parts`` yields, Neumaier-compensated (ZAMM 54, 1974)."""
+    total = comp = 0.0
+    for x in parts:
+        t = total + x
+        comp = comp + np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+        total = t
+    return total + comp
+
+
+def _log_binomials(N_l: int, lo: int, hi: int) -> np.ndarray:
+    """ln C(N_l, k) = T[N_l] - (T[k] + T[N_l - k]) for k = lo..hi-1, T[k] = ln k!."""
+    T = _log_factorial(np.arange(lo + 0.0, hi))
+    T += _log_factorial(np.arange(N_l - hi + 1.0, N_l - lo + 1.0))[::-1]
+    return np.subtract(_log_factorial(np.array([N_l + 0.0]))[0], T, out=T)
+
+
+class _Weights:
+    """Unnormalized log weights ln A + N g(m) - N ln 2 for any real (J, h), by blocks.
+
+    ``block(key)`` is W[key] for one of the C-order blocks ``keys()`` yields,
+    evaluated with the operations of the full-array definition in its order:
+    -N ln 2, the axis terms 0..n-1, then the cross terms (l, s), l < s, in
+    lexicographic order; so every entry has the same bits in whichever block
+    it is evaluated.  The factors are the prefix -N ln 2 + axis_0 + ... +
+    axis_(n-2) folded on the first n - 1 axes, the last axis term, the sums
+    for the cross terms with axis 0 (formed per block) and the cross terms
+    off axis 0 on their pair grids.  Blocks are runs of whole rows of at
+    most ``_BLOCK`` points, and the factors are built once.  Where axis 0 or
+    a row holds more than ``_BLOCK`` points, each block of ``_BLOCK // 4``
+    points (a row is cut along axis 1) builds its own factors from its index
+    ranges instead, so that they and their ln k! temporaries stay within a
+    few blocks.  Iterating yields the blocks flat.  No ufunc here takes two
+    broadcast operands: on rows of up to a few thousand points numpy runs
+    those slower than a broadcast copy followed by an in-place ufunc with
+    one broadcast operand.
     """
 
     def __init__(self, J: np.ndarray, h: np.ndarray, lattice: MagLattice, cap: int):
         volume = lattice.volume()
         if volume > cap:
             raise LatticeTooLarge(f"lattice volume {volume} exceeds the cap {cap}")
-        n, N = lattice.n, lattice.total
-        S = [lattice.sum_axis(l).astype(float) for l in range(n)]
+        self.J, self.h, self.lattice = J, h, lattice
+        shape = lattice.shape
+        per_block = max(shape[0], volume // shape[0]) > _BLOCK
+        self._block_points = _BLOCK // 4 if per_block else _BLOCK
+        self._size = math.prod(s.stop - s.start for s in next(self.keys()))
+        self._factors = None if per_block else self._factors_on(tuple(slice(0, e) for e in shape))
+        self._W, self._t = np.empty(self._size), np.empty(self._size)
+
+    def keys(self):
+        """The blocks, C order."""
+        return _blocks(self.lattice.shape, self._block_points)
+
+    def _factors_on(self, key: tuple[slice, ...]):
+        """prefix, last axis term, axis 0's sums, cross factors with axis 0, cross grids on ``key``."""
+        n, N, J, h = self.lattice.n, self.lattice.total, self.J, self.h
+        S = [self.lattice.sum_axis(l, k.start, k.stop).astype(float) for l, k in enumerate(key)]
         terms = []
-        for l in range(n):
-            N_l = int(lattice.sizes[l])
-            T = _log_factorial(np.arange(N_l + 1.0))
-            counts = T[N_l] - (T + T[::-1])      # ln C(N_l, k), k = 0..N_l
+        for l, k in enumerate(key):
+            counts = _log_binomials(int(self.lattice.sizes[l]), k.start, k.stop)
             terms.append((counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N))
                          .reshape(_along(l, n)))
         S = [S_l.reshape(_along(l, n)) for l, S_l in enumerate(S)]
-        self.prefix = -N * LN2
+        prefix = -N * LN2
         for t in terms[:-1]:
-            self.prefix = self.prefix + t
-        self.last, self.s0 = terms[-1], S[0]
-        self.cross0 = [(J[0, s] / N, S[s]) for s in range(1, n)]
-        self.cross = [J[l, s] / N * (S[l] * S[s]) for l in range(1, n) for s in range(l + 1, n)]
-        self.shape = lattice.shape
-        self.row = volume // self.shape[0]                 # points per row of axis 0
-        step = min(max(1, _BLOCK // self.row), self.shape[0])
-        self.ranges = [(a, min(a + step, self.shape[0])) for a in range(0, self.shape[0], step)]
-        self._W, self._t = np.empty(step * self.row), np.empty(step * self.row)
+            prefix = prefix + t
+        return (prefix, terms[-1], S[0], [(J[0, s] / N, S[s]) for s in range(1, n)],
+                [J[l, s] / N * (S[l] * S[s]) for l in range(1, n) for s in range(l + 1, n)])
 
-    def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
-        """W[a:b], into ``out`` or else this pass's own block buffer; none outlives the call."""
+    def block(self, key: tuple[slice, ...], out: np.ndarray | None = None) -> np.ndarray:
+        """W[key], into ``out`` or else this pass's own block buffer; none outlives the call."""
+        shape = tuple(s.stop - s.start for s in key)
         if out is None:
-            out = self._W[:(b - a) * self.row].reshape((b - a,) + self.shape[1:])
-        if len(self.shape) == 1:            # the prefix is the scalar -N ln 2
-            np.add(self.prefix, self.last[a:b], out=out)
+            out = self._W[:math.prod(shape)].reshape(shape)
+        if self._factors is None:           # the block's own factors
+            prefix, last, s0, cross0, cross = self._factors_on(key)
+            rows = slice(None)
+        else:                               # whole rows: only axis 0 is cut
+            prefix, last, s0, cross0, cross = self._factors
+            rows = key[0]
+        if len(shape) == 1:                 # the prefix is the scalar -N ln 2
+            np.add(prefix, last[rows], out=out)
         else:
-            np.copyto(out, self.prefix[a:b])
-            out += self.last
-        for c, S_s in self.cross0:
-            t = self._t[:(b - a) * S_s.size].reshape((b - a,) + S_s.shape[1:])
-            np.copyto(t, self.s0[a:b])
+            np.copyto(out, prefix[rows])
+            out += last
+        for c, S_s in cross0:
+            t = self._t[:shape[0] * S_s.size].reshape((shape[0],) + S_s.shape[1:])
+            np.copyto(t, s0[rows])
             t *= S_s
             t *= c
             out += t
-        for t in self.cross:
+        for t in cross:
             out += t
         return out
 
     def __iter__(self):
-        for a, b in self.ranges:
-            yield self.rows(a, b).reshape(-1)
+        for key in self.keys():
+            yield self.block(key).reshape(-1)
 
 
 def _lattice_log_weights(J: np.ndarray, h: np.ndarray, lattice: MagLattice,
                          cap: int) -> np.ndarray:
-    """The whole lattice of ``_Weights``, assembled row block by row block."""
+    """The whole lattice of ``_Weights``, assembled block by block."""
     weights = _Weights(J, h, lattice, cap)
     W = np.empty(lattice.shape)
-    for a, b in weights.ranges:
-        weights.rows(a, b, out=W[a:b])
+    for key in weights.keys():
+        weights.block(key, out=W[key])
     return W
 
 
@@ -328,16 +466,16 @@ def _pairwise(leaves: _Leaves, count: int):
 
 
 def _lse_blocks(blocks) -> float:
-    """ln sum exp over the flat blocks (an iterable read twice), one block at a time.
+    """ln sum exp over the non-empty flat blocks each call ``blocks()`` yields (called twice).
 
     Bit for bit scipy's logsumexp of their concatenation: the m entries equal
     to the maximum stay out of the shifted sum, ln(1 + sum/m) + ln m + max.
     """
     maxima, volume, largest = [], 0, 0
-    for W in blocks:
+    for W in blocks():
         maxima.append(W.max())
         volume, largest = volume + W.size, max(largest, W.size)
-    leaves = _Leaves(blocks, np.array(maxima), volume, largest)
+    leaves = _Leaves(blocks(), np.array(maxima), volume, largest)
     total = _pairwise(leaves, volume)
     m = np.float64(leaves.tops)
     return float(np.log1p(total / m) + np.log(m) + leaves.a_max)
@@ -352,7 +490,7 @@ def _lse(W: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     """
     if axis is None:
         flat = W.reshape(-1)
-        return _lse_blocks([flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK)])
+        return _lse_blocks(lambda: (flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK)))
     a_max = W.max(axis=axis, keepdims=True)
     top = W == a_max
     m = np.count_nonzero(top, axis=axis, keepdims=True).astype(float)
@@ -372,7 +510,7 @@ def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
 
 def _log_z(J: np.ndarray, h: np.ndarray, lattice: MagLattice, cap: int) -> float:
     """ln Z with the 2^-N single-spin weights for any real (J, h), streamed."""
-    return _lse_blocks(_Weights(J, h, lattice, cap))
+    return _lse_blocks(_Weights(J, h, lattice, cap).__iter__)
 
 
 def log_partition(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
@@ -407,9 +545,8 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
     marginals.  At n <= 2 the (0, n - 1) marginal is the lattice itself, so P
     is held there: W is assembled once and normalised in place.  At n >= 3
     the marginals are smaller than the lattice and P is streamed (pass 3):
-    the marginals on axis 0 take the rows of each block and the pairwise ones
-    off axis 0 accumulate.  The per-axis ones off axis 0 are the (0, l)
-    marginals summed over axis 0.
+    each block adds its marginals into the entries its index ranges cover.
+    The per-axis ones off axis 0 are the (0, l) marginals summed over axis 0.
     """
     lattice = _prepare(model, sizes, "exact_moments")
     n, shape = lattice.n, lattice.shape
@@ -421,17 +558,15 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
         marg = {keep: _marginal(P, keep) for keep in keeps}
     else:
         weights = _Weights(model.J, model.h, lattice, LATTICE_CAP)
-        ln_z = _lse_blocks(weights)
+        ln_z = _lse_blocks(weights.__iter__)
         marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps}
-        for a, b in weights.ranges:
-            P = weights.rows(a, b)
+        for key in weights.keys():
+            P = weights.block(key)
             P -= ln_z
             np.exp(P, out=P)
             for keep in keeps:
-                if keep[0] == 0:
-                    marg[keep][a:b] = _marginal(P, keep)
-                else:
-                    marg[keep] += _marginal(P, keep)
+                into = marg[keep][tuple(key[a] for a in keep)]     # a view: no copy back
+                into += _marginal(P, keep)
     for l in range(1, n):
         marg[l,] = marg[0, l].sum(axis=0)
     mags = [lattice.mag_axis(l) for l in range(n)]
@@ -482,25 +617,38 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
     With ``condition_ball`` set, the magnetization law is first restricted
     to the Euclidean ball of that radius around ``center`` and
     renormalized.  ``k`` must be an integer >= 1 (ConfigParse otherwise);
-    ``center`` needs one finite entry per species.
+    ``center`` needs one finite entry per species.  The law keeps the
+    magnetization law's lattice-sized buffer, exponentiated in place, and
+    with a ball a boolean mask; the mask, the ball's normaliser and its
+    probabilities are formed ``_CHUNK`` points at a time, with the bits of
+    the same formulas on whole-lattice tables.
     """
     _integer(k, "type k", 1)
     law = magnetization_law(model, sizes)
     center = model.check_point(center, "center")
-    z = law.points()
-    lw = law.log_weights.ravel()
-    if condition_ball is not None:
-        mask = np.linalg.norm(z - center[None, :], axis=1) <= condition_ball
+    lattice, P, mask = law.lattice, law.log_weights, None     # the law is ours alone
+    if condition_ball is None:
+        np.exp(P, out=P)
+    else:
+        keys = list(_blocks(lattice.shape, _CHUNK))
+        mask = np.empty(lattice.shape, dtype=bool)
+        for key in keys:
+            z = _table([lattice.mag_axis(l, s.start, s.stop) for l, s in enumerate(key)])
+            inside = np.linalg.norm(z - center[None, :], axis=1) <= condition_ball
+            mask[key] = inside.reshape(mask[key].shape)
         if not np.any(mask):
             raise EmptyCondition("conditioning ball contains no lattice points")
-        z, lw = z[mask], lw[mask]
-        norm = _lse(lw)
+        norm = _lse_blocks(lambda: (w for w in (P[key][mask[key]] for key in keys) if w.size))
         if not np.isfinite(norm):
             raise EmptyCondition("conditioning ball captures no probability mass")
-        lw -= norm
-    z -= center
-    z *= law.lattice.sizes ** (1.0 / (2.0 * k))
-    return DiscreteLaw(points=z, probs=np.exp(lw, out=lw))   # the law is ours alone
+        for key in keys:
+            W, inside = P[key], mask[key]
+            w = W[inside]
+            w -= norm
+            W[...] = 0.0
+            W[inside] = np.exp(w, out=w)
+    return DiscreteLaw(lattice=lattice, center=center,
+                       scale=lattice.sizes ** (1.0 / (2.0 * k)), P=P, mask=mask)
 
 
 # --- file formats ---------------------------------------------------------

@@ -299,11 +299,24 @@ def _law_scale_1d(law: LimitLaw) -> float:
     return float(np.max(np.abs(law.points))) + 1.0
 
 
-def _cdf_table(pts, probs, law: LimitLaw):
-    """Atoms sorted (stably), their probabilities, the exact CDF and the law's."""
-    order = np.argsort(pts, kind="stable")
-    pts, probs = pts[order], probs[order]
-    return pts, probs, np.cumsum(probs), law_cdf_1d(law, pts)
+def _cdf_blocks(observed: DiscreteLaw, law: LimitLaw):
+    """Atoms, probabilities, exact CDF, the law's CDF and the KS term, block by block.
+
+    The atoms of a one-species lattice ascend, so the exact CDF is a cumsum
+    carried across ``observed.blocks()``: the carry is added to a block's
+    first probability and the block is then summed in place, which keeps
+    the bits of one cumsum over all atoms.
+    """
+    carry = 0.0
+    for pts, probs in observed.blocks():
+        if not len(probs):
+            continue
+        cum = probs.copy()
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        F = law_cdf_1d(law, pts[:, 0])
+        yield pts[:, 0], probs, cum, F, _ks(cum, F, carry)
+        carry = cum[-1]
 
 
 def ks_distance(observed, law: LimitLaw) -> float:
@@ -321,22 +334,21 @@ def ks_distance(observed, law: LimitLaw) -> float:
         grid = np.linspace(-span, span, 4001)
         return float(np.max(np.abs(law_cdf_1d(observed, grid) - law_cdf_1d(law, grid))))
     if isinstance(observed, DiscreteLaw):
-        if observed.points.shape[1] != 1:
+        if observed.lattice.n != 1:
             raise DimensionMismatch("KS comparison is one-dimensional")
-        pts, probs = observed.points[:, 0], observed.probs
-    else:
-        pts = np.asarray(observed, dtype=float).ravel()
-        if not len(pts):
-            raise EmptySample("KS comparison needs at least one sample")
-        probs = np.full(len(pts), 1.0 / len(pts))
-    if np.any(np.isnan(pts)):
+        return float(np.max([block[-1] for block in _cdf_blocks(observed, law)]))
+    pts = np.sort(np.asarray(observed, dtype=float).ravel())
+    if not len(pts):
+        raise EmptySample("KS comparison needs at least one sample")
+    if np.isnan(pts[-1]):
         raise DomainError("KS comparison needs samples that are not nan")
-    return _ks(*_cdf_table(pts, probs, law)[2:])
+    cum = np.cumsum(np.full(len(pts), 1.0 / len(pts)))
+    return _ks(cum, law_cdf_1d(law, pts))
 
 
-def _ks(cum: np.ndarray, F: np.ndarray) -> float:
-    """KS statistic of sorted atoms with exact CDF ``cum`` against the law's ``F``."""
-    below = np.concatenate([[0.0], cum[:-1]])
+def _ks(cum: np.ndarray, F: np.ndarray, below: float = 0.0) -> float:
+    """KS statistic of sorted atoms with exact CDF ``cum`` (``below`` before them) against ``F``."""
+    below = np.concatenate([[below], cum[:-1]])
     return float(np.max(np.maximum(np.abs(F - cum), np.abs(F - below))))
 
 

@@ -200,7 +200,8 @@ def _tilted_moments(model: ValidatedModel, u: np.ndarray, order: int) -> np.ndar
     locs = model.site_measure.locations
     logw = np.log(model.site_measure.weights)
     logits = u[..., None] * locs + logw
-    logits -= logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):    # a gap past -1.8e308 is -inf, whose exp 0 is exact
+        logits -= logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=-1, keepdims=True)
     return np.stack([(w * locs ** m).sum(axis=-1) for m in range(1, order + 1)])
@@ -264,7 +265,9 @@ def _f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     quad = 0.5 * np.einsum("bi,ij,bj->b", am, model.J, am)
     u = _fields(model, X)
     if model.is_binary:
-        log_mgf = np.abs(u) + np.log1p(np.exp(-2.0 * np.abs(u))) - LN2
+        # exp(-2|u|) is 0.0 from |u| = 400 on, so the clamp is exact and keeps
+        # -2|u| finite at |u| > 9e307
+        log_mgf = np.abs(u) + np.log1p(np.exp(-2.0 * np.minimum(np.abs(u), 400.0))) - LN2
     else:
         locs = model.site_measure.locations
         logw = np.log(model.site_measure.weights)

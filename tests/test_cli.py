@@ -22,6 +22,7 @@ from conftest import make_cw, make_ref2
 CW12 = {"n": 1, "alpha": [1.0], "J": [[1.2]], "h": [0.0]}
 REF2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]],
         "h": [0.2, -0.1]}
+CW05 = {"n": 1, "alpha": [1.0], "J": [[0.5]], "h": [0.1]}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -123,6 +124,36 @@ def test_phase_with_a_saturating_field(tmp_path):
     assert main(["phase", "--config", cfg, "--out", str(out)]) == 0
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
     assert [float(r[1]) for r in rows] == [1.0, 1.0]
+
+
+def test_phase_at_a_field_near_the_float_limit_is_silent(tmp_path, capsys):
+    # exit 0 with the right columns, but RuntimeWarnings on stderr
+    cfg = write_config(tmp_path, {"J_grid": [0.5, 1.0], "h": 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["phase", "--config", cfg, "--out", str(tmp_path / "phase.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("model,sizes", [(REF2, [1000, 1000]), (CW05, [1000000])],
+                         ids=["ref2", "cw05"])
+def test_limits_holds_about_one_float_per_lattice_point(tmp_path, model, sizes):
+    # the sum law's (points, n) table, cov()'s temporaries and the CSV built as
+    # one string took about 300 B per point
+    import tracemalloc
+
+    small = write_config(tmp_path, {"model": model, "sizes": [10] * len(sizes)}, "small.json")
+    assert main(["limits", "--config", small, "--out", str(tmp_path / "small.json")]) == 0
+    cfg = write_config(tmp_path, {"model": model, "sizes": sizes})
+    tracemalloc.start()
+    try:
+        assert main(["limits", "--config", cfg, "--out", str(tmp_path / "law.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    volume = math.prod(v + 1 for v in sizes)
+    assert peak <= 10 * volume, f"{peak / volume:.1f} B per point"
+    assert len((tmp_path / "law.csv").read_text().splitlines()) == volume + 1
 
 
 def test_limits_outputs(tmp_path):

@@ -744,3 +744,123 @@ def test_normalized_law_refuses_a_non_finite_center(center):
     # a nan centre gave a law whose every point was nan
     with pytest.raises(DomainError):
         normalized_sum_law(make_cw(0.5, 0.0), [10], center, k=1)
+
+
+# --- the lattice-backed sum law and rows longer than a block -------------------------
+
+
+def _peak_bytes(call) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _lopsided():
+    """Two species with alpha (0.01, 0.99): rows of axis 0 are 99 times longer than axis 0."""
+    return validate_model(ModelSpec(n=2, alpha=(0.01, 0.99), J=((1.0, 0.5), (0.5, 1.0)),
+                                    h=(0.1, 0.0)))
+
+
+def _twin2():
+    """Two species with two symmetric maxima at x = (m, m), m = tanh(1.25 m)."""
+    return validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.5, 1.0), (1.0, 1.5)),
+                                    h=(0.0, 0.0)))
+
+
+def test_rows_longer_than_a_block_are_cut_along_axis_1_bit_for_bit(monkeypatch):
+    cases = [(_lopsided(), [20, 1980], [0.3, 0.2], 0.5),
+             (make_ref3(), [20, 30, 50], [0.1, -0.3, 0.0], 0.4)]
+
+    def run(model, sizes, center, ball):
+        law = normalized_sum_law(model, sizes, center, k=1, condition_ball=ball)
+        return (log_partition(model, sizes), magnetization_law(model, sizes).log_weights,
+                law.points, law.probs)
+
+    whole = [run(*case) for case in cases]
+    monkeypatch.setattr(exact, "_BLOCK", 1 << 10)
+    for (model, sizes, center, ball), want in zip(cases, whole):
+        lattice = MagLattice(np.asarray(sizes))
+        keys = _Weights(model.J, model.h, lattice, 10 ** 8).keys()
+        assert any(key[1] != slice(0, lattice.shape[1]) for key in keys)    # rows are cut
+        for got, old in zip(run(model, sizes, center, ball), want):
+            assert np.asarray(got).tobytes() == np.asarray(old).tobytes()
+        # the moments add up the cut rows in another order
+        mom = exact_moments(model, sizes)
+        monkeypatch.setattr(exact, "_BLOCK", 1 << 16)
+        ref = exact_moments(model, sizes)
+        monkeypatch.setattr(exact, "_BLOCK", 1 << 10)
+        assert np.allclose(mom.mean, ref.mean, rtol=1e-13, atol=0)
+        assert np.allclose(mom.second, ref.second, rtol=1e-13, atol=0)
+
+
+def test_log_partition_on_rows_longer_than_a_block_holds_a_few_blocks():
+    # rows of 199961 points; each was one block, and the pass held six rows (9.6 MB)
+    model = validate_model(ModelSpec(n=2, alpha=(0.0002, 0.9998), J=((1.0, 0.5), (0.5, 1.0)),
+                                     h=(0.1, 0.0)))
+    peak = _peak_bytes(lambda: log_partition(model, [40, 199960]))
+    assert peak <= 3e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("ball", [None, 0.3])
+def test_sum_law_and_its_covariance_hold_about_one_float_per_point(ball):
+    # the (points, n) table and the two (points, n) temporaries of cov() took
+    # 56 B per point, 72 B with a ball
+    ref2 = make_ref2()
+    center = pressure_limit(ref2).maxima[0].point.x
+    normalized_sum_law(ref2, [20, 20], center, k=1, condition_ball=ball).cov()
+    peak = _peak_bytes(lambda: normalized_sum_law(ref2, [1000, 1000], center, k=1,
+                                                  condition_ball=ball).cov())
+    assert peak <= 10 * 1001 ** 2, f"{peak / 1001 ** 2:.1f} B per point"
+
+
+def _fsum_cov(law) -> np.ndarray:
+    """The covariance of the law's listed points, every sum a math.fsum."""
+    pts, p = law.points, law.probs
+    n = pts.shape[1]
+    d = pts - np.array([math.fsum((p * pts[:, l]).tolist()) for l in range(n)])
+    return np.array([[math.fsum((p * d[:, i] * d[:, j]).tolist()) for j in range(n)]
+                     for i in range(n)])
+
+
+@pytest.mark.parametrize("case", ["ref2-300", "ref2-1000", "crit2-300", "twin2-ball"])
+def test_exact_cov_is_symmetric_and_matches_an_fsum_reference(case):
+    # the (points, n) product summed by BLAS was 3.6e-14 off on ref2 [300, 300]
+    # and 4.9e-14 off on crit2, and not symmetric on ref2 [1000, 1000] or crit2
+    crit2 = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((2.0, 0.0), (0.0, 2.0)),
+                                     h=(0.0, 0.0)))
+    ref2 = make_ref2()
+    mu = pressure_limit(ref2).maxima[0].point.x
+    plus = max(pressure_limit(_twin2()).maxima, key=lambda c: c.point.x[0]).point.x
+    model, sizes, center, k, ball = {
+        "ref2-300": (ref2, [300, 300], mu, 1, None),
+        "ref2-1000": (ref2, [1000, 1000], mu, 1, None),
+        "crit2-300": (crit2, [300, 300], [0.0, 0.0], 2, None),
+        "twin2-ball": (_twin2(), [200, 200], plus, 1, 0.3)}[case]
+    law = normalized_sum_law(model, sizes, center, k=k, condition_ball=ball)
+    cov = law.cov()
+    assert np.array_equal(cov, cov.T)
+    assert np.max(np.abs(cov - _fsum_cov(law))) <= 4.4e-16
+
+
+@pytest.mark.parametrize("model,sizes,center,ball", [
+    (_twin2(), [200, 200], [0.7, 0.7], 0.3),       # ten mask chunks
+    (make_cw(1.2, 0.0), [20000], [MU0_J12], 0.3),
+    (make_ref3(), [20, 30, 50], [0.1, -0.3, 0.0], 0.4),
+    (make_ref2(), [300, 300], [0.35, 0.0], None),
+])
+def test_sum_law_lists_the_points_and_probs_of_the_table_formula(model, sizes, center, ball):
+    law = normalized_sum_law(model, sizes, center, k=1, condition_ball=ball)
+    mag = magnetization_law(model, sizes)
+    z, lw = mag.points(), mag.log_weights.ravel()
+    if ball is not None:
+        mask = np.linalg.norm(z - np.array(center)[None, :], axis=1) <= ball
+        z, lw = z[mask], lw[mask]
+        lw = lw - _lse(lw)
+    z = (z - np.array(center)) * mag.lattice.sizes ** 0.5
+    assert law.points.tobytes() == z.tobytes()
+    assert law.probs.tobytes() == np.exp(lw).tobytes()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,15 @@ def test_a_saturating_field_gives_one_fixed_point_at_its_sign(h):
     # the regrouped defect rounded to 0 here (Bx below ulp(h)), so every start was dropped
     res = pressure_limit(make_cw(0.5, h))
     assert [p.x[0] for p in res.fixed_points] == [math.copysign(1.0, h)]
+
+
+@pytest.mark.parametrize("h", [1e308, -1e308])
+def test_a_field_near_the_float_limit_solves_without_warnings(h):
+    # -2|u| in f and the logit gap of the tilted moments overflowed, with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pressure_limit(make_cw(0.5, h))
+    assert [c.point.x[0] for c in res.maxima] == [math.copysign(1.0, h)]
 
 
 @pytest.mark.parametrize("h,root", [

@@ -2,14 +2,16 @@
 
 Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
-on four more configs, ``solve`` on four one-species models (one with a three-atom
-measure) and on a two-species model whose first field, h = 400, saturates
-tanh, ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical
-grid J = 1.000..1.004, a three-species ``pressure`` (ref3 at N = 300 and 600,
-so the exact sums run over row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert``
-from a model-only config, with and without ``--ball``, and the demos.  Prints per output file "identical" or the
-count of moved numbers with their largest absolute and relative change; exits 1
-if any file's non-numeric text differs.
+on six more configs (among them a two-species law conditioned on a ball and
+cw05 at N = 150000, whose CSV spans many row blocks), ``solve`` on four
+one-species models (one with a three-atom measure) and on a two-species model
+whose first field, h = 400, saturates tanh, ``phase`` at h = 0.05 on
+J = 0.5..1.5 (step 0.005) and on the critical grid J = 1.000..1.004, a
+three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums run over
+row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert`` from a
+model-only config, with and without ``--ball``, and the demos.  Prints per
+output file "identical" or the count of moved numbers with their largest
+absolute and relative change; exits 1 if any file's non-numeric text differs.
 """
 
 import io
@@ -29,6 +31,7 @@ CW08 = {"n": 1, "alpha": [1.0], "J": [[0.8]], "h": [0.3]}
 ATOM3 = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [0.2],
          "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}}
 SAT2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [400.0, 0.1]}
+TWIN2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 1.0], [1.0, 1.5]], "h": [0.0, 0.0]}
 
 
 def number_diff(old: str, new: str):
@@ -52,7 +55,10 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "crit2": {"model": MODELS["crit2"], "sizes": [40, 40]},
                       "cw12-ball": {"model": MODELS["cw12"], "sizes": [400],
                                     "conditioned": {"center": [0.66], "radius": 0.3}},
-                      "cw05": {"model": CW05, "sizes": [400]}}.items():
+                      "cw05": {"model": CW05, "sizes": [400]},
+                      "twin2-ball": {"model": TWIN2, "sizes": [200, 200],
+                                     "conditioned": {"center": [0.7, 0.7], "radius": 0.3}},
+                      "cw05-big": {"model": CW05, "sizes": [150000]}}.items():
         config, out = work / f"config-{name}.json", work / f"limits-{name}.json"
         config.write_text(json.dumps(doc))
         runs.append((["limits", "--config", str(config), "--out", str(out)],
