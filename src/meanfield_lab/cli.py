@@ -10,6 +10,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -67,47 +68,19 @@ def dumps17(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _write_text(path: str | None, text: str):
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _csv_rows(*blocks) -> str:
-    """CSV rows of 1-d (one column) or 2-d blocks side by side, from one template.
-
-    Integer blocks print as integers, floats with 17 significant digits,
-    and every non-finite cell as nan.
-    """
-    blocks = [np.asarray(b) for b in blocks]
-    row = ",".join("%d" if b.dtype.kind in "iu" else "%.17g"
-                   for b in blocks for _ in range(b.shape[1] if b.ndim == 2 else 1))
-    table = np.column_stack(blocks).astype(float)
-    table[~np.isfinite(table)] = np.nan
-    return "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
-
-
 def _csv(header: list[str], *blocks) -> str:
-    """CSV text: the header, then ``_csv_rows`` of the blocks."""
-    return ",".join(header) + "\n" + _csv_rows(*blocks)
+    """CSV text: the header, then ``exact._csv_rows`` of the blocks."""
+    return ",".join(header) + "\n" + exact._csv_rows(*blocks)
 
 
-def _write_csv(path: str, header: list[str], row_blocks):
-    """A CSV file written one block of rows at a time, each a tuple of ``_csv_rows`` blocks."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for blocks in row_blocks:
-                fh.write(_csv_rows(*blocks))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+def _ball(center, radius: float, n: int, what: str) -> tuple[np.ndarray, float]:
+    """A conditioning ball: n finite center entries, a finite radius >= 0; else ConfigParse."""
+    center = np.asarray(center, dtype=float)
+    if center.shape != (n,) or not (np.all(np.isfinite(center))
+                                    and math.isfinite(radius) and radius >= 0):
+        raise ConfigParse(f"{what} needs a finite center of length {n} "
+                          "and a finite radius >= 0")
+    return center, radius
 
 
 # --- config helpers ----------------------------------------------------------
@@ -172,7 +145,7 @@ def cmd_solve(args, doc: dict) -> int:
         "method_agreement": result.method_agreement,
         "maxima": [_classification_dict(c) for c in result.maxima],
     }
-    _write_text(args.out, dumps17(report))
+    exact._write(args.out, [dumps17(report), "\n"])
     return 0
 
 
@@ -187,8 +160,8 @@ def cmd_pressure(args, doc: dict) -> int:
         lower = limit - (math.log(3.0) + 0.5 * float(np.sum(np.log(sizes)))) / N
         upper = limit + float(np.sum(np.log(sizes + 1))) / N
         rows.append([p_n, limit, lower, upper])
-    _write_text(args.out, _csv(["N", "p_N", "limit", "lower_bound", "upper_bound"],
-                               np.array(n_values, dtype=int), np.array(rows)))
+    exact._write(args.out, [_csv(["N", "p_N", "limit", "lower_bound", "upper_bound"],
+                                 np.array(n_values, dtype=int), np.array(rows))])
     return 0
 
 
@@ -209,25 +182,23 @@ def cmd_limits(args, doc: dict) -> int:
         raise ConfigParse("limits requires --out")
     m = _model_from_config(doc)
     sizes = m.check_sizes(_require(doc, "sizes"))
-    result = solver.pressure_limit(m, _solver_options(doc))
+    center = ball = None
     cond = doc.get("conditioned")
     if cond is not None:
         if not isinstance(cond, dict):
             raise ConfigParse('"conditioned" must be an object')
-        center = np.array([_number(c, "conditioned center entry")
-                           for c in _list(cond, "center")])
-        if center.shape != (m.n,):
-            raise ConfigParse(f"conditioned center needs {m.n} entries")
-        radius = _number(_require(cond, "radius"), "conditioned radius")
+        center, ball = _ball([_number(c, "conditioned center entry")
+                              for c in _list(cond, "center")],
+                             _number(_require(cond, "radius"), "conditioned radius"),
+                             m.n, '"conditioned"')
+    result = solver.pressure_limit(m, _solver_options(doc))
+    if center is not None:
         cls = min(result.maxima,
                   key=lambda c: float(np.linalg.norm(c.point.x - center)))
-        ball = radius
+    elif len(result.maxima) != 1:
+        raise PreconditionError("several global maxima: pass a conditioning ball")
     else:
-        if len(result.maxima) != 1:
-            raise PreconditionError(
-                "several global maxima: pass a conditioning ball")
         cls = result.maxima[0]
-        ball = None
     # The unique global maximum is already established, so the
     # unconditioned law needs no second pressure_limit.
     law = limits.build_limit_law(m, cls, conditioned=True)
@@ -244,20 +215,21 @@ def cmd_limits(args, doc: dict) -> int:
         else args.out[:-5] + ".csv"
     if m.n == 1:
         ks = []
+        header = ["z", "probability", "exact_cdf", "law_cdf"]
 
-        def rows():
+        def blocks():
             for z, probs, cum, F, d in limits._cdf_blocks(zlaw, law):
                 ks.append(d)
                 yield z, probs, cum, F
-
-        _write_csv(csv_path, ["z", "probability", "exact_cdf", "law_cdf"], rows())
+    else:
+        header, blocks = [f"z_{l + 1}" for l in range(m.n)] + ["probability"], zlaw.blocks
+    exact._write(csv_path, itertools.chain([",".join(header) + "\n"],
+                                           (exact._csv_rows(*b) for b in blocks())))
+    if m.n == 1:
         report["ks_distance"] = float(np.max(ks))
         report["law_variance"] = (float(law.cov[0, 0])
                                   if isinstance(law, limits.Gaussian) else None)
-    else:
-        _write_csv(csv_path, [f"z_{l + 1}" for l in range(m.n)] + ["probability"],
-                   zlaw.blocks())
-    _write_text(args.out, dumps17(report))
+    exact._write(args.out, [dumps17(report), "\n"])
     return 0
 
 
@@ -270,16 +242,15 @@ def cmd_invert(args, doc: dict) -> int:
         raise ConfigParse('config needs "alpha" or "model"')
     if args.samples is None:
         raise ConfigParse("invert requires --samples FILE")
-    samples = exact.read_samples_csv(args.samples)
     if args.ball is not None:
         try:
             values = [float(v) for v in args.ball.split(",")]
-            center, radius = values[:-1], values[-1]
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise ConfigParse("--ball expects c_1,...,c_n,radius") from exc
-        est = inverse.invert_conditioned(samples, center, radius, alpha)
-    else:
-        est = inverse.mle_fit(samples, alpha)
+        center, radius = _ball(values[:-1], values[-1], len(alpha), "--ball")
+    samples = exact.read_samples_csv(args.samples)
+    est = (inverse.mle_fit(samples, alpha) if args.ball is None
+           else inverse.invert_conditioned(samples, center, radius, alpha))
     report = {
         "J": est.J_hat,
         "h": est.h_hat,
@@ -287,7 +258,7 @@ def cmd_invert(args, doc: dict) -> int:
         "diagnostics": est.diagnostics,
         "log_likelihood": est.log_likelihood,
     }
-    _write_text(args.out, dumps17(report))
+    exact._write(args.out, [dumps17(report), "\n"])
     return 0
 
 
@@ -296,7 +267,7 @@ def cmd_phase(args, doc: dict) -> int:
     h = _number(doc.get("h", 0.0), "h")
     table = solver.cw_phase_scan(grid, h, _solver_options(doc))
     header = ["J", "mu", "pressure", "dp_dJ", "d2p"]
-    _write_text(args.out, _csv(header, *(table[name] for name in header)))
+    exact._write(args.out, [_csv(header, *(table[name] for name in header))])
     return 0
 
 

@@ -29,13 +29,19 @@ uses: (x - 1/2) ln x - x + ln sqrt(2 pi), plus a five-term polynomial in
 1/x^2 below x = 1000, a three-term series up to 1e8 and nothing beyond.
 It equals scipy.special.gammaln(k + 1) bit for bit for k <= 9168; past
 that numpy's log can differ from the C library's by one ulp.
+
+File formats: every CSV the package writes, sample files and CLI tables,
+comes from one row template (``_csv_rows``) and one writer (``_write``), a
+block of rows at a time; a sample file is read in one streamed parse.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -543,7 +549,7 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
 
     They are reduced from P = exp(W - ln Z) through its per-axis and pairwise
     marginals.  At n <= 2 the (0, n - 1) marginal is the lattice itself, so P
-    is held there: W is assembled once and normalised in place.  At n >= 3
+    is held there: the magnetization law, exponentiated in place.  At n >= 3
     the marginals are smaller than the lattice and P is streamed (pass 3):
     each block adds its marginals into the entries its index ranges cover.
     The per-axis ones off axis 0 are the (0, l) marginals summed over axis 0.
@@ -552,8 +558,7 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
     n, shape = lattice.n, lattice.shape
     keeps = [(0,)] + [(l, s) for l in range(n) for s in range(l + 1, n)]
     if n <= 2:
-        P = _lattice_log_weights(model.J, model.h, lattice, LATTICE_CAP)
-        P -= _lse(P)
+        P = magnetization_law(model, sizes).log_weights      # the law is ours alone
         np.exp(P, out=P)
         marg = {keep: _marginal(P, keep) for keep in keeps}
     else:
@@ -654,51 +659,74 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
 # --- file formats ---------------------------------------------------------
 
 
+def _csv_rows(*blocks) -> str:
+    """CSV rows of 1-d (one column) or 2-d blocks side by side, from one template.
+
+    Integer blocks print as integers (an integer-only table is never cast to
+    float), floats with 17 significant digits, and every non-finite cell as nan.
+    """
+    blocks = [np.asarray(b) for b in blocks]
+    row = ",".join("%d" if b.dtype.kind in "iu" else "%.17g"
+                   for b in blocks for _ in range(b.shape[1] if b.ndim == 2 else 1))
+    table = np.column_stack(blocks)
+    if table.dtype.kind == "f":
+        table[~np.isfinite(table)] = np.nan
+    return "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
+
+
+def _write(path: str | None, chunks):
+    """Write the strings ``chunks`` yields to ``path`` (stdout if None); OSError is IoError.
+
+    Every file the package writes is opened here.
+    """
+    try:
+        with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise IoError(f"cannot write {path or 'stdout'}: {exc}") from exc
+
+
 def write_samples_csv(samples: SampleSet, path: str):
-    """Sample file: versioned header, geometry metadata, one row per draw."""
+    """Sample file: versioned header, geometry metadata, one row per draw, in row blocks."""
     head = (f"{SAMPLES_HEADER}\n# n={samples.n}\n"
             f"# N={json.dumps([int(v) for v in samples.sizes])}\n# seed={samples.seed}\n")
-    row = ",".join(["%d"] * samples.n) + "\n"
-    body = (row * samples.sample_count) % tuple(samples.sums.ravel().tolist())
-    try:
-        with open(path, "w") as fh:
-            fh.write(head + body)
-    except OSError as exc:
-        raise IoError(f"cannot write sample file {path}: {exc}") from exc
+    _write(path, itertools.chain([head], (_csv_rows(samples.sums[a:a + _CHUNK])
+                                          for a in range(0, samples.sample_count, _CHUNK))))
 
 
 def read_samples_csv(path: str) -> SampleSet:
+    """A sample file: header and metadata, then one streamed parse of the non-blank rows."""
     try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
+        fh = open(path)
     except OSError as exc:
         raise IoError(f"cannot read sample file {path}: {exc}") from exc
-    if lines[0] != SAMPLES_HEADER:
-        raise ConfigParse(f"{path} is not a v1 sample file")
-    meta, body_start = {}, 1
-    while body_start < len(lines) and lines[body_start].startswith("# "):
-        key, _, value = lines[body_start][2:].partition("=")
-        meta[key] = value
-        body_start += 1
-    try:
-        n = int(meta["n"])
-        sizes = json.loads(meta["N"])
-        seed = int(meta["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigParse(f"bad sample metadata in {path}: {exc}") from exc
-    if not (isinstance(sizes, list) and len(sizes) == n >= 1
-            and all(type(v) is int and 1 <= v < 2 ** 63 for v in sizes)):
-        raise ConfigParse(f"N in {path} must list {n} integers >= 1")
-    sizes = np.array(sizes, dtype=np.int64)
-    rows = [ln for ln in lines[body_start:] if ln.strip()]
-    if not rows:
-        return SampleSet(sizes=sizes, seed=seed, sums=np.empty((0, n), dtype=np.int64))
-    try:
-        # one parse of every cell; a ragged row or a non-integer cell fails
-        sums = np.loadtxt(rows, delimiter=",", dtype=np.int64, comments=None,
-                          ndmin=2)
-    except ValueError as exc:
-        raise ConfigParse(f"bad sample row in {path}: {exc}") from exc
+    with fh:
+        if fh.readline().removesuffix("\n") != SAMPLES_HEADER:
+            raise ConfigParse(f"{path} is not a v1 sample file")
+        meta, line = {}, fh.readline()
+        while line.startswith("# "):
+            key, _, value = line[2:].removesuffix("\n").partition("=")
+            meta[key] = value
+            line = fh.readline()
+        try:
+            n = int(meta["n"])
+            sizes = json.loads(meta["N"])
+            seed = int(meta["seed"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigParse(f"bad sample metadata in {path}: {exc}") from exc
+        if not (isinstance(sizes, list) and len(sizes) == n >= 1
+                and all(type(v) is int and 1 <= v < 2 ** 63 for v in sizes)):
+            raise ConfigParse(f"N in {path} must list {n} integers >= 1")
+        sizes = np.array(sizes, dtype=np.int64)
+        rows = filter(str.strip, itertools.chain([line], fh))
+        first = next(rows, None)            # loadtxt warns on a file with no rows
+        try:
+            # one parse of every cell; a ragged row or a non-integer cell fails
+            sums = (np.empty((0, n), dtype=np.int64) if first is None else
+                    np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                               dtype=np.int64, comments=None, ndmin=2))
+        except ValueError as exc:
+            raise ConfigParse(f"bad sample row in {path}: {exc}") from exc
     if sums.shape[1] != n:
         raise ConfigParse(f"rows in {path} do not have {n} columns")
     return SampleSet(sizes=sizes, seed=seed, sums=sums)

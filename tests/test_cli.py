@@ -205,6 +205,40 @@ def test_invert_conditioned_ball_flag(tmp_path, capsys):
     assert abs(report["J"][0][0] - 1.2) < 0.15
 
 
+@pytest.mark.parametrize("command,ball", [
+    ("limits", {"center": [math.nan], "radius": 0.3}),
+    ("limits", {"center": [-math.inf], "radius": 0.3}),
+    ("limits", {"center": [0.66], "radius": math.nan}),
+    ("limits", {"center": [0.66], "radius": math.inf}),
+    ("limits", {"center": [0.66], "radius": -1.0}),
+    ("invert", "nan,0.3"),
+    ("invert", "0.6,nan"),
+    ("invert", "0.6,-1"),
+    ("invert", "0.6,inf"),
+    ("invert", "0.6,0.1,0.3"),
+    ("invert", "0.3"),
+])
+def test_a_bad_conditioning_ball_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, ball):
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("meanfield_lab.solver.pressure_limit", work)
+    monkeypatch.setattr("meanfield_lab.exact.read_samples_csv", work)
+    out = tmp_path / "out.json"
+    if command == "limits":
+        cfg = write_config(tmp_path, {"model": CW12, "sizes": [100], "conditioned": ball})
+        argv = [command, "--config", cfg, "--out", str(out)]
+    else:
+        cfg = write_config(tmp_path, {"model": CW12})
+        argv = [command, "--config", cfg, "--out", str(out),
+                "--samples", str(tmp_path / "s.csv"), "--ball", ball]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigParse" and "finite" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["limits", "sample"])
 def test_file_commands_refuse_a_missing_out_before_any_work(tmp_path, capsys, command):
     # the work would fail otherwise: limits on two global maxima, sample on M

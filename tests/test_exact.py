@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -599,6 +600,27 @@ def test_sample_csv_bad_rows(tmp_path, body):
     path.write_text("# meanfield-lab samples v1\n# n=2\n# N=[3, 5]\n# seed=7\n" + body)
     with pytest.raises(ConfigParse):
         read_samples_csv(str(path))
+
+
+def test_sample_files_are_written_and_read_a_block_of_rows_at_a_time(tmp_path):
+    # the benchmark's ref2 sample: 200 000 rows, a 3.2 MB array and a 1.5 MB file
+    s = exact_sample(make_ref2(), [500, 500], 200_000, seed=11)
+    path = str(tmp_path / "s.csv")
+    read = []
+    write_peak = _peak_bytes(lambda: write_samples_csv(s, path))
+    read_peak = _peak_bytes(lambda: read.append(read_samples_csv(path)))
+    assert np.array_equal(read[0].sums, s.sums)
+    assert write_peak <= 6e6, f"write_samples_csv peak {write_peak / 1e6:.1f} MB"
+    assert read_peak <= 6e6, f"read_samples_csv peak {read_peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("body", ["", "\n  \n\n"])
+def test_a_sample_file_without_rows_reads_without_warnings(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text("# meanfield-lab samples v1\n# n=2\n# N=[3, 5]\n# seed=7\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_samples_csv(str(path)).sums.shape == (0, 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,9 @@ whose first field, h = 400, saturates tanh, ``phase`` at h = 0.05 on
 J = 0.5..1.5 (step 0.005) and on the critical grid J = 1.000..1.004, a
 three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums run over
 row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert`` from a
-model-only config, with and without ``--ball``, and the demos.  Prints per
+model-only config, with and without ``--ball``, an ``invert`` from a hand-written
+sample file with blank and whitespace-only lines between its rows, a ``sample``
+with M = 0 (a header-only file), and the demos.  Prints per
 output file "identical" or the count of moved numbers with their largest
 absolute and relative change; exits 1 if any file's non-numeric text differs.
 """
@@ -88,6 +90,15 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                "--out", str(out)], [out]),
              (["invert", "--config", str(model_only), "--samples", str(samples),
                "--ball", "0.66,0.3", "--out", str(ball_out)], [ball_out])]
+    config, empty = work / "config-sample-empty.json", work / "sample-empty.csv"
+    config.write_text(json.dumps({"model": MODELS["cw12"], "sizes": [400], "M": 0}))
+    hand, out = work / "sample-hand.csv", work / "invert-hand.json"
+    hand.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
+                    "12\n\n8\n  \n16\n\t\n10\n \n\n14\n-2\n\n")
+    runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(empty)],
+              [empty]),
+             (["invert", "--config", str(model_only), "--samples", str(hand),
+               "--out", str(out)], [out])]
     outputs = {}
     for argv, files in runs:
         subprocess.run([sys.executable, "-m", "meanfield_lab.cli", *argv], env=env,
