@@ -74,13 +74,11 @@ def _csv(header: list[str], *blocks) -> str:
 
 
 def _ball(center, radius: float, n: int, what: str) -> tuple[np.ndarray, float]:
-    """A conditioning ball: n finite center entries, a finite radius >= 0; else ConfigParse."""
-    center = np.asarray(center, dtype=float)
-    if center.shape != (n,) or not (np.all(np.isfinite(center))
-                                    and math.isfinite(radius) and radius >= 0):
+    """``model._check_ball`` with a center of length n and a finite radius; else ConfigParse."""
+    if len(center) != n or not math.isfinite(radius):
         raise ConfigParse(f"{what} needs a finite center of length {n} "
                           "and a finite radius >= 0")
-    return center, radius
+    return model._check_ball(center, radius, n, what)
 
 
 # --- config helpers ----------------------------------------------------------

@@ -55,7 +55,7 @@ from .errors import (
     OffLattice,
     UnsupportedMeasure,
 )
-from .model import ValidatedModel, _integer, _require_validated
+from .model import ValidatedModel, _check_ball, _integer, _require_validated
 
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
@@ -173,7 +173,8 @@ class DiscreteLaw:
         points, Neumaier-compensated; the second moments are centred on the
         means (Chan, Golub & LeVeque, *Am. Stat.*, 1983).  A pairwise marginal
         is contracted with its second axis first, row by row, and axis 0 (the
-        lattice itself at n = 1) is taken a chunk at a time.
+        lattice itself at n = 1) is taken a chunk at a time.  The per-axis sums
+        run over the window between a marginal's first and last nonzero entry.
         """
         n, P = self.lattice.n, self.P
         step = max(1, _CHUNK * P.shape[0] // P.size)
@@ -182,7 +183,11 @@ class DiscreteLaw:
         for keep in [(l,) for l in range(1, n)] + [(l, s) for l in range(1, n)
                                                    for s in range(l + 1, n)]:
             marg[keep] = _compensated(_marginal(P[a:b], keep) for a, b in rows)
-        parts = [[(a, min(a + _CHUNK, e)) for a in range(0, e, _CHUNK)] for e in P.shape]
+        parts = []
+        for l in range(n):        # math.fsum is exact: zeros outside the window add nothing
+            nonzero = np.flatnonzero(marg[l,])
+            lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+            parts.append([(a, min(a + _CHUNK, hi)) for a in range(lo, hi, _CHUNK)])
         mean = np.array([_fsum(self.axis(l, a, b) * marg[l,][a:b] for a, b in parts[l])
                          for l in range(n)])
 
@@ -622,13 +627,16 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
     With ``condition_ball`` set, the magnetization law is first restricted
     to the Euclidean ball of that radius around ``center`` and
     renormalized.  ``k`` must be an integer >= 1 (ConfigParse otherwise);
-    ``center`` needs one finite entry per species.  The law keeps the
-    magnetization law's lattice-sized buffer, exponentiated in place, and
+    ``center`` needs one finite entry per species; with a ball, a nan or
+    infinite entry, or a nan or negative radius, raises ConfigParse.  The law
+    keeps the magnetization law's lattice-sized buffer, exponentiated in place, and
     with a ball a boolean mask; the mask, the ball's normaliser and its
     probabilities are formed ``_CHUNK`` points at a time, with the bits of
     the same formulas on whole-lattice tables.
     """
     _integer(k, "type k", 1)
+    if condition_ball is not None:
+        _check_ball(center, condition_ball, model.n, "conditioning ball")
     law = magnetization_law(model, sizes)
     center = model.check_point(center, "center")
     lattice, P, mask = law.lattice, law.log_weights, None     # the law is ours alone

@@ -25,7 +25,8 @@ from .errors import (
 )
 from .exact import LATTICE_CAP, LN2, MagLattice, SampleSet, _log_z
 from .exact import log_partition  # noqa: F401 - re-exported; perfbench traces it here
-from .model import _check_fractions, validate_model  # noqa: F401 - validate_model likewise
+from .model import _check_ball, _check_fractions
+from .model import validate_model  # noqa: F401 - re-exported likewise
 
 _SATURATION = 1.0 - 1e-12
 
@@ -112,11 +113,10 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
     """Restrict the sample to a magnetization ball, then invert as usual.
 
     This is how coexisting phases are handled: conditioning near one
-    maximum restores a well-defined mean and variance.
+    maximum restores a well-defined mean and variance.  A non-finite center
+    entry, or a nan or negative radius, raises ConfigParse.
     """
-    center = np.asarray(ball_center, dtype=float)
-    if center.shape != (samples.n,):
-        raise DimensionMismatch("ball center must have one entry per species")
+    center, radius = _check_ball(ball_center, radius, samples.n, "ball")
     m = samples.magnetizations()
     mask = np.linalg.norm(m - center[None, :], axis=1) <= radius
     if mask.sum() < 2:

@@ -12,10 +12,11 @@ The ray certificate (d even, every c_l < 0, R of full rank) decides
 exactly whether Q is negative definite, and w = R v gives the closed form
 ln Z = n ln(2 Gamma(1 + 1/d)) - (1/d) sum_l ln(-c_l) - ln|det R|.
 
-``scipy.special`` is imported on demand, by the two functions that need a
-special function: the k >= 2 normaliser (gammaln) and ``law_cdf_1d``
-(ndtr, gammainc).  Importing this module loads no scipy, so Gaussian laws
-in two or more dimensions and the mixtures never pay for it.
+The special functions come from ``_special``, numpy ports of the Cephes
+routines behind scipy.special: ln Gamma(1 + 1/d) for the k >= 2 normaliser,
+and ndtr and the incomplete gamma P(1/d, x) for ``law_cdf_1d``.  It is
+imported on first use, so Gaussian laws in two or more dimensions and the
+mixtures never load it.  No module of the package imports scipy.
 """
 
 from __future__ import annotations
@@ -185,14 +186,14 @@ def _log_form_integral(form: HomogeneousForm, n: int) -> float:
     one-dimensional ones, each 2 Gamma(1 + 1/d) (-c_l)^(-1/d), over |det R|.
     Any other form raises NotPositiveDefiniteResult.
     """
-    from scipy.special import gammaln
+    from ._special import log_gamma_1p
 
     fault = form.definiteness_fault(n)
     if fault:
         raise NotPositiveDefiniteResult(fault)
     deg = form.degree
     log_det = np.linalg.slogdet(np.asarray(form.rays))[1]
-    return float(n * (math.log(2.0) + gammaln(1.0 + 1.0 / deg))
+    return float(n * (math.log(2.0) + log_gamma_1p(deg))
                  - np.sum(np.log(-np.asarray(form.coeffs))) / deg - log_det)
 
 
@@ -273,7 +274,7 @@ def law_density(law: LimitLaw, x) -> float:
 
 def law_cdf_1d(law: LimitLaw, x):
     """Distribution function of a one-dimensional limit law."""
-    from scipy.special import gammainc, ndtr
+    from ._special import gammainc, ndtr
 
     if law.dim != 1:
         raise DimensionMismatch("cdf is defined for one-dimensional laws")
@@ -283,7 +284,7 @@ def law_cdf_1d(law: LimitLaw, x):
     elif isinstance(law, HigherOrder):
         a = -float(law.form([1.0]))
         deg = law.form.degree
-        out = 0.5 * (1.0 + np.sign(x) * gammainc(1.0 / deg, a * np.abs(x) ** deg))
+        out = 0.5 * (1.0 + np.sign(x) * gammainc(deg, a * np.abs(x) ** deg))
     else:
         pts = law.points[:, 0]
         out = np.reshape([law.weights[pts <= xi].sum() for xi in x.ravel()], x.shape)

@@ -179,6 +179,21 @@ def _check_fractions(sizes: np.ndarray, alpha) -> None:
                        "proportional to the species fractions")
 
 
+def _check_ball(center, radius: float, n: int, what: str) -> tuple[np.ndarray, float]:
+    """A conditioning ball: n finite center entries and a radius >= 0, inf included.
+
+    A center of another length raises DimensionMismatch; a non-finite center
+    entry, or a nan or negative radius, raises ConfigParse.
+    """
+    center = np.asarray(center, dtype=float)
+    if center.shape != (n,):
+        raise DimensionMismatch(f"{what} center must have one entry per species")
+    if not (np.all(np.isfinite(center)) and radius >= 0):
+        raise ConfigParse(f"{what} needs a finite center and a radius >= 0, "
+                          f"got {center.tolist()} and {radius!r}")
+    return center, radius
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Explicit spin assignment with contiguous species blocks.

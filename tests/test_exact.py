@@ -34,6 +34,7 @@ from meanfield_lab.errors import (
     OffLattice,
     UnsupportedMeasure,
 )
+from meanfield_lab import exact as exact_module
 from meanfield_lab.exact import (
     _BLOCK,
     MagLattice,
@@ -886,3 +887,44 @@ def test_sum_law_lists_the_points_and_probs_of_the_table_formula(model, sizes, c
     z = (z - np.array(center)) * mag.lattice.sizes ** 0.5
     assert law.points.tobytes() == z.tobytes()
     assert law.probs.tobytes() == np.exp(lw).tobytes()
+
+
+@pytest.mark.parametrize("J,h,ball", [(0.5, 0.1, None), (0.5, 0.1, 0.004), (0.5, 0.0, None)])
+def test_one_species_moments_sum_the_nonzero_window_with_the_whole_lattice_bits(
+        monkeypatch, J, h, ball):
+    # math.fsum is exact, so the zeros of P outside its nonzero window add nothing
+    model = make_cw(J, h)
+    mu = pressure_limit(model).maxima[0].point.x
+    law = normalized_sum_law(model, [200000], mu, k=1, condition_ball=ball)
+    z, P = law.axis(0), law.P
+    mean = math.fsum((z * P).tolist())
+    var = math.fsum((P * (z - mean) ** 2).tolist())
+    terms = []
+    fsum = exact_module._fsum
+    monkeypatch.setattr(exact_module, "_fsum",
+                        lambda chunks: fsum(c for c in chunks if terms.append(c.size) or True))
+    got_mean, got_cov = law._moments()
+    assert np.array([mean]).tobytes() == got_mean.tobytes()
+    assert np.array([[var]]).tobytes() == got_cov.tobytes()
+    nonzero = np.flatnonzero(P)
+    assert sum(terms) == 2 * (nonzero[-1] + 1 - nonzero[0]) < P.size // 4
+
+
+@pytest.mark.parametrize("center,radius", [
+    ([math.nan], 0.3), ([math.inf], 0.3), ([MU0_J12], math.nan), ([MU0_J12], -1.0),
+])
+def test_normalized_law_refuses_a_bad_ball_as_a_config_error_before_any_work(
+        monkeypatch, center, radius):
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(exact_module, "magnetization_law", work)
+    with pytest.raises(ConfigParse, match="finite center and a radius >= 0"):
+        normalized_sum_law(make_cw(1.2, 0.0), [100], center, k=1, condition_ball=radius)
+
+
+def test_normalized_law_takes_an_infinite_ball_as_no_bound():
+    model = make_cw(1.2, 0.0)
+    whole = normalized_sum_law(model, [100], [MU0_J12], k=1)
+    law = normalized_sum_law(model, [100], [MU0_J12], k=1, condition_ball=math.inf)
+    assert law.mask.all() and law.P.tobytes() == whole.P.tobytes()

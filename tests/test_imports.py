@@ -1,8 +1,9 @@
-"""Start-up guards: importing the package must load no scipy module.
+"""Start-up guards: the package runs on numpy alone and loads no scipy module.
 
-scipy.special alone costs about half of every CLI start, and only the
-k >= 2 normaliser and the one-dimensional law CDFs need it; they import it
-on demand.  scipy.optimize is needed nowhere.
+scipy.special alone costs about half of a CLI start.  The k >= 2 normaliser
+and the one-dimensional law CDFs take their special functions from the
+package's own numpy kernels (``meanfield_lab._special``), and scipy.optimize
+is needed nowhere.
 """
 
 import json
@@ -80,15 +81,52 @@ def test_every_subcommand_runs_on_ref2_without_scipy(tmp_path):
                      ("solve", "pressure", "sample", "invert", "phase", "limits")}
 
 
-def test_limits_on_the_critical_curie_weiss_model_imports_scipy_on_demand(tmp_path):
-    # k = 2 needs gammaln and the one-dimensional CDF gammainc
+def test_no_source_file_imports_scipy():
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "import scipy" not in text and "from scipy" not in text, path.name
+
+
+def test_limits_on_the_critical_curie_weiss_model_loads_no_scipy_module(tmp_path):
+    # k = 2 needs ln Gamma(5/4) and the one-dimensional CDF P(1/4, x)
     cfg = tmp_path / "cw10.json"
     cfg.write_text(json.dumps({"model": CW10, "sizes": [400]}))
     probe = ("import sys\nfrom meanfield_lab.cli import main\n"
              "code = main(['limits', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-             "print(code, 'scipy.special' in sys.modules)")
+             "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = run_python(probe, str(cfg), str(tmp_path / "law.json"))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "True"]
+    assert out.stdout.split() == ["0", "[]"]
     report = json.loads((tmp_path / "law.json").read_text())
     assert report["law"]["log_normalizer"] == 1.2161020065851322
+
+
+# The one-species laws (k = 2 and Gaussian) and a two-species k = 2 law, each
+# through CLI limits, in one interpreter that cannot import scipy.
+LIMITS_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from meanfield_lab.cli import main
+tmp, docs = sys.argv[1], json.loads(sys.argv[2])
+codes = {}
+for name, doc in docs.items():
+    with open(f"{tmp}/{name}.json", "w") as fh:
+        json.dump(doc, fh)
+    codes[name] = main(["limits", "--config", f"{tmp}/{name}.json",
+                        "--out", f"{tmp}/{name}-law.json"])
+print(json.dumps(codes))
+"""
+
+
+def test_limits_runs_on_every_law_kind_without_scipy(tmp_path):
+    docs = {"cw10": {"model": CW10, "sizes": [400]},
+            "cw05": {"model": {**CW10, "J": [[0.5]], "h": [0.1]}, "sizes": [400]},
+            "crit2": {"model": {"n": 2, "alpha": [0.5, 0.5], "J": [[2.0, 0.0], [0.0, 2.0]],
+                                "h": [0.0, 0.0]}, "sizes": [40, 40]}}
+    out = run_python(LIMITS_WITHOUT_SCIPY, str(tmp_path), json.dumps(docs))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"cw10": 0, "cw05": 0, "crit2": 0}
+    kinds = {name: json.loads((tmp_path / f"{name}-law.json").read_text())["law"]["kind"]
+             for name in docs}
+    assert kinds == {"cw10": "higher_order", "cw05": "gaussian", "crit2": "higher_order"}
+    assert (tmp_path / "cw05-law.csv").read_text().startswith("z,probability,exact_cdf,law_cdf\n")

@@ -19,6 +19,7 @@ from meanfield_lab import (
 )
 from meanfield_lab.errors import (
     BadSizes,
+    ConfigParse,
     EmptyCondition,
     EmptySample,
     InconsistentRows,
@@ -215,6 +216,16 @@ def test_conditioned_empty_ball():
     sample = exact_sample(model, [100], 100, seed=2)
     with pytest.raises(EmptyCondition):
         invert_conditioned(sample, [9.0], 0.1, model.alpha)
+
+
+@pytest.mark.parametrize("center,radius", [
+    ([math.nan], 0.3), ([math.inf], 0.3), ([-math.inf], 0.3), ([MU0_J12], math.nan),
+    ([MU0_J12], -1.0),
+])
+def test_conditioned_inversion_refuses_a_bad_ball_as_a_config_error(center, radius):
+    # these used to raise EmptyCondition, a data outcome (CLI exit 3)
+    with pytest.raises(ConfigParse, match="finite center and a radius >= 0"):
+        invert_conditioned(_cw12_sample(), center, radius, [1.0])
 
 
 # --- maximum likelihood ---------------------------------------------------------------

@@ -13,7 +13,10 @@ model-only config, with and without ``--ball``, an ``invert`` from a hand-writte
 sample file with blank and whitespace-only lines between its rows, a ``sample``
 with M = 0 (a header-only file), and the demos.  Prints per
 output file "identical" or the count of moved numbers with their largest
-absolute and relative change; exits 1 if any file's non-numeric text differs.
+absolute and relative change, and for a CSV file the same per column, named
+by its header row ("column 2" in a sample file, which has none), e.g.
+"(law_cdf: 6 moved, max abs 1.1e-16)"; exits 1 if any file's non-numeric
+text differs.
 """
 
 import io
@@ -45,6 +48,23 @@ def number_diff(old: str, new: str):
     gaps = [abs(a - b) for a, b in pairs]
     rels = [g / max(abs(a), abs(b)) if g else 0.0 for g, (a, b) in zip(gaps, pairs)]
     return len(pairs), max(gaps, default=0.0), max(rels, default=0.0)
+
+
+def column_moves(old: str, new: str) -> str:
+    """Moved numbers per column of two CSV texts whose non-numeric text agrees."""
+    rows = [(a.split(","), b.split(",")) for a, b in zip(old.splitlines(), new.splitlines())
+            if a.strip() and not a.startswith("#")]
+    header = rows[0][0] if rows else []
+    if all(NUMBER.fullmatch(cell.strip()) for cell in header):      # no header row
+        header = [f"column {i + 1}" for i in range(len(header))]
+    else:
+        rows = rows[1:]
+    gaps = {}
+    for a, b in rows:
+        for name, x, y in zip(header, a, b):
+            if x != y:
+                gaps.setdefault(name, []).append(abs(float(x) - float(y)))
+    return "; ".join(f"{name}: {len(g)} moved, max abs {max(g):.2g}" for name, g in gaps.items())
 
 
 def run_tree(tree: Path, work: Path) -> dict[str, str]:
@@ -125,9 +145,11 @@ def main(rev: str) -> int:
     for name in sorted(old.keys() | new.keys()):
         diff = number_diff(old[name], new[name]) if name in old and name in new else None
         failed |= diff is None
+        columns = diff and diff[0] and name.endswith(".csv") and column_moves(old[name],
+                                                                                new[name])
         print(f"{name}: " + ("non-numeric text differs" if diff is None else "identical"
                              if not diff[0] else "%d numbers moved, max abs %.2g, "
-                             "max rel %.2g" % diff))
+                             "max rel %.2g" % diff) + (f" ({columns})" if columns else ""))
     return int(failed)
 
 
