@@ -16,11 +16,9 @@ import numpy as np
 from meanfield_lab import (
     ModelSpec,
     build_limit_law,
-    classify_maximum,
     ks_distance,
     normalized_sum_law,
     pressure_limit,
-    solve_fixed_points,
     susceptibility_cw,
     validate_model,
 )
@@ -41,14 +39,14 @@ for N in (250, 1000, 4000):
           f"KS to the Gaussian = {ks_distance(exact, law):.4f}")
 
 print("\n=== Critical regime: J = 1, h = 0 ===")
-model = cw(1.0)
-cls = classify_maximum(model, solve_fixed_points(model)[0])
-law = build_limit_law(model, cls)
-print(f"  type k = {law.k}; density proportional to exp({law.form(np.array([1.0])):+.4f} x^4)")
+critical = cw(1.0)
+quartic = build_limit_law(critical, pressure_limit(critical).maxima[0])
+print(f"  type k = {quartic.k}; "
+      f"density proportional to exp({quartic.form(np.array([1.0])):+.4f} x^4)")
 for N in (500, 2000, 4000):
-    exact = normalized_sum_law(model, [N], [0.0], k=2)
+    exact = normalized_sum_law(critical, [N], [0.0], k=2)
     print(f"  N = {N:5d}: KS distance to the quartic law = "
-          f"{ks_distance(exact, law):.4f}")
+          f"{ks_distance(exact, quartic):.4f}")
 
 print("\n=== Coexistence: J = 1.2, h = 0 ===")
 model = cw(1.2)
@@ -70,8 +68,7 @@ try:
     import matplotlib.pyplot as plt
     from meanfield_lab import law_density
 
-    model = cw(1.0)
-    exact = normalized_sum_law(model, [4000], [0.0], k=2)
+    exact = normalized_sum_law(critical, [4000], [0.0], k=2)
     xs = exact.points[:, 0]
     keep = np.abs(xs) < 4
     width = xs[1] - xs[0]
@@ -79,9 +76,7 @@ try:
     ax.bar(xs[keep], exact.probs[keep] / width, width=width, alpha=0.4,
            label="exact, N = 4000")
     grid = np.linspace(-4, 4, 400)
-    law = build_limit_law(model, classify_maximum(model,
-                                                  solve_fixed_points(model)[0]))
-    ax.plot(grid, [law_density(law, [x]) for x in grid], "k-",
+    ax.plot(grid, [law_density(quartic, [x]) for x in grid], "k-",
             label="quartic-exponential limit")
     ax.set_xlabel("rescaled sum")
     ax.set_ylabel("density")

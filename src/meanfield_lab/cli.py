@@ -189,17 +189,10 @@ def cmd_limits(args, doc: dict) -> int:
                               for c in _list(cond, "center")],
                              _number(_require(cond, "radius"), "conditioned radius"),
                              m.n, '"conditioned"')
-    result = solver.pressure_limit(m, _solver_options(doc))
-    if center is not None:
-        cls = min(result.maxima,
-                  key=lambda c: float(np.linalg.norm(c.point.x - center)))
-    elif len(result.maxima) != 1:
-        raise PreconditionError("several global maxima: pass a conditioning ball")
-    else:
-        cls = result.maxima[0]
-    # The unique global maximum is already established, so the
-    # unconditioned law needs no second pressure_limit.
-    law = limits.build_limit_law(m, cls, conditioned=True)
+    maxima = solver.pressure_limit(m, _solver_options(doc)).maxima
+    cls = maxima[0] if center is None else \
+        min(maxima, key=lambda c: float(np.linalg.norm(c.point.x - center)))
+    law = limits.build_limit_law(m, cls, conditioned=center is not None)
     zlaw = exact.normalized_sum_law(m, sizes, cls.point.x, cls.k,
                                     condition_ball=ball)
     report = {

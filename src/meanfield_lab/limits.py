@@ -44,6 +44,7 @@ from .solver import (
     HomogeneousForm,
     MaximumClassification,
     _curvature,
+    _global_maxima,
     pressure_limit,
 )
 
@@ -222,15 +223,18 @@ def build_limit_law(model: ValidatedModel,
 
     With a classification: the law of the rescaled sums at that maximum,
     Gaussian for k=1 and exp(form) for k >= 2.  Unless ``conditioned``,
-    the maximum must be the unique global one.  Without a classification:
-    the mixture of point masses the magnetization vector converges to,
-    weighted by each maximum's sharpness integral.
+    the maximum must be the unique global one: a classification from
+    ``pressure_limit`` carries its result's global types and is decided from
+    them, so it must be used with the model it came from; a hand-made one
+    costs a fresh ``pressure_limit``.  Without a classification: the mixture
+    of point masses the magnetization vector converges to, weighted by each
+    maximum's sharpness integral; it skips the direct-route check.
     """
     model = _require_validated(model)
     if classification is None:
-        result = pressure_limit(model)
-        k_star = max(c.k for c in result.maxima)
-        kept = [c for c in result.maxima if c.k == k_star]
+        maxima = _global_maxima(model, None)[2]
+        k_star = max(c.k for c in maxima)
+        kept = [c for c in maxima if c.k == k_star]
         log_b = np.array([_log_weight(model, c) for c in kept])
         w = np.exp(log_b - log_b.max())
         w /= w.sum()
@@ -238,10 +242,10 @@ def build_limit_law(model: ValidatedModel,
         return DeltaMixture(points=pts, weights=w)
 
     if not conditioned:
-        result = pressure_limit(model)
-        if len({c.k for c in result.maxima}) > 1:
+        types = classification.global_types or pressure_limit(model).maxima[0].global_types
+        if len(set(types)) > 1:
             raise MixedTypes("global maxima have differing types")
-        if len(result.maxima) > 1:
+        if len(types) > 1:
             raise NonUniqueMaximum(
                 "several global maxima: the unconditioned sum law is undefined")
     if classification.k == 1:

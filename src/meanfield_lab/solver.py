@@ -147,14 +147,19 @@ class HomogeneousForm:
 class MaximumClassification:
     """Type k of a maximum.  ``hessian`` (f's, k=1) is reported only; ``quartic_form``
     is f's leading form, of degree 2k, at any k >= 2 maximum and any n; ``strength``
-    is f's derivative of order 2k, for one species only."""
+    is f's derivative of order 2k, for one species only.  ``global_types``: the types
+    of every global maximum in the result that found this one; None if made by hand."""
 
     point: StationaryPoint
     k: int
     strength: float | None = None
     hessian: np.ndarray | None = None
     quartic_form: HomogeneousForm | None = None
-    is_global: bool = False
+    global_types: tuple[int, ...] | None = None
+
+    @property
+    def is_global(self) -> bool:
+        return self.global_types is not None
 
 
 @dataclass(frozen=True)
@@ -368,12 +373,15 @@ def _newton_polish(model, X, opts, B=None, h=None):
             go &= (defect < mark[live]) | (defect <= opts.tol)
             mark[live] = defect
         live, F, JF = live[go], F[go], JF[go]
-        regular = np.linalg.slogdet(JF)[0] != 0
-        X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
-        live, F, JF = live[regular], F[regular], JF[regular]
+        try:
+            step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:   # LU met an exact zero pivot: stop those rows
+            regular = np.linalg.slogdet(JF)[0] != 0
+            X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
+            live, F, JF = live[regular], F[regular], JF[regular]
+            step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
         if not len(live):
             break
-        step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
         X[live] -= step
         inside = np.all((X[live] >= lo) & (X[live] <= hi), axis=1)
         X[live[~inside]] = np.nan      # fails the final residual test
@@ -584,19 +592,21 @@ def _max_f_direct(model: ValidatedModel) -> float:
     return float(F.max())
 
 
-def pressure_limit(model: ValidatedModel,
-                   opts: SolverOptions | None = None) -> PressureResult:
-    """Thermodynamic pressure limit and the classified set of global maxima."""
-    model = _require_validated(model)
-    opts = opts or SolverOptions()
+def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
+    """Fixed points, the limit (max fbar over them; f off the +-1 measure) and the
+    classified global maxima, each stamped with the types of all of them."""
     points = solve_fixed_points(model, opts)
     values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
     limit = float(values.max())
-    maxima = []
-    for p, v in zip(points, values):
-        if v >= limit - 1e-9:
-            cls = classify_maximum(model, p)
-            maxima.append(replace(cls, is_global=True))
+    maxima = [classify_maximum(model, p) for p, v in zip(points, values) if v >= limit - 1e-9]
+    types = tuple(c.k for c in maxima)
+    return points, limit, [replace(c, global_types=types) for c in maxima]
+
+
+def pressure_limit(model: ValidatedModel,
+                   opts: SolverOptions | None = None) -> PressureResult:
+    """Thermodynamic pressure limit and the classified set of global maxima."""
+    points, limit, maxima = _global_maxima(model, opts)
     try:
         np.linalg.cholesky(model.coupling_core())
     except np.linalg.LinAlgError:

@@ -311,6 +311,56 @@ def test_normaliser_refuses_dependent_rays():
         _log_form_integral(form, 2)
 
 
+# --- one solve per law -----------------------------------------------------------
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the solver ran again")
+
+
+@pytest.mark.parametrize("model_fn", [make_ref2, lambda: make_cw(1.0, 0.0),
+                                      lambda: make_decoupled_critical(2)],
+                         ids=["ref2", "cw10", "crit2"])
+def test_a_carried_classification_builds_its_law_without_a_solve(model_fn, monkeypatch):
+    model = model_fn()
+    cls = pressure_limit(model).maxima[0]
+    # a hand-made classification of the same point is checked by a fresh pressure_limit
+    want = law_to_dict(build_limit_law(model, classify_maximum(model, cls.point)))
+    monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _no_solve)
+    assert law_to_dict(build_limit_law(model, cls)) == want
+
+
+def test_a_carried_classification_of_two_global_maxima_is_refused_without_a_solve(
+        monkeypatch):
+    model = make_cw(1.2, 0.0)
+    cls = pressure_limit(model).maxima[-1]
+    monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _no_solve)
+    with pytest.raises(NonUniqueMaximum):
+        build_limit_law(model, cls)
+
+
+@pytest.mark.parametrize("model_fn", [lambda: make_cw(1.2, 0.0),
+                                      lambda: make_decoupled_critical(2)],
+                         ids=["cw12", "crit2"])
+def test_the_mixture_skips_the_direct_route(model_fn, monkeypatch):
+    model = model_fn()
+    want = build_limit_law(model)
+    monkeypatch.setattr("meanfield_lab.solver._max_f_direct", _no_solve)
+    with pytest.raises(AssertionError):
+        pressure_limit(model)            # the patch is live where the route runs
+    got = build_limit_law(model)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_only_the_maxima_of_pressure_limit_are_global():
+    model = make_cw(1.2, 0.0)
+    maxima = pressure_limit(model).maxima
+    assert [c.is_global for c in maxima] == [True, True]
+    assert [c.global_types for c in maxima] == [(1, 1), (1, 1)]
+    assert not classify_maximum(model, maxima[0].point).is_global
+
+
 def test_solver_and_limits_draw_no_random_numbers():
     import meanfield_lab.limits as limits_module
     import meanfield_lab.solver as solver_module

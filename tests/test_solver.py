@@ -398,6 +398,29 @@ def test_newton_polish_batch_matches_single_rows(model_fn):
     assert res.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
 
 
+def test_a_singular_row_falls_back_and_keeps_the_bits_of_its_lone_polish(monkeypatch):
+    # x = 0 has an exactly singular Jacobian, 1 - sech^2(1e-12) = 0, so the
+    # batch's first solve raises and that step runs the slogdet filter
+    model = make_cw(1.0, 1e-12)
+    opts = SolverOptions()
+    starts = np.array([[-0.99], [-0.5], [0.0], [0.3], [0.99]])
+    alone = [_newton_polish(model, starts[i:i + 1], opts) for i in range(len(starts))]
+    sizes = []
+    slogdet = np.linalg.slogdet
+
+    def counted(a):
+        sizes.append(len(a))
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    pts, res = _newton_polish(model, starts, opts)
+    assert sizes == [len(starts)]
+    assert pts.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+    assert res.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+    assert np.isnan(pts[2, 0]) and np.isnan(res[2])
+    assert np.all(res[[0, 1, 3, 4]] <= opts.tol)
+
+
 def test_dedup_sorts_its_input():
     rng = np.random.default_rng(5)
     pts = np.round(rng.uniform(-1.0, 1.0, (40, 2)), 1)

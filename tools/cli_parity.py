@@ -4,9 +4,12 @@ Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
 on six more configs (among them a two-species law conditioned on a ball and
 cw05 at N = 150000, whose CSV spans many row blocks), ``solve`` on four
-one-species models (one with a three-atom measure) and on a two-species model
-whose first field, h = 400, saturates tanh, ``phase`` at h = 0.05 on
-J = 0.5..1.5 (step 0.005) and on the critical grid J = 1.000..1.004, a
+one-species models (one with a three-atom measure), on a two-species model
+whose first field, h = 400, saturates tanh, on crit2 (a degenerate n = 2 root,
+whose 121 starts take 47 Newton steps), on ref4 at grid_points 6 (1296 starts
+in R^4) and on cw J = 1, h = 1e-12 (its start x = 0 has an exactly singular
+Jacobian, so Newton's batch solve falls back to the slogdet filter), ``phase``
+at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical grid J = 1.000..1.004, a
 three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums run over
 row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert`` from a
 model-only config, with and without ``--ball``, an ``invert`` from a hand-written
@@ -36,6 +39,7 @@ CW08 = {"n": 1, "alpha": [1.0], "J": [[0.8]], "h": [0.3]}
 ATOM3 = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [0.2],
          "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}}
 SAT2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [400.0, 0.1]}
+CW1_TILT = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [1e-12]}
 TWIN2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 1.0], [1.0, 1.5]], "h": [0.0, 0.0]}
 
 
@@ -86,9 +90,11 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
         runs.append((["limits", "--config", str(config), "--out", str(out)],
                      [out, out.with_suffix(".csv")]))
     for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08,
-                      "atom3": ATOM3, "sat2": SAT2}.items():
+                      "atom3": ATOM3, "sat2": SAT2, "crit2": MODELS["crit2"],
+                      "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
-        config.write_text(json.dumps({"model": doc}))
+        opts = {"solver": {"grid_points": 6}} if name == "ref4" else {}
+        config.write_text(json.dumps({"model": doc, **opts}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
     for name, doc in {"h005": {"J_grid": [round(0.5 + 0.005 * i, 10) for i in range(201)],
                                "h": 0.05},
