@@ -9,17 +9,20 @@ C-order blocks of at most ``_BLOCK`` points (runs of rows of axis 0, or
 pieces of one row cut along axis 1 where a row is longer): pass 1 takes
 the maximum, pass 2 sums exp(W - max) over numpy's own pairwise tree
 (``_pairwise``) with leaves of at most one block, so the sum has the bits
-of the whole-lattice ``sum()`` (any other order would move them).  At
-n >= 3 the moments are reduced block by block (pass 3) into the per-axis
-and pairwise marginals.  Every reduction runs in a fixed order, so results
-do not depend on scheduling.  Each pass allocates its own block buffers and
-nothing is kept across calls.  ``log_partition``, ``finite_pressure`` and
-the n >= 3 moments hold a few blocks; ``magnetization_law``,
-``exact_sample`` and the n <= 2 moments hold one lattice-sized array, and
-``normalized_sum_law`` one float per point, plus one byte with a
-conditioning ball (``DiscreteLaw``).  One cap holds everywhere: a lattice
-of more than ``LATTICE_CAP`` = 10^8 points raises LatticeTooLarge (CLI
-exit 3) before any allocation; only ``log_partition`` takes a ``cap``.
+of the whole-lattice ``sum()`` (any other order would move them).  The
+n >= 3 moments promise no bits: pass 1 takes the maximum, pass 2 reduces
+exp(W - max) block by block into the per-axis and pairwise marginals,
+which are then divided by their total.  Overflowing weights (a block
+maximum of +inf or nan) raise DomainError.  Every reduction runs in a
+fixed order, so results do not depend on scheduling.  Each pass allocates
+its own block buffers and nothing is kept across calls.  ``log_partition``,
+``finite_pressure`` and the n >= 3 moments hold a few blocks;
+``magnetization_law``, ``exact_sample`` and the n <= 2 moments hold one
+lattice-sized array, and ``normalized_sum_law`` one float per point, plus
+one byte with a conditioning ball (``DiscreteLaw``).  One cap holds
+everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
+LatticeTooLarge (CLI exit 3) before any allocation; only ``log_partition``
+takes a ``cap``.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -49,6 +52,7 @@ import numpy as np
 from .errors import (
     ConfigParse,
     DimensionMismatch,
+    DomainError,
     EmptyCondition,
     IoError,
     LatticeTooLarge,
@@ -476,6 +480,14 @@ def _pairwise(leaves: _Leaves, count: int):
     return _pairwise(leaves, half) + _pairwise(leaves, count - half)
 
 
+def _block_max(W: np.ndarray) -> float:
+    """W.max(), which keeps a nan; +inf or nan raise DomainError, -inf (no mass) does not."""
+    top = W.max()
+    if not top < np.inf:
+        raise DomainError(f"the lattice weights overflow (maximum {top})")
+    return top
+
+
 def _lse_blocks(blocks) -> float:
     """ln sum exp over the non-empty flat blocks each call ``blocks()`` yields (called twice).
 
@@ -484,7 +496,7 @@ def _lse_blocks(blocks) -> float:
     """
     maxima, volume, largest = [], 0, 0
     for W in blocks():
-        maxima.append(W.max())
+        maxima.append(_block_max(W))
         volume, largest = volume + W.size, max(largest, W.size)
     leaves = _Leaves(blocks(), np.array(maxima), volume, largest)
     total = _pairwise(leaves, volume)
@@ -555,9 +567,10 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
     They are reduced from P = exp(W - ln Z) through its per-axis and pairwise
     marginals.  At n <= 2 the (0, n - 1) marginal is the lattice itself, so P
     is held there: the magnetization law, exponentiated in place.  At n >= 3
-    the marginals are smaller than the lattice and P is streamed (pass 3):
-    each block adds its marginals into the entries its index ranges cover.
-    The per-axis ones off axis 0 are the (0, l) marginals summed over axis 0.
+    the marginals are smaller than the lattice: pass 1 takes the maximum of
+    W, pass 2 adds each block's marginals of exp(W - max) into the entries
+    its index ranges cover, and they are divided by axis 0's total.  The
+    per-axis ones off axis 0 are the (0, l) marginals summed over axis 0.
     """
     lattice = _prepare(model, sizes, "exact_moments")
     n, shape = lattice.n, lattice.shape
@@ -568,15 +581,16 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
         marg = {keep: _marginal(P, keep) for keep in keeps}
     else:
         weights = _Weights(model.J, model.h, lattice, LATTICE_CAP)
-        ln_z = _lse_blocks(weights.__iter__)
+        top = max(map(_block_max, weights))
         marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps}
         for key in weights.keys():
             P = weights.block(key)
-            P -= ln_z
+            P -= top
             np.exp(P, out=P)
             for keep in keeps:
                 into = marg[keep][tuple(key[a] for a in keep)]     # a view: no copy back
                 into += _marginal(P, keep)
+        marg = {keep: m / marg[0,].sum() for keep, m in marg.items()}
     for l in range(1, n):
         marg[l,] = marg[0, l].sum(axis=0)
     mags = [lattice.mag_axis(l) for l in range(n)]

@@ -41,8 +41,8 @@ from .errors import (
     UnsupportedMeasure,
 )
 from .exact import _lse
-from .model import (ModelSpec, ValidatedModel, _require_validated, hamiltonian_density,
-                    validate_model)
+from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,
+                    hamiltonian_density, validate_model)
 
 LN2 = math.log(2.0)
 _DERIV_TOL = 1e-9
@@ -79,10 +79,8 @@ class SolverOptions:
     def __post_init__(self):
         if any(isinstance(getattr(self, f.name), bool) for f in fields(self)):
             raise ConfigParse("solver options must be numbers, not booleans")
-        for name, least in (("grid_points", 1), ("newton_max_iter", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ConfigParse(f"{name} must be an integer >= {least}")
+        _integer(self.grid_points, "grid_points", 1)
+        _integer(self.newton_max_iter, "newton_max_iter", 0)
         for name in ("tol", "dedup_radius"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
@@ -570,7 +568,10 @@ def _max_f_direct(model: ValidatedModel) -> float:
         live, G = live[steep], G[steep]
         if not len(live):
             break
-        lam, V = np.linalg.eigh(_hessian_f(model, X[live]))
+        try:
+            lam, V = np.linalg.eigh(_hessian_f(model, X[live]))
+        except np.linalg.LinAlgError as exc:    # overflowing Hessian entries
+            raise DomainError(f"direct ascent on f failed: {exc}") from exc
         coef = np.einsum("pji,pj->pi", V, G) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
         step = np.einsum("pij,pj->pi", V, coef)
         slope = np.einsum("pi,pi->p", G, step)

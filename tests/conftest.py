@@ -40,6 +40,17 @@ MU_H_08_03 = 0.6936176191330156
 LAMBDA_08_03 = -0.4679074570059220
 
 
+# Two models whose direct ascent on f meets a Hessian with non-finite
+# entries: numpy's eigh fails on the first at grid_points 5 ("Eigenvalues
+# did not converge"), and the second still solves with method_agreement 0.
+EIGH_FAILS = {"n": 3, "alpha": [0.3, 0.3, 0.4], "h": [1e-8, 0.0, 0.0],
+              "J": [[1.0143741329559512e308, 0.594925562056653, 146505832.0242543],
+                    [0.594925562056653, 3.7878092548194933, -6508281104869122.0],
+                    [146505832.0242543, -6508281104869122.0, 1.715944508297891e200]]}
+HESSIAN_INF = {"n": 1, "alpha": [1.0], "J": [[5.585478984440906e307]],
+               "h": [1.4900354672381095]}
+
+
 def make_cw(J, h, measure=None):
     """Single-species model with the default +-1 spins."""
     kwargs = {} if measure is None else {"site_measure": measure}

@@ -17,7 +17,7 @@ from meanfield_lab import (
 )
 from meanfield_lab.cli import _csv, dumps17, main
 
-from conftest import make_cw, make_ref2
+from conftest import EIGH_FAILS, HESSIAN_INF, make_cw, make_ref2
 
 CW12 = {"n": 1, "alpha": [1.0], "J": [[1.2]], "h": [0.0]}
 REF2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]],
@@ -502,3 +502,30 @@ def test_weak_antiferromagnet_runs_end_to_end(tmp_path, capsys):
     assert len(rows) == 3
     assert main(["limits", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 0
     assert json.loads((tmp_path / "l.json").read_text())["law"]["kind"] == "gaussian"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # numpy's overflow, before the guard
+@pytest.mark.parametrize("command", ["pressure", "sample"])
+def test_overflowing_lattice_weights_exit_3_and_write_no_file(tmp_path, capsys, command):
+    # h S overflows at N = 60: pressure printed p_N = nan and sample wrote
+    # draws of S = 4 where the law puts all its mass at S = 60, both with exit 0
+    big = {"n": 1, "alpha": [1.0], "J": [[0.001]], "h": [8.78e307]}
+    cfg = write_config(tmp_path, {"model": big, "N_values": [60], "sizes": [60], "M": 5})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_eigensolver_failure_in_the_direct_route_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": EIGH_FAILS, "solver": {"grid_points": 5}})
+    assert main(["solve", "--config", cfg]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_hessian_that_eigh_takes_exits_0(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": HESSIAN_INF})
+    assert main(["solve", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["method_agreement"] == 0

@@ -928,3 +928,88 @@ def test_normalized_law_takes_an_infinite_ball_as_no_bound():
     whole = normalized_sum_law(model, [100], [MU0_J12], k=1)
     law = normalized_sum_law(model, [100], [MU0_J12], k=1, condition_ball=math.inf)
     assert law.mask.all() and law.P.tobytes() == whole.P.tobytes()
+
+
+# --- overflowing lattice weights and the two passes of the n >= 3 moments -------------
+
+
+def _overflowing_ref3():
+    ref3 = make_ref3()
+    return validate_model(ModelSpec(n=3, alpha=tuple(ref3.alpha), J=tuple(map(tuple, ref3.J)),
+                                    h=(8.78e307, -0.2, 0.05)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # numpy's overflow, before the guard
+@pytest.mark.parametrize("entry", ["log_partition", "finite_pressure", "magnetization_law",
+                                   "moments n=1", "moments n=3", "exact_sample",
+                                   "normalized_sum_law", "likelihood"])
+def test_overflowing_lattice_weights_are_a_domain_error(entry):
+    # h S overflows to +inf at h = 8.78e307: ln Z was inf, p_N and the moments
+    # nan, and every draw was S = 4, though the law puts all its mass at S = 60
+    from meanfield_lab.inverse import _sample_log_likelihood
+
+    big = make_cw(0.001, 8.78e307)
+    sample = SampleSet(sizes=np.array([60]), seed=1, sums=np.full((3, 1), 60))
+    call = {
+        "log_partition": lambda: log_partition(big, [60]),
+        "finite_pressure": lambda: finite_pressure(big, [60]),
+        "magnetization_law": lambda: magnetization_law(big, [60]),
+        "moments n=1": lambda: exact_moments(big, [60]),
+        "moments n=3": lambda: exact_moments(_overflowing_ref3(), [12, 18, 30]),
+        "exact_sample": lambda: exact_sample(big, [60], 5, 1),
+        "normalized_sum_law": lambda: normalized_sum_law(big, [60], [1.0], k=1),
+        "likelihood": lambda: _sample_log_likelihood(sample, big.J, big.h, np.array([1.0])),
+    }[entry]
+    with pytest.raises(DomainError, match="overflow"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_block_maximum_of_inf_or_nan_is_an_overflow(bad):
+    # in a later block, where Python's max over the block maxima would drop a nan
+    for block in ([0.5, bad], [bad, 0.5]):
+        with pytest.raises(DomainError):
+            exact_module._lse_blocks(lambda: iter([np.array([-1.0, 0.0]), np.array(block)]))
+
+
+def test_a_block_without_mass_is_no_overflow():
+    # a maximum of -inf is a ball without mass, which its caller refuses as EmptyCondition
+    with np.errstate(invalid="ignore"):
+        assert exact_module._lse_blocks(lambda: iter([np.full(2, -math.inf)])) == -math.inf
+
+
+def test_three_species_moments_evaluate_each_weight_twice_and_need_no_bitwise_ln_z(monkeypatch):
+    # one pass takes the maximum and one sums exp(W - max); a bitwise ln Z took
+    # two passes of its own before a third formed exp(W - ln Z)
+    model, sizes = make_ref3(), [60, 90, 150]
+    keys = list(_Weights(model.J, model.h, MagLattice(np.asarray(sizes)), 10 ** 8).keys())
+    assert len(keys) > 1
+    calls = []
+    block = _Weights.block
+
+    def counted(self, key, out=None):
+        calls.append(key)
+        return block(self, key, out)
+
+    monkeypatch.setattr(_Weights, "block", counted)
+    want = exact_moments(model, sizes)
+    assert len(calls) == 2 * len(keys)
+
+    def refuse(blocks):
+        raise AssertionError("the bitwise normaliser ran")
+
+    monkeypatch.setattr(exact_module, "_lse_blocks", refuse)
+    got = exact_moments(model, sizes)
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.second.tobytes() == want.second.tobytes()
+
+
+@pytest.mark.parametrize("sizes,ball", [([40, 60, 100], None), ([60, 90, 150], 0.3)])
+def test_three_species_exact_cov_is_symmetric_and_matches_an_fsum_reference(sizes, ball):
+    # n >= 3 is the only case with a pair off axis 0, contracted from its own marginal
+    ref3 = make_ref3()
+    law = normalized_sum_law(ref3, sizes, pressure_limit(ref3).maxima[0].point.x, k=1,
+                             condition_ball=ball)
+    cov = law.cov()
+    assert np.array_equal(cov, cov.T)
+    assert np.max(np.abs(cov - _fsum_cov(law))) <= 4.4e-16

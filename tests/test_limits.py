@@ -40,6 +40,7 @@ from meanfield_lab.errors import (
     NotPositiveDefiniteResult,
     Unnormalized,
 )
+from meanfield_lab import limits
 from meanfield_lab.limits import _log_form_integral, _log_weight
 
 from conftest import CHI_J12, MU0_J12, make_cw, make_ref2
@@ -750,3 +751,14 @@ def test_strong_field_response_keeps_its_relative_accuracy(h1):
     d = np.sqrt(model.alpha)
     cov = covariance_tilde(model, mu, cls)
     assert np.max(np.abs(cov - d[:, None] * chi / d[None, :]) / np.abs(cov)) <= 1e-14
+
+
+def test_ks_distance_skips_the_blocks_a_ball_leaves_empty():
+    # cw J = 1.2 at [20000]: 5 blocks of 2^12 points, of which the ball keeps none in 3
+    model = make_cw(1.2, 0.0)
+    plus = max(pressure_limit(model).maxima, key=lambda c: c.point.x[0])
+    z = normalized_sum_law(model, [20000], plus.point.x, k=1, condition_ball=0.3)
+    assert [len(probs) == 0 for _, probs in z.blocks()] == [True] * 3 + [False] * 2
+    law = build_limit_law(model, plus, conditioned=True)
+    whole = limits._ks(np.cumsum(z.probs), law_cdf_1d(law, z.points[:, 0]))
+    assert ks_distance(z, law) == whole

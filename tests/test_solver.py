@@ -21,6 +21,7 @@ from meanfield_lab import (
     functional_f,
     functional_fbar,
     mean_field_map,
+    model_from_dict,
     pressure_limit,
     solve_fixed_points,
     validate_model,
@@ -47,8 +48,10 @@ from meanfield_lab.solver import (
 )
 
 from conftest import (
+    EIGH_FAILS,
     FBAR_REF2_POINT,
     F_REF2_POINT,
+    HESSIAN_INF,
     I_HALF,
     LAMBDA_08_03,
     LAMBDA_J12,
@@ -909,3 +912,28 @@ def test_a_frozen_root_on_the_hull_boundary_is_kept():
     res = pressure_limit(two_species(((1.0, 0.5), (0.5, 1.0)), h=(400.0, 0.1)))
     assert [p.x[0] for p in res.fixed_points] == [1.0]
     assert res.limit_value == 199.83250890248127
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")      # numpy's overflow in f
+def test_an_eigensolver_failure_in_the_direct_route_is_a_domain_error():
+    # numpy's LinAlgError escaped, which the CLI maps to exit 5 (internal)
+    model = validate_model(model_from_dict(EIGH_FAILS))
+    with pytest.raises(DomainError, match="direct ascent on f failed"):
+        pressure_limit(model, SolverOptions(grid_points=5))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_hessian_that_eigh_takes_still_solves(monkeypatch):
+    # so a non-finite Hessian is no reason to refuse before eigh
+    finite = []
+    hessian = solver._hessian_f
+
+    def spy(model, X):
+        H = hessian(model, X)
+        finite.append(bool(np.isfinite(H).all()))
+        return H
+
+    monkeypatch.setattr(solver, "_hessian_f", spy)
+    res = pressure_limit(validate_model(model_from_dict(HESSIAN_INF)))
+    assert False in finite
+    assert res.method_agreement == 0.0
