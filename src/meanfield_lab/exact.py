@@ -381,16 +381,17 @@ class _Weights:
         n, N, J, h = self.lattice.n, self.lattice.total, self.J, self.h
         S = [self.lattice.sum_axis(l, k.start, k.stop).astype(float) for l, k in enumerate(key)]
         terms = []
-        for l, k in enumerate(key):
-            counts = _log_binomials(int(self.lattice.sizes[l]), k.start, k.stop)
-            terms.append((counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N))
-                         .reshape(_along(l, n)))
-        S = [S_l.reshape(_along(l, n)) for l, S_l in enumerate(S)]
-        prefix = -N * LN2
-        for t in terms[:-1]:
-            prefix = prefix + t
-        return (prefix, terms[-1], S[0], [(J[0, s] / N, S[s]) for s in range(1, n)],
-                [J[l, s] / N * (S[l] * S[s]) for l in range(1, n) for s in range(l + 1, n)])
+        with np.errstate(over="ignore", invalid="ignore"):  # _block_max raises on inf or nan
+            for l, k in enumerate(key):
+                counts = _log_binomials(int(self.lattice.sizes[l]), k.start, k.stop)
+                terms.append((counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N))
+                             .reshape(_along(l, n)))
+            S = [S_l.reshape(_along(l, n)) for l, S_l in enumerate(S)]
+            prefix = -N * LN2
+            for t in terms[:-1]:
+                prefix = prefix + t
+            return (prefix, terms[-1], S[0], [(J[0, s] / N, S[s]) for s in range(1, n)],
+                    [J[l, s] / N * (S[l] * S[s]) for l in range(1, n) for s in range(l + 1, n)])
 
     def block(self, key: tuple[slice, ...], out: np.ndarray | None = None) -> np.ndarray:
         """W[key], into ``out`` or else this pass's own block buffer; none outlives the call."""
@@ -403,19 +404,20 @@ class _Weights:
         else:                               # whole rows: only axis 0 is cut
             prefix, last, s0, cross0, cross = self._factors
             rows = key[0]
-        if len(shape) == 1:                 # the prefix is the scalar -N ln 2
-            np.add(prefix, last[rows], out=out)
-        else:
-            np.copyto(out, prefix[rows])
-            out += last
-        for c, S_s in cross0:
-            t = self._t[:shape[0] * S_s.size].reshape((shape[0],) + S_s.shape[1:])
-            np.copyto(t, s0[rows])
-            t *= S_s
-            t *= c
-            out += t
-        for t in cross:
-            out += t
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _factors_on
+            if len(shape) == 1:             # the prefix is the scalar -N ln 2
+                np.add(prefix, last[rows], out=out)
+            else:
+                np.copyto(out, prefix[rows])
+                out += last
+            for c, S_s in cross0:
+                t = self._t[:shape[0] * S_s.size].reshape((shape[0],) + S_s.shape[1:])
+                np.copyto(t, s0[rows])
+                t *= S_s
+                t *= c
+                out += t
+            for t in cross:
+                out += t
         return out
 
     def __iter__(self):

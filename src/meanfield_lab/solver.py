@@ -12,7 +12,9 @@ while the Gaussian-transform route maximizes, on all of R^n,
 with u_l(x) = sum_s alpha_s J_ls x_s + h_l.  Both share the stationarity
 system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
 x_l = tanh(u_l).  Stationary points are found by multistart Newton (a
-damped map moves away from unstable points and loses them), then
+damped map moves away from unstable points and loses them; at a degenerate
+root, where Newton is only linear, a row moves to the simple root of the
+first odd cumulant that has one), then
 classified by one rule for every n and any symmetric J: fbar's curvature
 (``_curvature``) first, and where it vanishes f's Taylor terms ray by
 ray, whose first nonvanishing even order is 2k (type k; strength lambda
@@ -61,6 +63,9 @@ _ASCENT_STEPS = 200
 _HALVINGS = 60
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
+# Two successive step ratios this close mark a row as converging linearly.
+_SHRINK_TOL = 0.02
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -340,6 +345,37 @@ def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarr
     return np.where(np.abs(t) == 1.0, X - t, (X - BX) - h + r), _sech2(u)
 
 
+def _deflated(model, X, step, shrink, B, h):
+    """Candidates at a multiple root for rows whose Newton steps shrink by ``shrink``
+    (B, h shared or per row), and which are roots: every component's defect at
+    rounding level, and I - diag(var) B singular to within 16 eps.
+
+    At a root of multiplicity m = 2k - 1 each step shrinks by (m - 1)/m, and as
+    F^(j) = -J^j kappa_(j+1) for j >= 2, kappa_m has a simple root there (Ralston &
+    Rabinowitz 1978).  +-1 spins take u = x = 0 in the species within a few steps
+    of 0, where kappa_3 = -2 tanh u sech^2 u vanishes; one species of any measure
+    runs Newton on kappa_m(u) from the extrapolated root x - (m - 1) step.
+    """
+    B = np.broadcast_to(B, (len(X),) + B.shape[-2:])
+    if model.is_binary:
+        C = np.where(np.abs(X) <= 4.0 * np.abs(step), 0.0, X)
+    else:
+        m = 2 * np.rint(0.5 / (1.0 - shrink) + 0.5).astype(int) - 1
+        i = np.arange(len(X))
+        u = (X - (m[:, None] - 1) * step) * B[:, 0] + h
+        with np.errstate(all="ignore"):     # a runaway u gives nan: no candidate
+            for _ in range(8):
+                kappa = _cumulants_from_moments(_tilted_moments(model, u[:, 0], m.max() + 1))
+                u[:, 0] -= kappa[m - 1, i] / kappa[m, i]
+            C = _tilted_moments(model, u, 1)[0]
+    mean, var = _map_rows(model, C, B, h)
+    scale = np.abs(C) + np.abs(mean) + np.abs(np.matmul(B, C[:, :, None])[:, :, 0]) + np.abs(h)
+    ok = np.all(np.abs(C - mean) <= 4.0 * _EPS * scale, axis=1)
+    K = np.eye(model.n) - var[ok, :, None] * B[ok]
+    ok[ok] = np.linalg.svd(K, compute_uv=False)[:, -1] <= 16.0 * _EPS
+    return C, ok
+
+
 def _newton_polish(model, X, opts, B=None, h=None):
     """Newton on x - map(x) = 0 for a batch of rows; every row and its residual.
 
@@ -350,16 +386,23 @@ def _newton_polish(model, X, opts, B=None, h=None):
     an exactly singular Jacobian (dropped before its first step unless its
     defect is 0), or when its defect, above tol, is no lower than
     ``_STALL_STEPS`` steps before.  Roots lie in the support hull [lo, hi]^n,
-    so a row that leaves it is dropped (nan).
+    so a row that leaves it is dropped (nan).  Newton is only linear at a
+    multiple root: a row whose step ratio holds steady in (0.5, 0.95) gets one
+    deflated candidate (``_deflated``), which replaces and retires it if it is
+    a root; otherwise the row goes on as before.
     """
     if B is None:
         B, h = model.row_couplings()
     X = X.copy()
     lo, hi = model.support_range
     step_norm = np.full(len(X), np.inf)
+    shrink = np.full(len(X), np.nan)
+    tried = np.zeros(len(X), dtype=bool)
     mark = np.full(len(X), np.inf)
     live = np.arange(len(X))
     for it in range(opts.newton_max_iter):
+        if not len(live):
+            break
         x = X[live]
         Bx, hx = (B[live], h[live]) if B.ndim == 3 else (B, h)
         F, var = _map_defect(model, x, Bx, hx)
@@ -378,13 +421,23 @@ def _newton_polish(model, X, opts, B=None, h=None):
             X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
             live, F, JF = live[regular], F[regular], JF[regular]
             step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
-        if not len(live):
-            break
         X[live] -= step
         inside = np.all((X[live] >= lo) & (X[live] <= hi), axis=1)
         X[live[~inside]] = np.nan      # fails the final residual test
-        live = live[inside]
-        step_norm[live] = np.max(np.abs(step[inside]), axis=1)
+        live, step = live[inside], step[inside]
+        new = np.max(np.abs(step), axis=1)
+        with np.errstate(over="ignore"):    # a step after a subnormal one
+            ratio = new / step_norm[live]
+        linear = ~tried[live] & (ratio > 0.5) & (ratio < 0.95) & \
+            (np.abs(ratio - shrink[live]) <= _SHRINK_TOL)
+        step_norm[live], shrink[live] = new, ratio
+        if np.any(linear):
+            rows = live[linear]
+            tried[rows] = True
+            Bx, hx = (B[rows], h[rows]) if B.ndim == 3 else (B, h)
+            C, ok = _deflated(model, X[rows], step[linear], ratio[linear], Bx, hx)
+            X[rows[ok]] = C[ok]
+            live = live[~np.isin(live, rows[ok])]
     return X, np.max(np.abs(X - _map_rows(model, X, B, h)[0]), axis=1)
 
 

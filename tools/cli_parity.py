@@ -5,10 +5,13 @@ OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
 on six more configs (among them a two-species law conditioned on a ball and
 cw05 at N = 150000, whose CSV spans many row blocks), ``solve`` on four
 one-species models (one with a three-atom measure), on a two-species model
-whose first field, h = 400, saturates tanh, on crit2 (a degenerate n = 2 root,
-whose 121 starts take 47 Newton steps), on ref4 at grid_points 6 (1296 starts
-in R^4) and on cw J = 1, h = 1e-12 (its start x = 0 has an exactly singular
-Jacobian, so Newton's batch solve falls back to the slogdet filter), ``phase``
+whose first field, h = 400, saturates tanh, on crit2 (a degenerate n = 2 root:
+its 121 starts end on deflated candidates within 5 Newton steps), on ref4 at
+grid_points 6 (1296 starts in R^4), on cw J = 1, h = 1e-12 (its start x = 0 has
+an exactly singular Jacobian, so Newton's batch solve falls back to the slogdet
+filter) and on cw J = 1.001 and J = 1 + 1e-10 (x = 0 is a simple root there, and
+no candidate may take the other two), ``solve`` and ``limits`` on cw J = 1 at
+grid_points 10 (no start on the degenerate root), ``phase``
 at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical grid J = 1.000..1.004, a
 three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums run over
 row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert`` from a
@@ -18,8 +21,9 @@ with M = 0 (a header-only file), and the demos.  Prints per
 output file "identical" or the count of moved numbers with their largest
 absolute and relative change, and for a CSV file the same per column, named
 by its header row ("column 2" in a sample file, which has none), e.g.
-"(law_cdf: 6 moved, max abs 1.1e-16)"; exits 1 if any file's non-numeric
-text differs.
+"(law_cdf: 6 moved, max abs 1.1e-16)"; a run that exits non-zero gives each of
+its output files the text "exit N" and its stderr.  Exits 1 if any file's
+non-numeric text differs.
 """
 
 import io
@@ -41,6 +45,9 @@ ATOM3 = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [0.2],
 SAT2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [400.0, 0.1]}
 CW1_TILT = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [1e-12]}
 TWIN2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 1.0], [1.0, 1.5]], "h": [0.0, 0.0]}
+CW1001 = {"n": 1, "alpha": [1.0], "J": [[1.001]], "h": [0.0]}
+CW1_1E10 = {"n": 1, "alpha": [1.0], "J": [[1.0000000001]], "h": [0.0]}
+GRIDS = {"ref4": 6, "cw10-g10": 10}
 
 
 def number_diff(old: str, new: str):
@@ -84,16 +91,19 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "cw05": {"model": CW05, "sizes": [400]},
                       "twin2-ball": {"model": TWIN2, "sizes": [200, 200],
                                      "conditioned": {"center": [0.7, 0.7], "radius": 0.3}},
-                      "cw05-big": {"model": CW05, "sizes": [150000]}}.items():
+                      "cw05-big": {"model": CW05, "sizes": [150000]},
+                      "cw10-g10": {"model": MODELS["cw10"], "sizes": [400],
+                                   "solver": {"grid_points": 10}}}.items():
         config, out = work / f"config-{name}.json", work / f"limits-{name}.json"
         config.write_text(json.dumps(doc))
         runs.append((["limits", "--config", str(config), "--out", str(out)],
                      [out, out.with_suffix(".csv")]))
     for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08,
                       "atom3": ATOM3, "sat2": SAT2, "crit2": MODELS["crit2"],
-                      "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT}.items():
+                      "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT, "cw10-g10": MODELS["cw10"],
+                      "cw1001": CW1001, "cw1-1e-10": CW1_1E10}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
-        opts = {"solver": {"grid_points": 6}} if name == "ref4" else {}
+        opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
         config.write_text(json.dumps({"model": doc, **opts}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
     for name, doc in {"h005": {"J_grid": [round(0.5 + 0.005 * i, 10) for i in range(201)],
@@ -127,9 +137,10 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                "--out", str(out)], [out])]
     outputs = {}
     for argv, files in runs:
-        subprocess.run([sys.executable, "-m", "meanfield_lab.cli", *argv], env=env,
-                       cwd=work, check=True)
-        outputs.update((Path(f).name, Path(f).read_text()) for f in files)
+        run = subprocess.run([sys.executable, "-m", "meanfield_lab.cli", *argv], env=env,
+                             cwd=work, capture_output=True, text=True)
+        outputs.update((Path(f).name, Path(f).read_text() if not run.returncode
+                        else f"exit {run.returncode}\n{run.stderr}") for f in files)
     for demo in sorted((tree / "demos").glob("*.py")):
         outputs[f"{demo.name} stdout"] = subprocess.run(
             [sys.executable, str(demo)], env=env, cwd=work, check=True,
