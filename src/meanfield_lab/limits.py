@@ -290,8 +290,9 @@ def law_cdf_1d(law: LimitLaw, x):
         deg = law.form.degree
         out = 0.5 * (1.0 + np.sign(x) * gammainc(deg, a * np.abs(x) ** deg))
     else:
-        pts = law.points[:, 0]
-        out = np.reshape([law.weights[pts <= xi].sum() for xi in x.ravel()], x.shape)
+        order = np.argsort(law.points[:, 0])
+        cum = np.cumsum(np.r_[0.0, law.weights[order]])
+        out = np.where(np.isnan(x), np.nan, cum[np.searchsorted(law.points[order, 0], x, "right")])
     return float(out) if out.ndim == 0 else out
 
 

@@ -53,6 +53,7 @@ _DERIV_TOL = 1e-9
 # |lambda| * offset^(2k - j) and must only vanish to that.
 _POS_ERR = 1e-6
 _MAX_ORDER = 8
+_TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
 # Direct ascent on f: gradient and stall tolerances, the curvature floor
 # of the modified Hessian, the Armijo constant and the iteration caps.
 _ASCENT_GTOL = 1e-13
@@ -646,13 +647,21 @@ def _max_f_direct(model: ValidatedModel) -> float:
     return float(F.max())
 
 
-def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
-    """Fixed points, the limit (max fbar over them; f off the +-1 measure) and the
-    classified global maxima, each stamped with the types of all of them."""
-    points = solve_fixed_points(model, opts)
+def _equilibrium(model: ValidatedModel, points: list[StationaryPoint]):
+    """The limit (max fbar over the points; f off the +-1 measure) and the points within
+    _TIE_TOL of it, less any with a negative curvature eigenvalue unless none is left."""
     values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
     limit = float(values.max())
-    maxima = [classify_maximum(model, p) for p, v in zip(points, values) if v >= limit - 1e-9]
+    ties = [p for p, v in zip(points, values) if v >= limit - _TIE_TOL]
+    peaks = [p for p in ties if np.linalg.eigvalsh(_curvature(model, p.x)[0])[0] >= -_DERIV_TOL]
+    return limit, peaks or ties
+
+
+def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
+    """Fixed points, the limit and its classified equilibrium set, stamped with their types."""
+    points = solve_fixed_points(model, opts)
+    limit, peaks = _equilibrium(model, points)
+    maxima = [classify_maximum(model, p) for p in peaks]
     types = tuple(c.k for c in maxima)
     return points, limit, [replace(c, global_types=types) for c in maxima]
 
@@ -675,10 +684,10 @@ def cw_phase_scan(J_grid, h: float,
                   opts: SolverOptions | None = None) -> dict[str, np.ndarray]:
     """Single-species scan: magnetization, pressure and its J-derivatives.
 
-    Columns: J, mu (largest fixed point), pressure, dp_dJ (= mu^2 / 2) and
-    the centered second difference of the pressure over the grid (nan at
-    the ends).  Every J's starts form one Newton batch; each J's rows then
-    give its fixed points exactly as ``solve_fixed_points`` would.
+    Columns: J, mu (the equilibrium magnetization, the largest at a tie), pressure,
+    dp_dJ = mu^2 / 2 (dp/dJ by the envelope theorem) and d2p, the three-point second
+    difference of the pressure on any grid spacing (nan at the ends).  Every J's starts
+    form one Newton batch, whose rows give each J's points as ``solve_fixed_points`` does.
     """
     J_grid = np.asarray(J_grid, dtype=float)
     if np.any(J_grid <= 0) or np.any(np.diff(J_grid) <= 0):
@@ -694,11 +703,11 @@ def cw_phase_scan(J_grid, h: float,
             X = np.tile(_start_grid(model, opts), (len(J_grid), 1))
             X, res = _newton_polish(model, X, opts, np.repeat(J_grid, g)[:, None, None],
                                     np.full_like(X, h))
-        pts = _stationary_points(model, X[i * g:(i + 1) * g], res[i * g:(i + 1) * g], opts)
-        mu[i] = max(p.x[0] for p in pts)
-        pressure[i] = max(p.fbar_value for p in pts)
-    dj = np.diff(J_grid)
+        pressure[i], peaks = _equilibrium(model, _stationary_points(
+            model, X[i * g:(i + 1) * g], res[i * g:(i + 1) * g], opts))
+        mu[i] = max(p.x[0] for p in peaks)
+    dj, dp = np.diff(J_grid), np.diff(pressure)
     d2p = np.full_like(J_grid, np.nan)
-    d2p[1:-1] = (pressure[2:] - 2.0 * pressure[1:-1] + pressure[:-2]) / (dj[1:] * dj[:-1])
+    d2p[1:-1] = 2.0 * (dp[1:] / dj[1:] - dp[:-1] / dj[:-1]) / (dj[1:] + dj[:-1])
     return {"J": J_grid, "mu": mu, "pressure": pressure,
             "dp_dJ": 0.5 * mu ** 2, "d2p": d2p}

@@ -55,6 +55,15 @@ def test_solve_lists_two_maxima(tmp_path, capsys):
                                                      abs=1e-12)
 
 
+def test_solve_just_above_the_critical_coupling_lists_its_two_maxima(tmp_path, capsys):
+    # fbar(0) ties the maxima to ~1e-16 at J = 1 + 1e-8; the minimum exited 3
+    model = {"n": 1, "alpha": [1.0], "J": [[1.0 + 1e-8]], "h": [0.0]}
+    assert main(["solve", "--config", write_config(tmp_path, {"model": model})]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["maxima"]) == 2
+    assert len(report["fixed_points"]) == 3
+
+
 def test_sample_empty_file_has_header(tmp_path):
     cfg = write_config(tmp_path, {"model": CW12, "sizes": [100], "M": 0})
     out = tmp_path / "s.csv"

@@ -521,6 +521,12 @@ def test_normalized_law_conditioned_variance():
     assert abs(law.variance() - CHI_J12) / CHI_J12 < 0.05
 
 
+def test_normalized_law_variance_is_one_dimensional():
+    law = normalized_sum_law(make_ref2(), [10, 10], [0.0, 0.0], k=1)
+    with pytest.raises(DimensionMismatch):
+        law.variance()
+
+
 def test_normalized_law_empty_condition():
     with pytest.raises(EmptyCondition):
         normalized_sum_law(make_cw(1.0, 0.0), [100], [5.0], k=1,

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from meanfield_lab.errors import (
     DimensionMismatch,
     DomainError,
     EmptySample,
+    MixedTypes,
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
@@ -354,6 +356,22 @@ def test_the_mixture_skips_the_direct_route(model_fn, monkeypatch):
     assert got.weights.tobytes() == want.weights.tobytes()
 
 
+def test_carried_types_of_mixed_kinds_are_refused_without_a_solve(monkeypatch):
+    model = make_cw(1.0, 0.0)
+    cls = replace(pressure_limit(model).maxima[0], global_types=(1, 2))
+    monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _no_solve)
+    with pytest.raises(MixedTypes):
+        build_limit_law(model, cls)
+
+
+def test_a_conditioned_degenerate_classification_without_a_form_is_refused():
+    model = make_cw(1.0, 0.0)
+    cls = replace(pressure_limit(model).maxima[0], quartic_form=None)
+    assert cls.k == 2
+    with pytest.raises(MixedTypes):
+        build_limit_law(model, cls, conditioned=True)
+
+
 def test_only_the_maxima_of_pressure_limit_are_global():
     model = make_cw(1.2, 0.0)
     maxima = pressure_limit(model).maxima
@@ -521,6 +539,14 @@ def test_ks_distance_dimension_guard():
     g2 = Gaussian(cov=np.eye(2))
     with pytest.raises(DimensionMismatch):
         ks_distance(np.array([0.0, 1.0]), g2)
+
+
+def test_ks_distance_refuses_a_two_dimensional_observation():
+    law = Gaussian(cov=np.array([[1.0]]))
+    with pytest.raises(DimensionMismatch):
+        ks_distance(Gaussian(cov=np.eye(2)), law)
+    with pytest.raises(DimensionMismatch):
+        ks_distance(normalized_sum_law(make_ref2(), [10, 10], [0.0, 0.0], k=1), law)
 
 
 def test_ks_distance_refuses_an_empty_sample():
@@ -734,6 +760,18 @@ def test_ks_distance_between_two_mixtures():
     b = DeltaMixture(points=[[-0.5], [0.5]], weights=[0.3, 0.7])
     assert ks_distance(a, a) == 0.0
     assert ks_distance(a, b) == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0]], ids=["ascending", "descending"])
+def test_mixture_cdf_is_the_weight_below_each_point(order):
+    atoms, weights = np.array([-0.7, 0.1, 0.4])[order], np.array([0.25, 0.45, 0.3])[order]
+    law = DeltaMixture(points=atoms[:, None], weights=weights)
+    xs = np.array([-1.0, -0.7, -0.3, 0.1, 0.2, 0.4, 0.5, 10.0])
+    want = np.array([weights[atoms <= x].sum() for x in xs])
+    assert np.array_equal(law_cdf_1d(law, xs), want)
+    assert law_cdf_1d(law, xs.reshape(2, 4)).shape == (2, 4)
+    assert law_cdf_1d(law, 0.1) == want[3]
+    assert math.isnan(law_cdf_1d(law, math.nan))      # as the Gaussian's and quartic's CDFs
 
 
 @pytest.mark.parametrize("h1", [14.0, 40.0])

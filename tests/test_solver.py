@@ -749,6 +749,16 @@ def test_direct_route_agrees_on_random_one_species_measures():
         assert pressure_limit(model).method_agreement <= 1e-9
 
 
+def test_a_minimum_tied_with_the_maxima_is_not_an_equilibrium():
+    # fbar(0) is within ~1e-16 of the maxima at J = 1 + 1e-8, and x = 0 was refused
+    res = pressure_limit(make_cw(1.0 + 1e-8, 0.0))
+    assert len(res.fixed_points) == 3
+    assert [c.k for c in res.maxima] == [1, 1]
+    assert [c.point.x[0] for c in res.maxima] == pytest.approx(
+        [-1.7320507861592134e-4, 1.7320507861592134e-4], rel=1e-12)
+    assert res.method_agreement <= 1e-9
+
+
 # --- phase scan -----------------------------------------------------------------
 
 
@@ -793,6 +803,29 @@ def test_phase_scan_is_the_per_coupling_solve_bit_for_bit(name, grid_points):
     pressure = np.array([max(p.fbar_value for p in pts) for pts in points])
     assert table["mu"].tobytes() == mu.tobytes()
     assert table["pressure"].tobytes() == pressure.tobytes()
+
+
+def test_phase_scan_at_a_negative_field_takes_the_equilibrium_branch():
+    # the largest fixed point is metastable at h < 0: mu was +0.777 ... +0.873
+    grid = np.linspace(1.4, 1.6, 5)
+    minus, plus = cw_phase_scan(grid, -0.05), cw_phase_scan(grid, 0.05)
+    assert np.max(np.abs(minus["mu"] + plus["mu"])) <= 1e-12
+    assert np.max(np.abs(minus["dp_dJ"] - plus["dp_dJ"])) <= 1e-12
+    pressure = [max(p.fbar_value for p in solve_fixed_points(make_cw(J, -0.05)))
+                for J in grid]
+    assert minus["pressure"].tobytes() == np.array(pressure).tobytes()
+
+
+def test_phase_scan_second_difference_on_an_uneven_grid():
+    # the old (p+ - 2p + p-) / (h- h+) gave 4.33, -3.62 and 6.40 here
+    grid = np.array([1.2, 1.25, 1.4, 1.45, 1.7])
+    table = cw_phase_scan(grid, 0.0)
+    mu2 = table["mu"] ** 2
+    exact = mu2 * (1.0 - mu2) / (1.0 - grid * (1.0 - mu2))      # p'' = mu^2 chi
+    d2p = table["d2p"]
+    assert np.isnan(d2p[0]) and np.isnan(d2p[-1])
+    assert np.all(d2p[1:-1] > 0)
+    assert np.max(np.abs(d2p[1:-1] - exact[1:-1])) < 0.1
 
 
 def test_phase_scan_of_an_empty_grid_is_empty():

@@ -9,10 +9,13 @@ whose first field, h = 400, saturates tanh, on crit2 (a degenerate n = 2 root:
 its 121 starts end on deflated candidates within 5 Newton steps), on ref4 at
 grid_points 6 (1296 starts in R^4), on cw J = 1, h = 1e-12 (its start x = 0 has
 an exactly singular Jacobian, so Newton's batch solve falls back to the slogdet
-filter) and on cw J = 1.001 and J = 1 + 1e-10 (x = 0 is a simple root there, and
-no candidate may take the other two), ``solve`` and ``limits`` on cw J = 1 at
-grid_points 10 (no start on the degenerate root), ``phase``
-at h = 0.05 on J = 0.5..1.5 (step 0.005) and on the critical grid J = 1.000..1.004, a
+filter), on cw J = 1.001 and J = 1 + 1e-10 (x = 0 is a simple root there, and
+no candidate may take the other two) and on cw J = 1 + 1e-8 (the minimum x = 0
+ties the two maxima to ~1e-16 and must not count as one), ``solve`` and
+``limits`` on cw J = 1 at grid_points 10 (no start on the degenerate root),
+``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
+J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
+point is metastable there) and on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, a
 three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums run over
 row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert`` from a
 model-only config, with and without ``--ball``, an ``invert`` from a hand-written
@@ -47,6 +50,7 @@ CW1_TILT = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [1e-12]}
 TWIN2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 1.0], [1.0, 1.5]], "h": [0.0, 0.0]}
 CW1001 = {"n": 1, "alpha": [1.0], "J": [[1.001]], "h": [0.0]}
 CW1_1E10 = {"n": 1, "alpha": [1.0], "J": [[1.0000000001]], "h": [0.0]}
+CW1_1E8 = {"n": 1, "alpha": [1.0], "J": [[1.00000001]], "h": [0.0]}
 GRIDS = {"ref4": 6, "cw10-g10": 10}
 
 
@@ -101,14 +105,16 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08,
                       "atom3": ATOM3, "sat2": SAT2, "crit2": MODELS["crit2"],
                       "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT, "cw10-g10": MODELS["cw10"],
-                      "cw1001": CW1001, "cw1-1e-10": CW1_1E10}.items():
+                      "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
         config.write_text(json.dumps({"model": doc, **opts}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
     for name, doc in {"h005": {"J_grid": [round(0.5 + 0.005 * i, 10) for i in range(201)],
                                "h": 0.05},
-                      "crit": {"J_grid": [1.0, 1.001, 1.002, 1.003, 1.004], "h": 0.0}}.items():
+                      "crit": {"J_grid": [1.0, 1.001, 1.002, 1.003, 1.004], "h": 0.0},
+                      "hm005": {"J_grid": [1.4, 1.45, 1.5, 1.55, 1.6], "h": -0.05},
+                      "uneven": {"J_grid": [1.2, 1.25, 1.4, 1.45, 1.7], "h": 0.0}}.items():
         config, out = work / f"config-phase-{name}.json", work / f"phase-{name}.csv"
         config.write_text(json.dumps(doc))
         runs.append((["phase", "--config", str(config), "--out", str(out)], [out]))
