@@ -34,10 +34,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._cluster import _dedup_points, _dedup_rows
 from .errors import (
     ConfigParse,
     DomainError,
     NoConvergence,
+    NonFiniteParameter,
     NotAMaximum,
     UnsupportedDegeneracy,
     UnsupportedMeasure,
@@ -182,7 +184,7 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
 
     The logs come from the C library, as in xlogy: numpy's vectorised log
     can differ from it in the last bit, and that moves the fbar values.
-    The solver passes one entry per species, so the loop costs nothing.
+    The solver passes one entry per species or per scanned point, so the loop costs little.
     """
     logs = [math.log(v) if v > 0.0 else 0.0 for v in t.ravel().tolist()]
     return t * np.reshape(logs, t.shape)
@@ -314,7 +316,8 @@ def _map_rows(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarray
     point at a time, which a (P, n) @ (n, n) product is not.  Binary spins
     take tanh: the atom route's noise floor spoils degenerate roots.
     """
-    u = np.matmul(X[:, None, :], np.swapaxes(B, -1, -2))[:, 0] + h
+    with np.errstate(over="ignore"):    # a +-1 spin's tanh and sech^2 are exact at u = +-inf
+        u = np.matmul(X[:, None, :], np.swapaxes(B, -1, -2))[:, 0] + h
     if model.is_binary:
         return np.tanh(u), _sech2(u)
     m = _tilted_moments(model, u, 2)
@@ -333,17 +336,18 @@ def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarr
         mean, var = _map_rows(model, X, B, h)
         return X - mean, var
     BX = np.matmul(B, X[:, :, None])[:, :, 0]
-    u = BX + h
-    t = np.tanh(u)
-    r = u - t
-    small = np.abs(u) <= 0.1
-    if np.any(small):
-        us = u[small]
-        acc = np.zeros_like(us)
-        for c in reversed(_TANH_REMAINDER):
-            acc = us * us * (c + acc)
-        r[small] = us * acc
-    return np.where(np.abs(t) == 1.0, X - t, (X - BX) - h + r), _sech2(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # in the branch dropped at |t| = 1
+        u = BX + h
+        t = np.tanh(u)
+        r = u - t
+        small = np.abs(u) <= 0.1
+        if np.any(small):
+            us = u[small]
+            acc = np.zeros_like(us)
+            for c in reversed(_TANH_REMAINDER):
+                acc = us * us * (c + acc)
+            r[small] = us * acc
+        return np.where(np.abs(t) == 1.0, X - t, (X - BX) - h + r), _sech2(u)
 
 
 def _deflated(model, X, step, shrink, B, h):
@@ -442,19 +446,6 @@ def _newton_polish(model, X, opts, B=None, h=None):
     return X, np.max(np.abs(X - _map_rows(model, X, B, h)[0]), axis=1)
 
 
-def _stationary_points(model: ValidatedModel, X: np.ndarray, res: np.ndarray,
-                       opts: SolverOptions) -> list[StationaryPoint]:
-    """The distinct rows of one model's polish within tol; NoConvergence if none."""
-    keep = res <= opts.tol
-    if not np.any(keep):
-        raise NoConvergence("no start converged to the requested residual")
-    return [StationaryPoint(x=x, residual=r,
-                            f_value=float(_f_batch(model, x[None, :])[0]),
-                            fbar_value=functional_fbar(model, x)
-                            if model.is_binary else None)
-            for x, r in _dedup_points(X[keep], res[keep], opts.dedup_radius)]
-
-
 def solve_fixed_points(model: ValidatedModel,
                        opts: SolverOptions | None = None) -> list[StationaryPoint]:
     """All distinct solutions of the self-consistency system.
@@ -466,46 +457,13 @@ def solve_fixed_points(model: ValidatedModel,
     model = _require_validated(model)
     model.check_measure("solve_fixed_points")
     opts = opts or SolverOptions()
-    return _stationary_points(model, *_newton_polish(model, _start_grid(model, opts), opts),
-                              opts)
-
-
-def _dedup_points(pts: np.ndarray, res: np.ndarray,
-                  radius: float) -> list[tuple[np.ndarray, float]]:
-    """Single-linkage clustering; each cluster keeps its best point.
-
-    Rows are sorted lexicographically and repeats collapsed.  Rows within
-    max-norm ``radius`` are linked and a cluster is a chain of links, so
-    points spread wider than the radius around a degenerate root merge.
-    The best point has the smallest (residual, max|x|), the earliest on
-    ties; the output keeps the sorted order, independent of the starts.
-    """
-    order = np.lexsort(pts.T[::-1])
-    pts, res = pts[order], res[order]
-    fresh = np.ones(len(pts), dtype=bool)
-    fresh[1:] = np.any(pts[1:] != pts[:-1], axis=1) | (res[1:] != res[:-1])
-    pts, res = pts[fresh], res[fresh]
-    count = len(pts)
-    # Grow each cluster breadth-first from its first row, comparing a
-    # block of frontier rows at a time to bound the distance table.
-    labels = np.full(count, -1)
-    block = max(1, 2 ** 20 // (count * pts.shape[1]))
-    while np.any(labels < 0):
-        frontier = np.flatnonzero(labels < 0)[:1]
-        labels[frontier] = frontier
-        while len(frontier):
-            free = np.flatnonzero(labels < 0)
-            near = np.zeros(len(free), dtype=bool)
-            for i in range(0, len(frontier), block):
-                gap = np.abs(pts[frontier[i:i + block], None] - pts[None, free])
-                near |= np.any(np.max(gap, axis=2) <= radius, axis=0)
-            labels[free[near]] = labels[frontier[0]]
-            frontier = free[near]
-
-    best = np.lexsort((np.max(np.abs(pts), axis=1), res, labels))
-    heads = np.ones(count, dtype=bool)
-    heads[1:] = labels[best[1:]] != labels[best[:-1]]
-    return [(pts[i], float(res[i])) for i in np.sort(best[heads])]
+    X, res = _newton_polish(model, _start_grid(model, opts), opts)
+    keep = res <= opts.tol
+    if not np.any(keep):
+        raise NoConvergence("no start converged to the requested residual")
+    return [StationaryPoint(x=x, residual=r, f_value=float(_f_batch(model, x[None, :])[0]),
+                            fbar_value=functional_fbar(model, x) if model.is_binary else None)
+            for x, r in _dedup_points(X[keep], res[keep], opts.dedup_radius)]
 
 
 # --- classification -------------------------------------------------------
@@ -647,23 +605,27 @@ def _max_f_direct(model: ValidatedModel) -> float:
     return float(F.max())
 
 
-def _equilibrium(model: ValidatedModel, points: list[StationaryPoint]):
-    """The limit (max fbar over the points; f off the +-1 measure) and the points within
-    _TIE_TOL of it, less any with a negative curvature eigenvalue unless none is left."""
-    values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
-    limit = float(values.max())
-    ties = [p for p, v in zip(points, values) if v >= limit - _TIE_TOL]
-    peaks = [p for p in ties if np.linalg.eigvalsh(_curvature(model, p.x)[0])[0] >= -_DERIV_TOL]
-    return limit, peaks or ties
+def _equilibrium(values: np.ndarray, group: np.ndarray, lowest):
+    """Per group (an integer >= 0 per row): the limit, max of ``values``, and a mask of the
+    equilibrium rows, those within _TIE_TOL of it, less any whose lowest curvature eigenvalue
+    ``lowest(rows)`` is below -_DERIV_TOL unless that leaves the group none."""
+    limit = np.full(group.max(initial=-1) + 1, -np.inf)
+    np.maximum.at(limit, group, values)
+    ties = values >= limit[group] - _TIE_TOL
+    peaks = ties.copy()
+    peaks[ties] = np.asarray(lowest(np.flatnonzero(ties))) >= -_DERIV_TOL
+    return limit, np.where(np.bincount(group, peaks)[group] > 0, peaks, ties)
 
 
 def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
     """Fixed points, the limit and its classified equilibrium set, stamped with their types."""
     points = solve_fixed_points(model, opts)
-    limit, peaks = _equilibrium(model, points)
-    maxima = [classify_maximum(model, p) for p in peaks]
+    values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
+    limit, peaks = _equilibrium(values, np.zeros(len(points), dtype=int), lambda rows: [
+        np.linalg.eigvalsh(_curvature(model, points[i].x)[0])[0] for i in rows])
+    maxima = [classify_maximum(model, p) for p, peak in zip(points, peaks) if peak]
     types = tuple(c.k for c in maxima)
-    return points, limit, [replace(c, global_types=types) for c in maxima]
+    return points, float(limit[0]), [replace(c, global_types=types) for c in maxima]
 
 
 def pressure_limit(model: ValidatedModel,
@@ -686,26 +648,32 @@ def cw_phase_scan(J_grid, h: float,
 
     Columns: J, mu (the equilibrium magnetization, the largest at a tie), pressure,
     dp_dJ = mu^2 / 2 (dp/dJ by the envelope theorem) and d2p, the three-point second
-    difference of the pressure on any grid spacing (nan at the ends).  Every J's starts
-    form one Newton batch, whose rows give each J's points as ``solve_fixed_points`` does.
+    difference of the pressure on any grid spacing (nan at the ends).  One Newton batch holds
+    every J's starts; one array pass over its rows, keyed by J, applies ``pressure_limit``'s
+    rules: tol (NoConvergence if a J keeps no row), ``_dedup_rows``, fbar, the curvature
+    1 - J sech^2(J x + h), ``_equilibrium``; all elementwise, so each J keeps its solve's bits.
     """
     J_grid = np.asarray(J_grid, dtype=float)
     if np.any(J_grid <= 0) or np.any(np.diff(J_grid) <= 0):
         raise DomainError("J grid must be positive and strictly increasing")
+    if not np.all(np.isfinite(J_grid)):
+        raise NonFiniteParameter("J grid entries must be finite")
+    # one model holds the measure and h; each row of the batch carries its own J
+    model = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((1.0,),), h=(float(h),)))
     opts = opts or SolverOptions()
-    models = [validate_model(ModelSpec(n=1, alpha=(1.0,), J=((float(J),),), h=(float(h),)))
-              for J in J_grid]
-    g = opts.grid_points
-    mu = np.empty_like(J_grid)
-    pressure = np.empty_like(J_grid)
-    for i, model in enumerate(models):
-        if not i:   # one Newton batch for every J; alpha = 1, so B = J
-            X = np.tile(_start_grid(model, opts), (len(J_grid), 1))
-            X, res = _newton_polish(model, X, opts, np.repeat(J_grid, g)[:, None, None],
-                                    np.full_like(X, h))
-        pressure[i], peaks = _equilibrium(model, _stationary_points(
-            model, X[i * g:(i + 1) * g], res[i * g:(i + 1) * g], opts))
-        mu[i] = max(p.x[0] for p in peaks)
+    group = np.repeat(np.arange(len(J_grid)), opts.grid_points)     # each row's J index
+    B, H = J_grid[group, None, None], np.full((len(group), 1), model.h)    # alpha = 1: B = J
+    X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), opts, B, H)
+    keep = np.flatnonzero(res <= opts.tol)
+    if np.any(np.bincount(group[keep], minlength=len(J_grid)) == 0):
+        raise NoConvergence("no start converged to the requested residual")
+    rows = keep[_dedup_rows(X[keep], res[keep], opts.dedup_radius, group[keep])]
+    x, J, group = X[rows, 0], B[rows, 0, 0], group[rows]
+    s = np.sqrt(_map_rows(model, X[rows], B[rows], H[rows])[1][:, 0])
+    fbar = 0.5 * x * J * x + model.h * x - entropy_I(x)
+    pressure, peaks = _equilibrium(fbar, group, lambda i: 1.0 - s[i] * J[i] * s[i])
+    mu = np.full_like(J_grid, -np.inf)
+    np.maximum.at(mu, group[peaks], x[peaks])
     dj, dp = np.diff(J_grid), np.diff(pressure)
     d2p = np.full_like(J_grid, np.nan)
     d2p[1:-1] = 2.0 * (dp[1:] / dj[1:] - dp[:-1] / dj[:-1]) / (dj[1:] + dj[:-1])

@@ -28,6 +28,7 @@ from meanfield_lab import (
 )
 from meanfield_lab.errors import (
     DomainError,
+    NoConvergence,
     NonFiniteParameter,
     NotAMaximum,
     UnsupportedDegeneracy,
@@ -36,6 +37,7 @@ from meanfield_lab.errors import (
 from meanfield_lab import solver
 from meanfield_lab.solver import (
     _dedup_points,
+    _dedup_rows,
     _f_batch,
     _fields,
     _grad_f_batch,
@@ -838,6 +840,45 @@ def test_phase_scan_of_an_empty_grid_is_empty():
 def test_phase_scan_refuses_a_non_finite_coupling(grid):
     with pytest.raises(NonFiniteParameter):
         cw_phase_scan(grid, 0.0)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_phase_scan_refuses_a_non_finite_field(h):
+    with pytest.raises(NonFiniteParameter):
+        cw_phase_scan([1.2], h)
+
+
+@pytest.mark.parametrize("grid,steps", [([1.2], 0), ([1.2, 1e20], 1)])
+def test_phase_scan_raises_when_a_coupling_keeps_no_start(grid, steps):
+    # no start is a root at h = 0.05; one Newton step takes every start of J = 1e20 to
+    # x = 1, so there only J = 1.2 is left without a converged row
+    with pytest.raises(NoConvergence):
+        cw_phase_scan(grid, 0.05, SolverOptions(newton_max_iter=steps))
+
+
+@pytest.mark.parametrize("grid", [[1e308], [1e308, 1.5e308]])
+def test_phase_scan_with_a_field_and_couplings_near_the_float_limit_is_silent(grid):
+    # the columns were right, but u = Jx + h overflowed in the +-1 Newton map with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = cw_phase_scan(grid, 1e308)
+    assert table["mu"].tolist() == [1.0] * len(grid)
+    assert table["pressure"].tolist() == [1e308 + 0.5 * J for J in grid]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dedup_by_group_is_each_group_deduped_alone(n):
+    rng = np.random.default_rng(5)
+    pts = np.round(rng.uniform(-1.0, 1.0, (60, n)), 1)
+    res = rng.uniform(0.0, 1e-12, 60)
+    group = rng.integers(0, 3, 60)
+    pts, res, group = np.r_[pts, pts[:20]], np.r_[res, res[:20]], np.r_[group, group[:20] + 1]
+    want = np.concatenate([np.flatnonzero(group == g)[_dedup_rows(pts[group == g],
+                                                                  res[group == g], 0.15)]
+                           for g in range(4)])
+    assert _dedup_rows(pts, res, 0.15, group).tolist() == want.tolist()
+    # a lone row equal to the previous group's last is that group's point, not a repeat
+    assert _dedup_rows(np.zeros((2, n)), np.zeros(2), 0.15, np.array([0, 1])).tolist() == [0, 1]
 
 
 # --- two-route cross-check --------------------------------------------------------

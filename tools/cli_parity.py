@@ -15,9 +15,12 @@ ties the two maxima to ~1e-16 and must not count as one), ``solve`` and
 ``limits`` on cw J = 1 at grid_points 10 (no start on the degenerate root),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
-point is metastable there) and on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, a
-three-species ``pressure`` (ref3 at N = 300 and 600, so the exact sums run over
-row blocks of a 3-axis lattice), a one-species ``sample`` then ``invert`` from a
+point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
+h = 1e308 on J = 1e308, 1.5e308 (the field u = Jx + h overflows to inf in the +-1
+Newton map) and at h = 1e-12 on 600 points J = 0.05..3.0 (the one-batch scan at
+scale, just off the h = 0 tie of its two branches), a three-species ``pressure``
+(ref3 at N = 300 and 600, so the exact sums run over row blocks of a 3-axis
+lattice), a one-species ``sample`` then ``invert`` from a
 model-only config, with and without ``--ball``, an ``invert`` from a hand-written
 sample file with blank and whitespace-only lines between its rows, a ``sample``
 with M = 0 (a header-only file), and the demos.  Prints per
@@ -114,7 +117,10 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                                "h": 0.05},
                       "crit": {"J_grid": [1.0, 1.001, 1.002, 1.003, 1.004], "h": 0.0},
                       "hm005": {"J_grid": [1.4, 1.45, 1.5, 1.55, 1.6], "h": -0.05},
-                      "uneven": {"J_grid": [1.2, 1.25, 1.4, 1.45, 1.7], "h": 0.0}}.items():
+                      "uneven": {"J_grid": [1.2, 1.25, 1.4, 1.45, 1.7], "h": 0.0},
+                      "sat": {"J_grid": [1e308, 1.5e308], "h": 1e308},
+                      "600": {"J_grid": [0.05 + 2.95 * i / 599 for i in range(600)],
+                              "h": 1e-12}}.items():
         config, out = work / f"config-phase-{name}.json", work / f"phase-{name}.csv"
         config.write_text(json.dumps(doc))
         runs.append((["phase", "--config", str(config), "--out", str(out)], [out]))
