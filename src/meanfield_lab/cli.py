@@ -212,8 +212,12 @@ def cmd_limits(args, doc: dict) -> int:
             for z, probs, cum, F, d in limits._cdf_blocks(zlaw, law):
                 ks.append(d)
                 yield z, probs, cum, F
-    else:
-        header, blocks = [f"z_{l + 1}" for l in range(m.n)] + ["probability"], zlaw.blocks
+    else:   # each axis coordinate is formatted once, then gathered per row
+        header = [f"z_{l + 1}" for l in range(m.n)] + ["probability"]
+        cells = [exact._cells(zlaw.axis(l)) for l in range(m.n)]
+
+        def blocks():
+            return zlaw.blocks(columns=cells)
     exact._write(csv_path, itertools.chain([",".join(header) + "\n"],
                                            (exact._csv_rows(*b) for b in blocks())))
     if m.n == 1:

@@ -152,10 +152,12 @@ class DiscreteLaw:
         """Rescaled coordinates of axis l, entries lo..hi-1 if given."""
         return (self.lattice.mag_axis(l, lo, hi) - self.center[l]) * self.scale[l]
 
-    def blocks(self, size: int = _CHUNK):
-        """(points, probs) of the supported points, blocks of at most ``size`` lattice points."""
+    def blocks(self, size: int = _CHUNK, columns=None):
+        """(points, probs) of the supported points, blocks of at most ``size`` lattice points;
+        with ``columns``, one array per axis as long as it, the points gather from those."""
         for key in _blocks(self.P.shape, size):
-            table = _table([self.axis(l, s.start, s.stop) for l, s in enumerate(key)])
+            table = _table([self.axis(l, s.start, s.stop) if columns is None else columns[l][s]
+                            for l, s in enumerate(key)])
             probs = self.P[key].reshape(-1)
             if self.mask is not None:
                 inside = self.mask[key].reshape(-1)
@@ -291,7 +293,7 @@ def _along(l: int, n: int) -> list[int]:
 def _table(axes: list[np.ndarray]) -> np.ndarray:
     """The product of per-axis vectors as a (points, n) table, C order."""
     n = len(axes)
-    table = np.empty(tuple(len(a) for a in axes) + (n,))
+    table = np.empty(tuple(len(a) for a in axes) + (n,), dtype=np.result_type(*axes))
     for l, a in enumerate(axes):
         table[..., l] = a.reshape(_along(l, n))
     return table.reshape(-1, n)
@@ -687,15 +689,21 @@ def _csv_rows(*blocks) -> str:
     """CSV rows of 1-d (one column) or 2-d blocks side by side, from one template.
 
     Integer blocks print as integers (an integer-only table is never cast to
-    float), floats with 17 significant digits, and every non-finite cell as nan.
+    float), floats with 17 significant digits, every non-finite cell as nan,
+    and object blocks (cells formatted by ``_cells``) as they are.
     """
     blocks = [np.asarray(b) for b in blocks]
-    row = ",".join("%d" if b.dtype.kind in "iu" else "%.17g"
+    row = ",".join({"i": "%d", "u": "%d", "O": "%s"}.get(b.dtype.kind, "%.17g")
                    for b in blocks for _ in range(b.shape[1] if b.ndim == 2 else 1))
-    table = np.column_stack(blocks)
-    if table.dtype.kind == "f":
-        table[~np.isfinite(table)] = np.nan
+    table = np.column_stack([np.where(np.isfinite(b), b, np.nan) if b.dtype.kind == "f" else b
+                             for b in blocks])
     return "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
+
+
+def _cells(v: np.ndarray) -> np.ndarray:
+    """Each float of v as ``_csv_rows`` prints it, an object array of strings."""
+    return np.array(["%.17g" % c for c in np.where(np.isfinite(v), v, np.nan).tolist()],
+                    dtype=object)
 
 
 def _write(path: str | None, chunks):

@@ -22,8 +22,11 @@ for one species).
 
 The pressure limit is computed by two routes that share no solver:
 route 1 takes max fbar over the fixed points, route 2 maximizes f
-directly by a batched modified-Newton ascent from a coarse grid.  Their
-gap is reported as ``method_agreement``.
+directly by a batched modified-Newton ascent from a coarse grid
+(``_ascent._ascend``: it retires a row at a rounding-level predicted gain,
+scales a linearly converging step by its multiplicity and merges climbers
+of one strictly concave cell).  Their gap is reported as
+``method_agreement``, nan when route 2 does not apply or overflows.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from ._ascent import _EPS, _ascend, _steady
 from ._cluster import _dedup_points, _dedup_rows
 from .errors import (
     ConfigParse,
@@ -56,19 +60,8 @@ _DERIV_TOL = 1e-9
 _POS_ERR = 1e-6
 _MAX_ORDER = 8
 _TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
-# Direct ascent on f: gradient and stall tolerances, the curvature floor
-# of the modified Hessian, the Armijo constant and the iteration caps.
-_ASCENT_GTOL = 1e-13
-_ASCENT_FTOL = 1e-16
-_CURVATURE_FLOOR = 1e-12
-_ARMIJO = 1e-4
-_ASCENT_STEPS = 200
-_HALVINGS = 60
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
-# Two successive step ratios this close mark a row as converging linearly.
-_SHRINK_TOL = 0.02
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -433,8 +426,7 @@ def _newton_polish(model, X, opts, B=None, h=None):
         new = np.max(np.abs(step), axis=1)
         with np.errstate(over="ignore"):    # a step after a subnormal one
             ratio = new / step_norm[live]
-        linear = ~tried[live] & (ratio > 0.5) & (ratio < 0.95) & \
-            (np.abs(ratio - shrink[live]) <= _SHRINK_TOL)
+        linear = ~tried[live] & _steady(ratio, shrink[live])
         step_norm[live], shrink[live] = new, ratio
         if np.any(linear):
             rows = live[linear]
@@ -560,49 +552,21 @@ def _max_f_direct(model: ValidatedModel) -> float:
 
     The fixed-point route maximizes fbar over the solutions of the
     self-consistency system; this route never solves that system.  It runs
-    one batched modified-Newton ascent on f from every start of a coarse
-    grid (Nocedal & Wright, Numerical Optimization, ch. 3 and sec. 3.4).
-    Each step takes the Hessian's eigenvalues as -max(|lambda|, floor),
-    so every direction is an ascent direction, and halves the step until
-    the Armijo condition holds.  A row retires once its gradient vanishes,
-    once an accepted step no longer raises f measurably (Newton is only
-    linear at a degenerate maximum), or when no step length raises f.
+    ``_ascend`` on f from every start of a coarse grid, and the ascent sees
+    only ``_f_batch``, ``_grad_f_batch`` and ``_hessian_f``, nothing of the
+    fixed-point route (its map, Newton or deflated candidates), so a missed
+    or spurious fixed point shows as a gap.  Three rules cut its work only:
+    a row retires once its predicted gain G.step is at the rounding of f; a
+    row whose step ratio holds at rho (a degenerate maximum) steps
+    m = round(1/(1 - rho)) times as far; of the rows whose last Hessians were
+    negative definite, only the highest in each cell of side 1e-2 climbs on.
+    A value that overflows comes back as it is (inf or nan).
     """
     lo, hi = model.support_range
     axis = np.linspace(lo * 0.9, hi * 0.9, 5) if model.n > 1 else \
         np.linspace(lo * 0.99, hi * 0.99, 9)
-    X = _grid(axis, model.n)
-    F = _f_batch(model, X)
-    live = np.arange(len(X))
-    for _ in range(_ASCENT_STEPS):
-        G = _grad_f_batch(model, X[live])
-        steep = np.max(np.abs(G), axis=1) > _ASCENT_GTOL
-        live, G = live[steep], G[steep]
-        if not len(live):
-            break
-        try:
-            lam, V = np.linalg.eigh(_hessian_f(model, X[live]))
-        except np.linalg.LinAlgError as exc:    # overflowing Hessian entries
-            raise DomainError(f"direct ascent on f failed: {exc}") from exc
-        coef = np.einsum("pji,pj->pi", V, G) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
-        step = np.einsum("pij,pj->pi", V, coef)
-        slope = np.einsum("pi,pi->p", G, step)
-        x0, f0 = X[live], F[live]
-        t = 1.0
-        todo = np.arange(len(live))
-        for _ in range(_HALVINGS):
-            trial = x0[todo] + t * step[todo]
-            ft = _f_batch(model, trial)
-            ok = ft >= f0[todo] + _ARMIJO * t * slope[todo]
-            rows = live[todo[ok]]
-            X[rows], F[rows] = trial[ok], ft[ok]
-            todo = todo[~ok]
-            if not len(todo):
-                break
-            t *= 0.5
-        gain = F[live] - f0
-        live = live[gain > _ASCENT_FTOL * (1.0 + np.abs(F[live]))]
-    return float(F.max())
+    return _ascend(lambda X: _f_batch(model, X), lambda X: _grad_f_batch(model, X),
+                   lambda X: _hessian_f(model, X), _grid(axis, model.n))
 
 
 def _equilibrium(values: np.ndarray, group: np.ndarray, lowest):
@@ -635,9 +599,11 @@ def pressure_limit(model: ValidatedModel,
     try:
         np.linalg.cholesky(model.coupling_core())
     except np.linalg.LinAlgError:
-        agreement = math.nan
+        direct = math.nan
     else:
-        agreement = abs(limit - _max_f_direct(model))
+        direct = _max_f_direct(model)
+    # nan, no independent check: an indefinite core, or a direct value that overflowed
+    agreement = abs(limit - direct) if math.isfinite(direct) else math.nan
     return PressureResult(limit_value=limit, maxima=maxima,
                           method_agreement=agreement, fixed_points=points)
 

@@ -10,8 +10,10 @@ its 121 starts end on deflated candidates within 5 Newton steps), on ref4 at
 grid_points 6 (1296 starts in R^4), on cw J = 1, h = 1e-12 (its start x = 0 has
 an exactly singular Jacobian, so Newton's batch solve falls back to the slogdet
 filter), on cw J = 1.001 and J = 1 + 1e-10 (x = 0 is a simple root there, and
-no candidate may take the other two) and on cw J = 1 + 1e-8 (the minimum x = 0
-ties the two maxima to ~1e-16 and must not count as one), ``solve`` and
+no candidate may take the other two), on cw J = 1 + 1e-8 (the minimum x = 0
+ties the two maxima to ~1e-16 and must not count as one) and on a two-species
+ferromagnet with four maxima, one global (the direct route's merge of climbers
+must keep each basin's), ``solve`` and
 ``limits`` on cw J = 1 at grid_points 10 (no start on the degenerate root),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
@@ -54,6 +56,7 @@ TWIN2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 1.0], [1.0, 1.5]], "h": [0.0, 
 CW1001 = {"n": 1, "alpha": [1.0], "J": [[1.001]], "h": [0.0]}
 CW1_1E10 = {"n": 1, "alpha": [1.0], "J": [[1.0000000001]], "h": [0.0]}
 CW1_1E8 = {"n": 1, "alpha": [1.0], "J": [[1.00000001]], "h": [0.0]}
+FERRO2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.42, 0.02], [0.02, 2.42]], "h": [0.03, -0.01]}
 GRIDS = {"ref4": 6, "cw10-g10": 10}
 
 
@@ -108,7 +111,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     for name, doc in {"cw12": MODELS["cw12"], "cw10": MODELS["cw10"], "cw08": CW08,
                       "atom3": ATOM3, "sat2": SAT2, "crit2": MODELS["crit2"],
                       "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT, "cw10-g10": MODELS["cw10"],
-                      "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8}.items():
+                      "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8,
+                      "ferro2": FERRO2}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
         config.write_text(json.dumps({"model": doc, **opts}))
