@@ -1,6 +1,34 @@
-"""Single-linkage clustering of converged Newton rows: one model's, or many keyed by group."""
+"""Rules on Newton's rows, one model's or many keyed by group (an integer >= 0 per row; the
+phase scan's is the coupling's index): which are fixed points (``_keep``: converged, then
+single-linkage dedup) and which tie for the top functional value (``_equilibrium``)."""
 
 import numpy as np
+
+from .errors import NoConvergence
+
+_TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
+
+
+def _keep(pts, res, tol, radius, group=None) -> np.ndarray:
+    """Indices of the rows with residual <= ``tol``, deduplicated per group (``_dedup_rows``;
+    no group is one group).  NoConvergence if a group keeps no row."""
+    group = np.zeros(len(pts), dtype=int) if group is None else group
+    keep = np.flatnonzero(res <= tol)
+    if np.any(np.bincount(group[keep], minlength=group.max(initial=-1) + 1) == 0):
+        raise NoConvergence("no start converged to the requested residual")
+    return keep[_dedup_rows(pts[keep], res[keep], radius, group[keep])]
+
+
+def _equilibrium(values, peak, group=None):
+    """Per group (no group is one group): the limit, max of ``values``, and a mask of the
+    equilibrium rows, those within _TIE_TOL of it, less any that are not a ``peak`` (a bool
+    per row) unless that leaves the group none."""
+    group = np.zeros(len(values), dtype=int) if group is None else group
+    limit = np.full(group.max(initial=-1) + 1, -np.inf)
+    np.maximum.at(limit, group, values)
+    ties = values >= limit[group] - _TIE_TOL
+    peaks = ties & peak
+    return limit, np.where(np.bincount(group, peaks)[group] > 0, peaks, ties)
 
 
 def _dedup_points(pts, res, radius) -> list[tuple[np.ndarray, float]]:

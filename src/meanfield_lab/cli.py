@@ -122,7 +122,7 @@ def _classification_dict(cls: solver.MaximumClassification) -> dict:
         "x": cls.point.x,
         "k": cls.k,
         "strength": cls.strength,
-        "hessian": None if cls.hessian is None else cls.hessian,
+        "hessian": cls.hessian,
         "f_value": cls.point.f_value,
         "fbar_value": cls.point.fbar_value,
         "is_global": cls.is_global,

@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     EmptySample,
     MixedTypes,
+    NonFiniteParameter,
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
@@ -137,8 +138,11 @@ def susceptibility_cw(J: float, h: float, mu: float) -> float:
     """Single-species field response (1 - mu^2) / (1 - J (1 - mu^2)).
 
     ``h`` only identifies the equilibrium branch; the value depends on it
-    through ``mu`` alone.  ``mu`` outside [-1, 1] or nan raises DomainError.
+    through ``mu`` alone.  ``mu`` outside [-1, 1] or nan raises DomainError, a
+    nan or infinite ``J`` or ``h`` NonFiniteParameter.
     """
+    if not (math.isfinite(J) and math.isfinite(h)):
+        raise NonFiniteParameter(f"J and h must be finite, got J={J!r}, h={h!r}")
     if not abs(mu) <= 1.0:
         raise DomainError(f"mu must lie in [-1, 1], got {mu!r}")
     denom = 1.0 - J * (1.0 - mu ** 2)

@@ -11,14 +11,15 @@ while the Gaussian-transform route maximizes, on all of R^n,
 
 with u_l(x) = sum_s alpha_s J_ls x_s + h_l.  Both share the stationarity
 system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
-x_l = tanh(u_l).  Stationary points are found by multistart Newton (a
-damped map moves away from unstable points and loses them; at a degenerate
-root, where Newton is only linear, a row moves to the simple root of the
-first odd cumulant that has one), then
-classified by one rule for every n and any symmetric J: fbar's curvature
-(``_curvature``) first, and where it vanishes f's Taylor terms ray by
-ray, whose first nonvanishing even order is 2k (type k; strength lambda
-for one species).
+x_l = tanh(u_l).  Stationary points are found by Newton from every start
+of a grid, each iterate clamped to the support hull (at a degenerate root,
+where Newton is only linear, a row moves to the simple root of the first
+odd cumulant that has one).  A single solve and the phase scan share the
+stage after it: ``_cluster``'s row rules, ``_fbar_rows`` and ``_curvature``.
+Maxima are classified by one rule for every n and any symmetric J:
+fbar's curvature (``_curvature``) first, and where it vanishes f's Taylor
+terms ray by ray, whose first nonvanishing even order is 2k (type k;
+strength lambda for one species).
 
 The pressure limit is computed by two routes that share no solver:
 route 1 takes max fbar over the fixed points, route 2 maximizes f
@@ -38,18 +39,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._ascent import _EPS, _ascend, _steady
-from ._cluster import _dedup_points, _dedup_rows
+from ._cluster import _dedup_points, _dedup_rows, _equilibrium, _keep  # noqa: F401
 from .errors import (
     ConfigParse,
     DomainError,
-    NoConvergence,
     NonFiniteParameter,
     NotAMaximum,
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
 from .exact import _lse
-from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,
+from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,  # noqa: F401
                     hamiltonian_density, validate_model)
 
 LN2 = math.log(2.0)
@@ -59,7 +59,6 @@ _DERIV_TOL = 1e-9
 # |lambda| * offset^(2k - j) and must only vanish to that.
 _POS_ERR = 1e-6
 _MAX_ORDER = 8
-_TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
 
@@ -248,8 +247,16 @@ def functional_fbar(model: ValidatedModel, x) -> float:
     model = _require_validated(model)
     if not model.is_binary:
         raise UnsupportedMeasure("fbar is defined for the symmetric +-1 measure only")
-    x = np.asarray(x, dtype=float)
-    return hamiltonian_density(model, x) - float(model.alpha @ entropy_I(x))
+    return float(_fbar_rows(model, model.check_point(x, "magnetization vector")[None, :])[0])
+
+
+def _fbar_rows(model: ValidatedModel, X: np.ndarray, J=None) -> np.ndarray:
+    """fbar at a batch of rows: g(x) = 1/2 <a, J a> + <h, a> at a = alpha x, less
+    alpha . entropy_I(x).  J is the model's unless given per row, (P, n, n).  Each
+    row's products are stacked (P, 1, n) matmuls, bitwise equal to one point alone."""
+    am = (model.alpha * X)[:, None, :]
+    g = 0.5 * am @ (model.J if J is None else J) @ am.mT + model.h[None, :] @ am.mT
+    return (g - model.alpha[None, :] @ entropy_I(X)[:, :, None])[:, 0, 0]
 
 
 def functional_f(model: ValidatedModel, x) -> float | np.ndarray:
@@ -384,10 +391,12 @@ def _newton_polish(model, X, opts, B=None, h=None):
     an exactly singular Jacobian (dropped before its first step unless its
     defect is 0), or when its defect, above tol, is no lower than
     ``_STALL_STEPS`` steps before.  Roots lie in the support hull [lo, hi]^n,
-    so a row that leaves it is dropped (nan).  Newton is only linear at a
-    multiple root: a row whose step ratio holds steady in (0.5, 0.95) gets one
-    deflated candidate (``_deflated``), which replaces and retires it if it is
-    a root; otherwise the row goes on as before.
+    so each iterate is clamped to it: a step toward a root on the hull's edge
+    can overshoot it, and the row lands on the edge instead of being lost (a
+    nan step stays nan and fails the residual test).  Newton is only linear
+    at a multiple root: a row whose step ratio holds steady in (0.5, 0.95)
+    gets one deflated candidate (``_deflated``), which replaces and retires
+    it if it is a root; otherwise the row goes on as before.
     """
     if B is None:
         B, h = model.row_couplings()
@@ -419,10 +428,7 @@ def _newton_polish(model, X, opts, B=None, h=None):
             X[live[~regular & np.isinf(step_norm[live]) & np.any(F != 0, axis=1)]] = np.nan
             live, F, JF = live[regular], F[regular], JF[regular]
             step = np.linalg.solve(JF, F[:, :, None])[:, :, 0]
-        X[live] -= step
-        inside = np.all((X[live] >= lo) & (X[live] <= hi), axis=1)
-        X[live[~inside]] = np.nan      # fails the final residual test
-        live, step = live[inside], step[inside]
+        X[live] = np.clip(X[live] - step, lo, hi)
         new = np.max(np.abs(step), axis=1)
         with np.errstate(over="ignore"):    # a step after a subnormal one
             ratio = new / step_norm[live]
@@ -443,19 +449,19 @@ def solve_fixed_points(model: ValidatedModel,
     """All distinct solutions of the self-consistency system.
 
     One batched Newton polish of every grid start to the target residual,
-    then a lexicographic sort and a single-linkage dedup.  Starts that
-    fail to converge are dropped; NoConvergence is raised only if all fail.
+    then ``_cluster._keep``: starts that fail to converge are dropped
+    (NoConvergence only if all fail), the rest sorted and deduped by single
+    linkage.  fbar comes from ``_fbar_rows``, f point by point.
     """
     model = _require_validated(model)
     model.check_measure("solve_fixed_points")
     opts = opts or SolverOptions()
     X, res = _newton_polish(model, _start_grid(model, opts), opts)
-    keep = res <= opts.tol
-    if not np.any(keep):
-        raise NoConvergence("no start converged to the requested residual")
-    return [StationaryPoint(x=x, residual=r, f_value=float(_f_batch(model, x[None, :])[0]),
-                            fbar_value=functional_fbar(model, x) if model.is_binary else None)
-            for x, r in _dedup_points(X[keep], res[keep], opts.dedup_radius)]
+    rows = _keep(X, res, opts.tol, opts.dedup_radius)
+    fbar = _fbar_rows(model, X[rows]).tolist() if model.is_binary else [None] * len(rows)
+    return [StationaryPoint(x=X[i], residual=float(res[i]),
+                            f_value=float(_f_batch(model, X[i:i + 1])[0]), fbar_value=v)
+            for i, v in zip(rows, fbar)]
 
 
 # --- classification -------------------------------------------------------
@@ -470,16 +476,25 @@ def _hessian_f(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     return (model.alpha[:, None] * model.alpha[None, :]) * inner
 
 
-def _curvature(model: ValidatedModel, x) -> tuple[np.ndarray, np.ndarray]:
+def _curvature(model: ValidatedModel, x, B=None) -> tuple[np.ndarray, np.ndarray]:
     """fbar's curvature M = diag(1/var) - D J D at x as (S M S, S), S = diag(sqrt(var)).
 
     With D = diag(sqrt(alpha)), M is minus fbar's rescaled Hessian for any symmetric
     J, positive definite exactly at a quadratic maximum; S M S = I - S D J D S has
     its inertia and stays finite where a spin is nearly frozen (1/var overflows).
+    x is a point or a batch of rows, each row bitwise as alone; rows may carry their
+    own B (as ``_map_rows``) only at alpha = 1, where D J D = B.
     """
-    x = np.asarray(x, dtype=float)[None, :]
-    s = np.sqrt(_map_rows(model, x, *model.row_couplings())[1][0])
-    return np.eye(model.n) - s[:, None] * model.coupling_core() * s[None, :], s
+    x = np.asarray(x, dtype=float)
+    core = model.coupling_core() if B is None else B
+    B = model.row_couplings()[0] if B is None else B
+    s = np.sqrt(_map_rows(model, np.atleast_2d(x), B, model.h)[1]).reshape(x.shape)
+    return np.eye(model.n) - s[..., :, None] * core * s[..., None, :], s
+
+
+def _peaks(model: ValidatedModel, X: np.ndarray, B=None) -> np.ndarray:
+    """Rows whose lowest curvature eigenvalue is at least -_DERIV_TOL (``_curvature``)."""
+    return np.linalg.eigvalsh(_curvature(model, X, B)[0])[:, 0] >= -_DERIV_TOL
 
 
 def _term_sizes(model: ValidatedModel, u: np.ndarray, rays: np.ndarray, order: int):
@@ -569,24 +584,11 @@ def _max_f_direct(model: ValidatedModel) -> float:
                    lambda X: _hessian_f(model, X), _grid(axis, model.n))
 
 
-def _equilibrium(values: np.ndarray, group: np.ndarray, lowest):
-    """Per group (an integer >= 0 per row): the limit, max of ``values``, and a mask of the
-    equilibrium rows, those within _TIE_TOL of it, less any whose lowest curvature eigenvalue
-    ``lowest(rows)`` is below -_DERIV_TOL unless that leaves the group none."""
-    limit = np.full(group.max(initial=-1) + 1, -np.inf)
-    np.maximum.at(limit, group, values)
-    ties = values >= limit[group] - _TIE_TOL
-    peaks = ties.copy()
-    peaks[ties] = np.asarray(lowest(np.flatnonzero(ties))) >= -_DERIV_TOL
-    return limit, np.where(np.bincount(group, peaks)[group] > 0, peaks, ties)
-
-
 def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
     """Fixed points, the limit and its classified equilibrium set, stamped with their types."""
     points = solve_fixed_points(model, opts)
     values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
-    limit, peaks = _equilibrium(values, np.zeros(len(points), dtype=int), lambda rows: [
-        np.linalg.eigvalsh(_curvature(model, points[i].x)[0])[0] for i in rows])
+    limit, peaks = _equilibrium(values, _peaks(model, np.array([p.x for p in points])))
     maxima = [classify_maximum(model, p) for p, peak in zip(points, peaks) if peak]
     types = tuple(c.k for c in maxima)
     return points, float(limit[0]), [replace(c, global_types=types) for c in maxima]
@@ -615,9 +617,10 @@ def cw_phase_scan(J_grid, h: float,
     Columns: J, mu (the equilibrium magnetization, the largest at a tie), pressure,
     dp_dJ = mu^2 / 2 (dp/dJ by the envelope theorem) and d2p, the three-point second
     difference of the pressure on any grid spacing (nan at the ends).  One Newton batch holds
-    every J's starts; one array pass over its rows, keyed by J, applies ``pressure_limit``'s
-    rules: tol (NoConvergence if a J keeps no row), ``_dedup_rows``, fbar, the curvature
-    1 - J sech^2(J x + h), ``_equilibrium``; all elementwise, so each J keeps its solve's bits.
+    every J's starts, each row carrying its own J; the stage after it is ``pressure_limit``'s,
+    called once with each row keyed by its J's index: ``_keep`` (NoConvergence if a J keeps no
+    row), ``_fbar_rows``, ``_curvature`` and ``_equilibrium``.  Each computes a row as alone,
+    so each J keeps the bits of its own solve.
     """
     J_grid = np.asarray(J_grid, dtype=float)
     if np.any(J_grid <= 0) or np.any(np.diff(J_grid) <= 0):
@@ -630,16 +633,11 @@ def cw_phase_scan(J_grid, h: float,
     group = np.repeat(np.arange(len(J_grid)), opts.grid_points)     # each row's J index
     B, H = J_grid[group, None, None], np.full((len(group), 1), model.h)    # alpha = 1: B = J
     X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), opts, B, H)
-    keep = np.flatnonzero(res <= opts.tol)
-    if np.any(np.bincount(group[keep], minlength=len(J_grid)) == 0):
-        raise NoConvergence("no start converged to the requested residual")
-    rows = keep[_dedup_rows(X[keep], res[keep], opts.dedup_radius, group[keep])]
-    x, J, group = X[rows, 0], B[rows, 0, 0], group[rows]
-    s = np.sqrt(_map_rows(model, X[rows], B[rows], H[rows])[1][:, 0])
-    fbar = 0.5 * x * J * x + model.h * x - entropy_I(x)
-    pressure, peaks = _equilibrium(fbar, group, lambda i: 1.0 - s[i] * J[i] * s[i])
+    rows = _keep(X, res, opts.tol, opts.dedup_radius, group)
+    X, B, group = X[rows], B[rows], group[rows]
+    pressure, peaks = _equilibrium(_fbar_rows(model, X, B), _peaks(model, X, B), group)
     mu = np.full_like(J_grid, -np.inf)
-    np.maximum.at(mu, group[peaks], x[peaks])
+    np.maximum.at(mu, group[peaks], X[peaks, 0])
     dj, dp = np.diff(J_grid), np.diff(pressure)
     d2p = np.full_like(J_grid, np.nan)
     d2p[1:-1] = 2.0 * (dp[1:] / dj[1:] - dp[:-1] / dj[:-1]) / (dj[1:] + dj[:-1])

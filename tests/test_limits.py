@@ -37,6 +37,7 @@ from meanfield_lab.errors import (
     DomainError,
     EmptySample,
     MixedTypes,
+    NonFiniteParameter,
     NonUniqueMaximum,
     NotK1,
     NotPositiveDefiniteResult,
@@ -66,6 +67,14 @@ def test_susceptibility_cw_values():
 def test_susceptibility_cw_degenerate():
     with pytest.raises(DegenerateMaximum):
         susceptibility_cw(1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("J, h", [(math.nan, 0.0), (-math.inf, 0.0), (math.inf, 0.0),
+                                  (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+def test_susceptibility_cw_refuses_non_finite_coupling_or_field(J, h):
+    # the formula gives nan at J = nan and 0.0 at J = -inf: neither is an answer
+    with pytest.raises(NonFiniteParameter):
+        susceptibility_cw(J, h, 0.5)
 
 
 def test_susceptibility_divergence_rate():

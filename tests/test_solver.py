@@ -20,6 +20,7 @@ from meanfield_lab import (
     finite_pressure,
     functional_f,
     functional_fbar,
+    hamiltonian_density,
     mean_field_map,
     model_from_dict,
     pressure_limit,
@@ -1011,3 +1012,62 @@ def test_a_non_finite_hessian_that_eigh_takes_still_solves(monkeypatch):
     res = pressure_limit(validate_model(model_from_dict(HESSIAN_INF)))
     assert False in finite
     assert res.method_agreement == 0.0
+
+
+# --- roots on the hull's edge ----------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha,J,h,limit", [
+    # the first Newton step from (0.792, -0.792) lands ~1e-11 outside [-1, 1]^2
+    ((0.561253703716457, 0.438746296283543),
+     ((18.720167598325204, -15.449730462626501), (-15.449730462626501, 16.08911628704083)),
+     (0.25672875100201714, -0.185410305011926), 7.833799646056561),
+    # the global maximum sits in the corner (1, 1)
+    ((0.27975668663814557, 0.7202433133618544),
+     ((15.22768163018051, 15.612241497692947), (15.612241497692947, 18.641785415867613)),
+     (0.012448950262779368, 0.2224703971485656), 8.047429108135562),
+], ids=["edge", "corner"])
+def test_a_maximum_on_the_edge_of_the_hull_is_found(alpha, J, h, limit):
+    # Newton steps toward the maximum overshoot the hull; clamped back, the rows reach it
+    res = pressure_limit(validate_model(ModelSpec(n=2, alpha=alpha, J=J, h=h)))
+    assert res.limit_value == pytest.approx(limit, abs=1e-12)
+    assert res.method_agreement <= 1e-12
+
+
+# --- one fbar and one curvature over rows, bit for bit --------------------------------
+
+
+def random_binary_models(count, seed=29):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 6))
+        A = rng.normal(size=(n, n))
+        J = (A + A.T) / 2.0
+        np.fill_diagonal(J, rng.uniform(0.5, 3.0, n))
+        yield validate_model(ModelSpec(n=n, alpha=tuple(rng.dirichlet(np.full(n, 4.0))),
+                                       J=tuple(map(tuple, J)),
+                                       h=tuple(rng.uniform(-0.3, 0.3, n))))
+
+
+def test_fbar_of_every_fixed_point_is_the_one_point_formula_bit_for_bit():
+    for model in random_binary_models(12):
+        for p in solve_fixed_points(model, SolverOptions(grid_points=5)):
+            want = hamiltonian_density(model, p.x) - float(model.alpha @ entropy_I(p.x))
+            assert p.fbar_value == functional_fbar(model, p.x) == want
+
+
+def test_curvature_of_a_batch_is_each_row_alone_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for model in random_binary_models(12):
+        X = rng.uniform(-0.99, 0.99, (40, model.n))
+        K, s = solver._curvature(model, X)
+        for i, x in enumerate(X):
+            Ki, si = solver._curvature(model, x)
+            assert K[i].tobytes() == Ki.tobytes() and s[i].tobytes() == si.tobytes()
+    # rows that carry their own coupling, as the phase scan's, are each coupling's model
+    J = rng.uniform(0.2, 3.0, 40)
+    X = rng.uniform(-0.99, 0.99, (40, 1))
+    K, s = solver._curvature(make_cw(1.0, 0.05), X, J[:, None, None])
+    for i, x in enumerate(X):
+        Ki, si = solver._curvature(make_cw(J[i], 0.05), x)
+        assert K[i].tobytes() == Ki.tobytes() and s[i].tobytes() == si.tobytes()

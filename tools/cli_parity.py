@@ -13,7 +13,9 @@ filter), on cw J = 1.001 and J = 1 + 1e-10 (x = 0 is a simple root there, and
 no candidate may take the other two), on cw J = 1 + 1e-8 (the minimum x = 0
 ties the two maxima to ~1e-16 and must not count as one) and on a two-species
 ferromagnet with four maxima, one global (the direct route's merge of climbers
-must keep each basin's), ``solve`` and
+must keep each basin's), on two strongly coupled two-species models whose
+global maximum lies on the edge of the hull [-1, 1]^2 and in its corner (1, 1)
+(Newton steps toward them overshoot the hull and are clamped back), ``solve`` and
 ``limits`` on cw J = 1 at grid_points 10 (no start on the degenerate root),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
@@ -57,6 +59,14 @@ CW1001 = {"n": 1, "alpha": [1.0], "J": [[1.001]], "h": [0.0]}
 CW1_1E10 = {"n": 1, "alpha": [1.0], "J": [[1.0000000001]], "h": [0.0]}
 CW1_1E8 = {"n": 1, "alpha": [1.0], "J": [[1.00000001]], "h": [0.0]}
 FERRO2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.42, 0.02], [0.02, 2.42]], "h": [0.03, -0.01]}
+EDGE2 = {"n": 2, "alpha": [0.561253703716457, 0.438746296283543],
+         "J": [[18.720167598325204, -15.449730462626501],
+               [-15.449730462626501, 16.08911628704083]],
+         "h": [0.25672875100201714, -0.185410305011926]}
+CORNER2 = {"n": 2, "alpha": [0.27975668663814557, 0.7202433133618544],
+           "J": [[15.22768163018051, 15.612241497692947],
+                 [15.612241497692947, 18.641785415867613]],
+           "h": [0.012448950262779368, 0.2224703971485656]}
 GRIDS = {"ref4": 6, "cw10-g10": 10}
 
 
@@ -112,7 +122,7 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "atom3": ATOM3, "sat2": SAT2, "crit2": MODELS["crit2"],
                       "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT, "cw10-g10": MODELS["cw10"],
                       "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8,
-                      "ferro2": FERRO2}.items():
+                      "ferro2": FERRO2, "edge2": EDGE2, "corner2": CORNER2}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
         config.write_text(json.dumps({"model": doc, **opts}))
