@@ -1,6 +1,8 @@
 """Command-line front end: reproducible runs driven by JSON configs.
 
-Subcommands: solve | pressure | sample | limits | invert | phase.
+The command table ``_COMMANDS`` is the one list of subcommands (solve,
+pressure, sample, limits, invert, phase): the parser adds one per entry,
+with the command's one-line docstring as its help.
 Exit codes: 0 ok, 2 bad config, 3 numeric precondition failed, 4 i/o
 error, 5 internal error.  Structured results are JSON, grids and samples
 are CSV; every float is emitted with 17 significant digits so files
@@ -43,15 +45,11 @@ def dumps17(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits (round-trip safe)."""
     pad = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f'{pad}  {json.dumps(str(k))}: {dumps17(v, indent + 2)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
-        if not seq:
-            return "[]"
         flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq)
         if flat:
             return "[" + ", ".join(dumps17(v) for v in seq) + "]"
@@ -133,6 +131,7 @@ def _classification_dict(cls: solver.MaximumClassification) -> dict:
 
 
 def cmd_solve(args, doc: dict) -> int:
+    """fixed points, classified maxima, pressure limit"""
     m = _model_from_config(doc)
     result = solver.pressure_limit(m, _solver_options(doc))
     report = {
@@ -148,9 +147,11 @@ def cmd_solve(args, doc: dict) -> int:
 
 
 def cmd_pressure(args, doc: dict) -> int:
+    """finite-size pressure ladder with sandwich bounds"""
     m = _model_from_config(doc)
     n_values = [_integer(v, "N_values entry", 1) for v in _list(doc, "N_values")]
-    limit = solver.pressure_limit(m, _solver_options(doc)).limit_value
+    points = solver.solve_fixed_points(m, _solver_options(doc))
+    limit = float(np.max([p.fbar_value if m.is_binary else p.f_value for p in points]))
     rows = []
     for N in n_values:
         sizes = m.species_sizes(N)
@@ -164,6 +165,7 @@ def cmd_pressure(args, doc: dict) -> int:
 
 
 def cmd_sample(args, doc: dict) -> int:
+    """exact i.i.d. draws of the per-species sums"""
     if args.out is None:
         raise ConfigParse("sample requires --out")
     m = _model_from_config(doc)
@@ -176,6 +178,7 @@ def cmd_sample(args, doc: dict) -> int:
 
 
 def cmd_limits(args, doc: dict) -> int:
+    """limit law and comparison with the exact rescaled law"""
     if args.out is None:
         raise ConfigParse("limits requires --out")
     m = _model_from_config(doc)
@@ -189,7 +192,7 @@ def cmd_limits(args, doc: dict) -> int:
                               for c in _list(cond, "center")],
                              _number(_require(cond, "radius"), "conditioned radius"),
                              m.n, '"conditioned"')
-    maxima = solver.pressure_limit(m, _solver_options(doc)).maxima
+    maxima = solver._global_maxima(m, _solver_options(doc))[2]
     cls = maxima[0] if center is None else \
         min(maxima, key=lambda c: float(np.linalg.norm(c.point.x - center)))
     law = limits.build_limit_law(m, cls, conditioned=center is not None)
@@ -229,6 +232,7 @@ def cmd_limits(args, doc: dict) -> int:
 
 
 def cmd_invert(args, doc: dict) -> int:
+    """recover (J, h) from a sample file"""
     if "alpha" in doc:
         alpha = np.array(_numbers(doc["alpha"], "alpha"))
     elif "model" in doc:
@@ -258,6 +262,7 @@ def cmd_invert(args, doc: dict) -> int:
 
 
 def cmd_phase(args, doc: dict) -> int:
+    """single-species scan over a coupling grid"""
     grid = [_number(v, "J_grid entry") for v in _list(doc, "J_grid")]
     h = _number(doc.get("h", 0.0), "h")
     table = solver.cw_phase_scan(grid, h, _solver_options(doc))
@@ -267,6 +272,16 @@ def cmd_phase(args, doc: dict) -> int:
 
 
 # --- entry point ---------------------------------------------------------------
+
+
+_COMMANDS = {
+    "solve": cmd_solve,
+    "pressure": cmd_pressure,
+    "sample": cmd_sample,
+    "limits": cmd_limits,
+    "invert": cmd_invert,
+    "phase": cmd_phase,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,31 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "mean-field spin models.",
         epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common],
-                   help="fixed points, classified maxima, pressure limit")
-    sub.add_parser("pressure", parents=[common],
-                   help="finite-size pressure ladder with sandwich bounds")
-    sub.add_parser("sample", parents=[common],
-                   help="exact i.i.d. draws of the per-species sums")
-    sub.add_parser("limits", parents=[common],
-                   help="limit law and comparison with the exact rescaled law")
-    p_inv = sub.add_parser("invert", parents=[common],
-                           help="recover (J, h) from a sample file")
-    p_inv.add_argument("--samples", help="sample CSV produced by `sample`")
-    p_inv.add_argument("--ball", help="conditioning ball c_1,...,c_n,radius")
-    sub.add_parser("phase", parents=[common],
-                   help="single-species scan over a coupling grid")
+    subparsers = {name: sub.add_parser(name, parents=[common], help=cmd.__doc__)
+                  for name, cmd in _COMMANDS.items()}
+    subparsers["invert"].add_argument("--samples", help="sample CSV produced by `sample`")
+    subparsers["invert"].add_argument("--ball", help="conditioning ball c_1,...,c_n,radius")
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "pressure": cmd_pressure,
-    "sample": cmd_sample,
-    "limits": cmd_limits,
-    "invert": cmd_invert,
-    "phase": cmd_phase,
-}
 
 
 def _emit_error(exc: Exception, code: int) -> int:

@@ -538,3 +538,47 @@ def test_a_non_finite_hessian_that_eigh_takes_exits_0(tmp_path, capsys):
     cfg = write_config(tmp_path, {"model": HESSIAN_INF})
     assert main(["solve", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["method_agreement"] == 0
+
+
+MIXED2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 0.5], [0.5, 1.5]], "h": [0.0, 0.0]}
+CW1_1E10 = {"n": 1, "alpha": [1.0], "J": [[1.0000000001]], "h": [0.0]}
+
+
+@pytest.mark.parametrize("model, n_values", [(MIXED2, [20, 40]), (CW1_1E10, [200, 400])],
+                         ids=["mixed-homogeneity", "cw-inflection"])
+def test_pressure_answers_models_whose_maxima_solve_refuses(tmp_path, capsys, model, n_values):
+    # pressure exited 3 here (UnsupportedDegeneracy, NotAMaximum) from a classification it
+    # never printed; the limit is the functional's maximum over the fixed points
+    cfg = write_config(tmp_path, {"model": model, "N_values": n_values})
+    assert main(["pressure", "--config", cfg]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == n_values
+    for row in rows:
+        _, p_n, _, lower, upper = map(float, row.split(","))
+        assert lower <= p_n <= upper
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a step whose result the command does not print")
+
+
+def test_pressure_neither_classifies_nor_cross_checks(tmp_path, monkeypatch):
+    from meanfield_lab import solver
+    cfg = write_config(tmp_path, {"model": REF2, "N_values": [50, 100]})
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert main(["pressure", "--config", cfg, "--out", str(want)]) == 0
+    monkeypatch.setattr(solver, "classify_maximum", _raise)
+    monkeypatch.setattr(solver, "_max_f_direct", _raise)
+    assert main(["pressure", "--config", cfg, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_limits_runs_no_cross_check(tmp_path, monkeypatch):
+    from meanfield_lab import solver
+    monkeypatch.setattr(solver, "_max_f_direct", _raise)
+    cfg = write_config(tmp_path, {"model": REF2, "sizes": [30, 30]})
+    assert main(["limits", "--config", cfg, "--out", str(tmp_path / "l.json")]) == 0
+
+
+def test_dumps17_of_an_empty_list():
+    assert dumps17([]) == "[]"

@@ -22,12 +22,16 @@ J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
 h = 1e308 on J = 1e308, 1.5e308 (the field u = Jx + h overflows to inf in the +-1
 Newton map) and at h = 1e-12 on 600 points J = 0.05..3.0 (the one-batch scan at
-scale, just off the h = 0 tie of its two branches), a three-species ``pressure``
-(ref3 at N = 300 and 600, so the exact sums run over row blocks of a 3-axis
-lattice), a one-species ``sample`` then ``invert`` from a
-model-only config, with and without ``--ball``, an ``invert`` from a hand-written
-sample file with blank and whitespace-only lines between its rows, a ``sample``
-with M = 0 (a header-only file), and the demos.  Prints per
+scale, just off the h = 0 tie of its two branches), ``pressure`` on ref3 at
+N = 300 and 600 (the exact sums run over row blocks of a 3-axis lattice), on the
+two-species model alpha = (1/2, 1/2), J = ((1.5, 0.5), (0.5, 1.5)), h = 0 at
+N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
+``solve`` refuses) and on cw J = 1 + 1e-10, h = 0 at N = 200 and 400 (``solve``
+classifies its maxima x = +-1.7e-5 as inflections), a one-species ``sample``
+then ``invert`` from a model-only config, with and without ``--ball``, an
+``invert`` from a hand-written sample file with blank and whitespace-only lines
+between its rows, a ``sample`` with M = 0 (a header-only file), and the demos.
+Prints per
 output file "identical" or the count of moved numbers with their largest
 absolute and relative change, and for a CSV file the same per column, named
 by its header row ("column 2" in a sample file, which has none), e.g.
@@ -57,6 +61,7 @@ CW1_TILT = {"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [1e-12]}
 TWIN2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 1.0], [1.0, 1.5]], "h": [0.0, 0.0]}
 CW1001 = {"n": 1, "alpha": [1.0], "J": [[1.001]], "h": [0.0]}
 CW1_1E10 = {"n": 1, "alpha": [1.0], "J": [[1.0000000001]], "h": [0.0]}
+MIXED2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.5, 0.5], [0.5, 1.5]], "h": [0.0, 0.0]}
 CW1_1E8 = {"n": 1, "alpha": [1.0], "J": [[1.00000001]], "h": [0.0]}
 FERRO2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.42, 0.02], [0.02, 2.42]], "h": [0.03, -0.01]}
 EDGE2 = {"n": 2, "alpha": [0.561253703716457, 0.438746296283543],
@@ -138,9 +143,12 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
         config, out = work / f"config-phase-{name}.json", work / f"phase-{name}.csv"
         config.write_text(json.dumps(doc))
         runs.append((["phase", "--config", str(config), "--out", str(out)], [out]))
-    config, out = work / "config-pressure-ref3.json", work / "pressure-ref3.csv"
-    config.write_text(json.dumps({"model": MODELS["ref3"], "N_values": [300, 600]}))
-    runs.append((["pressure", "--config", str(config), "--out", str(out)], [out]))
+    for name, doc in {"ref3": {"model": MODELS["ref3"], "N_values": [300, 600]},
+                      "mixed2": {"model": MIXED2, "N_values": [20, 40]},
+                      "cw1-1e-10": {"model": CW1_1E10, "N_values": [200, 400]}}.items():
+        config, out = work / f"config-pressure-{name}.json", work / f"pressure-{name}.csv"
+        config.write_text(json.dumps(doc))
+        runs.append((["pressure", "--config", str(config), "--out", str(out)], [out]))
     config, model_only = work / "config-sample-cw12.json", work / "config-invert-cw12.json"
     config.write_text(json.dumps({"model": MODELS["cw12"], "sizes": [400], "M": 2000}))
     model_only.write_text(json.dumps({"model": MODELS["cw12"]}))
