@@ -36,10 +36,6 @@ class DegenerateMeasure(ConfigError):
     pass
 
 
-class NonPositiveDiagonal(ConfigError):
-    pass
-
-
 class NonFiniteParameter(ConfigError):
     """A model parameter or measure atom is NaN or infinite."""
 

@@ -459,7 +459,8 @@ class _Leaves:
             kept = self._end - self._start
             self._buf[:kept] = self._buf[self._start:self._end]
             E = self._buf[kept:kept + W.size]
-            np.subtract(W, self.a_max, out=E)
+            with np.errstate(invalid="ignore"):     # -inf - -inf: a top, set to 0 below
+                np.subtract(W, self.a_max, out=E)
             np.exp(E, out=E)
             if w_max == self.a_max:
                 top = W == self.a_max

@@ -46,7 +46,7 @@ from .solver import (
     MaximumClassification,
     _curvature,
     _global_maxima,
-    pressure_limit,
+    pressure_limit,  # noqa: F401 - re-exported; perfbench traces it here
 )
 
 
@@ -230,9 +230,9 @@ def build_limit_law(model: ValidatedModel,
     the maximum must be the unique global one: a classification from
     ``pressure_limit`` carries its result's global types and is decided from
     them, so it must be used with the model it came from; a hand-made one
-    costs a fresh ``pressure_limit``.  Without a classification: the mixture
+    costs a fresh ``_global_maxima``.  Without a classification: the mixture
     of point masses the magnetization vector converges to, weighted by each
-    maximum's sharpness integral; it skips the direct-route check.
+    maximum's sharpness integral.  Neither runs the direct-route check.
     """
     model = _require_validated(model)
     if classification is None:
@@ -246,7 +246,7 @@ def build_limit_law(model: ValidatedModel,
         return DeltaMixture(points=pts, weights=w)
 
     if not conditioned:
-        types = classification.global_types or pressure_limit(model).maxima[0].global_types
+        types = classification.global_types or _global_maxima(model, None)[2][0].global_types
         if len(set(types)) > 1:
             raise MixedTypes("global maxima have differing types")
         if len(types) > 1:

@@ -29,7 +29,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NonFiniteParameter,
-    NonPositiveDiagonal,
     NonSymmetricJ,
     UnsupportedMeasure,
 )
@@ -228,8 +227,6 @@ def validate_model(spec: ModelSpec) -> ValidatedModel:
         raise BadAlpha(f"species fractions sum to {alpha.sum()!r}, not 1")
     if np.max(np.abs(J - J.T)) > ATOL:
         raise NonSymmetricJ("coupling matrix must be symmetric")
-    if np.any(np.diag(J) <= 0):
-        raise NonPositiveDiagonal("diagonal couplings must be positive")
     # FiniteMeasure already rejects degenerate measures on construction.
     return ValidatedModel(n=n, alpha=alpha.copy(), J=J.copy(), h=h.copy(),
                           site_measure=spec.site_measure)

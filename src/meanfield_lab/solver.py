@@ -623,8 +623,8 @@ def cw_phase_scan(J_grid, h: float,
     so each J keeps the bits of its own solve.
     """
     J_grid = np.asarray(J_grid, dtype=float)
-    if np.any(J_grid <= 0) or np.any(np.diff(J_grid) <= 0):
-        raise DomainError("J grid must be positive and strictly increasing")
+    if np.any(np.diff(J_grid) <= 0):
+        raise DomainError("J grid must be strictly increasing")
     if not np.all(np.isfinite(J_grid)):
         raise NonFiniteParameter("J grid entries must be finite")
     # one model holds the measure and h; each row of the batch carries its own J

@@ -533,6 +533,21 @@ def test_normalized_law_empty_condition():
                            condition_ball=0.5)
 
 
+@pytest.mark.parametrize("J,sizes,center", [
+    (((-1e308,),), [60], [1.0]),
+    (((-1e308, 0.0), (0.0, 1.0)), [30, 30], [1.0, 0.0]),
+], ids=["n1", "n2"])
+def test_a_ball_of_minus_inf_weights_captures_no_mass(J, sizes, center):
+    # an antiferromagnetic species makes the diagonal term even in S: at |m_1| = 1
+    # it is -inf, while the weights at m_1 = 0 stay finite
+    n = len(sizes)
+    model = validate_model(ModelSpec(n=n, alpha=(1.0 / n,) * n, J=J, h=(0.0,) * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyCondition, match="captures no probability mass"):
+            normalized_sum_law(model, sizes, center, k=1, condition_ball=0.01)
+
+
 @pytest.mark.parametrize("k", [0, -1, 1.5, True])
 def test_normalized_law_type_must_be_a_positive_integer(k):
     # k = 0 divided by zero; -1 and 1.5 rescaled the law by N^(-1/2), N^(1/3)
@@ -980,7 +995,8 @@ def test_a_block_maximum_of_inf_or_nan_is_an_overflow(bad):
 
 def test_a_block_without_mass_is_no_overflow():
     # a maximum of -inf is a ball without mass, which its caller refuses as EmptyCondition
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert exact_module._lse_blocks(lambda: iter([np.full(2, -math.inf)])) == -math.inf
 
 

@@ -336,7 +336,7 @@ def _no_solve(*args, **kwargs):
 def test_a_carried_classification_builds_its_law_without_a_solve(model_fn, monkeypatch):
     model = model_fn()
     cls = pressure_limit(model).maxima[0]
-    # a hand-made classification of the same point is checked by a fresh pressure_limit
+    # a hand-made classification of the same point is checked by a fresh _global_maxima
     want = law_to_dict(build_limit_law(model, classify_maximum(model, cls.point)))
     monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _no_solve)
     assert law_to_dict(build_limit_law(model, cls)) == want
@@ -363,6 +363,15 @@ def test_the_mixture_skips_the_direct_route(model_fn, monkeypatch):
     got = build_limit_law(model)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def test_a_hand_made_classification_skips_the_direct_route(ref2, monkeypatch):
+    cls = replace(pressure_limit(ref2).maxima[0], global_types=None)
+    want = build_limit_law(ref2, cls)
+    monkeypatch.setattr("meanfield_lab.solver._max_f_direct", _no_solve)
+    with pytest.raises(AssertionError):
+        pressure_limit(ref2)             # the patch is live where the route runs
+    assert build_limit_law(ref2, cls).cov.tobytes() == want.cov.tobytes()
 
 
 def test_carried_types_of_mixed_kinds_are_refused_without_a_solve(monkeypatch):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,13 +9,16 @@ from hypothesis import strategies as st
 from meanfield_lab import (
     Configuration,
     FiniteMeasure,
+    Gaussian,
     ModelSpec,
+    build_limit_law,
     hamiltonian_density,
     magnetization,
     materialize_configuration,
     model_from_dict,
     model_from_json,
     model_to_dict,
+    pressure_limit,
     validate_model,
 )
 from meanfield_lab.errors import (
@@ -23,7 +29,6 @@ from meanfield_lab.errors import (
     ConfigError,
     DimensionMismatch,
     NonFiniteParameter,
-    NonPositiveDiagonal,
     NonSymmetricJ,
 )
 
@@ -54,8 +59,18 @@ def test_validate_asymmetric_coupling():
 
 
 def test_validate_nonpositive_diagonal():
-    with pytest.raises(NonPositiveDiagonal):
-        validate_model(ModelSpec(n=1, alpha=(1.0,), J=((0.0,),), h=(0.0,)))
+    # free spins, J = 0: the limit is ln cosh h (the pressure omits ln 2), and the
+    # sum law is the Gaussian of one spin's variance 1 - tanh^2 h
+    h = 0.3
+    model = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((0.0,),), h=(h,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pressure_limit(model)
+        law = build_limit_law(model, result.maxima[0])
+    assert abs(result.limit_value - math.log(math.cosh(h))) <= 1e-15
+    var = 1.0 - math.tanh(h) ** 2
+    assert isinstance(law, Gaussian)
+    assert abs(law.cov[0, 0] - var) <= math.ulp(var)
 
 
 @pytest.mark.parametrize("alpha,J,h", [

@@ -792,6 +792,8 @@ PHASE_GRIDS = {
     "h+0.1": (np.linspace(0.9, 1.1, 21), 0.1),
     "h-0.1": (np.linspace(0.9, 1.1, 21), -0.1),
     "h1e-12": (np.linspace(0.9, 1.1, 21), 1e-12),
+    "antiferro-h0": (np.linspace(-2.0, 0.0, 5), 0.0),
+    "antiferro-h0.1": (np.linspace(-3.0, 0.5, 15), 0.1),
 }
 
 

@@ -17,6 +17,10 @@ must keep each basin's), on two strongly coupled two-species models whose
 global maximum lies on the edge of the hull [-1, 1]^2 and in its corner (1, 1)
 (Newton steps toward them overshoot the hull and are clamped back), ``solve`` and
 ``limits`` on cw J = 1 at grid_points 10 (no start on the degenerate root),
+``solve``, ``pressure`` (N = 200 and 400) and ``limits`` (on a ball around one of
+its two global maxima) on the bipartite antiferromagnet alpha = (1/2, 1/2),
+J_11 = J_22 = 0, J_12 = -2.5, h = (0.3, 0.3), ``solve`` and ``limits`` on the
+bipartite ferromagnet J_12 = 2.5 at the same field (one Gaussian maximum),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
@@ -72,6 +76,8 @@ CORNER2 = {"n": 2, "alpha": [0.27975668663814557, 0.7202433133618544],
            "J": [[15.22768163018051, 15.612241497692947],
                  [15.612241497692947, 18.641785415867613]],
            "h": [0.012448950262779368, 0.2224703971485656]}
+BIP_AF = {"n": 2, "alpha": [0.5, 0.5], "J": [[0.0, -2.5], [-2.5, 0.0]], "h": [0.3, 0.3]}
+BIP_F = {"n": 2, "alpha": [0.5, 0.5], "J": [[0.0, 2.5], [2.5, 0.0]], "h": [0.3, 0.3]}
 GRIDS = {"ref4": 6, "cw10-g10": 10}
 
 
@@ -118,7 +124,11 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                                      "conditioned": {"center": [0.7, 0.7], "radius": 0.3}},
                       "cw05-big": {"model": CW05, "sizes": [150000]},
                       "cw10-g10": {"model": MODELS["cw10"], "sizes": [400],
-                                   "solver": {"grid_points": 10}}}.items():
+                                   "solver": {"grid_points": 10}},
+                      "bip-af-ball": {"model": BIP_AF, "sizes": [200, 200],
+                                      "conditioned": {"center": [0.77, -0.58],
+                                                      "radius": 0.3}},
+                      "bip-f": {"model": BIP_F, "sizes": [200, 200]}}.items():
         config, out = work / f"config-{name}.json", work / f"limits-{name}.json"
         config.write_text(json.dumps(doc))
         runs.append((["limits", "--config", str(config), "--out", str(out)],
@@ -127,7 +137,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "atom3": ATOM3, "sat2": SAT2, "crit2": MODELS["crit2"],
                       "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT, "cw10-g10": MODELS["cw10"],
                       "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8,
-                      "ferro2": FERRO2, "edge2": EDGE2, "corner2": CORNER2}.items():
+                      "ferro2": FERRO2, "edge2": EDGE2, "corner2": CORNER2,
+                      "bip-af": BIP_AF, "bip-f": BIP_F}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
         config.write_text(json.dumps({"model": doc, **opts}))
@@ -145,7 +156,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
         runs.append((["phase", "--config", str(config), "--out", str(out)], [out]))
     for name, doc in {"ref3": {"model": MODELS["ref3"], "N_values": [300, 600]},
                       "mixed2": {"model": MIXED2, "N_values": [20, 40]},
-                      "cw1-1e-10": {"model": CW1_1E10, "N_values": [200, 400]}}.items():
+                      "cw1-1e-10": {"model": CW1_1E10, "N_values": [200, 400]},
+                      "bip-af": {"model": BIP_AF, "N_values": [200, 400]}}.items():
         config, out = work / f"config-pressure-{name}.json", work / f"pressure-{name}.csv"
         config.write_text(json.dumps(doc))
         runs.append((["pressure", "--config", str(config), "--out", str(out)], [out]))
