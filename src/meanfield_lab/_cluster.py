@@ -1,9 +1,10 @@
 """Rules on Newton's rows, one model's or many keyed by group (an integer >= 0 per row; the
 phase scan's is the coupling's index): which are fixed points (``_keep``: converged, then
-single-linkage dedup) and which tie for the top functional value (``_equilibrium``)."""
+dedup), which tie for the top value (``_equilibrium``), and what is singular (``_eigs``)."""
 
 import numpy as np
 
+from ._ascent import _EPS
 from .errors import NoConvergence
 
 _TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
@@ -19,16 +20,23 @@ def _keep(pts, res, tol, radius, group=None) -> np.ndarray:
     return keep[_dedup_rows(pts[keep], res[keep], radius, group[keep])]
 
 
-def _equilibrium(values, peak, group=None):
+def _equilibrium(values, K, group=None):
     """Per group (no group is one group): the limit, max of ``values``, and a mask of the
-    equilibrium rows, those within _TIE_TOL of it, less any that are not a ``peak`` (a bool
-    per row) unless that leaves the group none."""
+    equilibrium rows, those within _TIE_TOL of it, less any whose curvature K (one per row)
+    has a negative eigenvalue by ``_eigs`` unless that leaves the group none."""
     group = np.zeros(len(values), dtype=int) if group is None else group
     limit = np.full(group.max(initial=-1) + 1, -np.inf)
     np.maximum.at(limit, group, values)
     ties = values >= limit[group] - _TIE_TOL
-    peaks = ties & peak
+    peaks = ties & (_eigs(K)[:, 0] >= 0)
     return limit, np.where(np.bincount(group, peaks)[group] > 0, peaks, ties)
+
+
+def _eigs(K) -> np.ndarray:
+    """Ascending eigenvalues of symmetric K = I - A, (..., n, n); 0 within 16 eps (1 + max|A|)."""
+    lam = np.linalg.eigvalsh(K)
+    a_max = np.max(np.abs(np.eye(K.shape[-1]) - K), axis=(-2, -1))[..., None]
+    return np.where(np.abs(lam) <= 16.0 * _EPS * (1.0 + a_max), 0.0, lam)
 
 
 def _dedup_points(pts, res, radius) -> list[tuple[np.ndarray, float]]:

@@ -45,6 +45,7 @@ from .solver import (
     HomogeneousForm,
     MaximumClassification,
     _curvature,
+    _eigs,
     _global_maxima,
     pressure_limit,  # noqa: F401 - re-exported; perfbench traces it here
 )
@@ -138,15 +139,16 @@ def susceptibility_cw(J: float, h: float, mu: float) -> float:
     """Single-species field response (1 - mu^2) / (1 - J (1 - mu^2)).
 
     ``h`` only identifies the equilibrium branch; the value depends on it
-    through ``mu`` alone.  ``mu`` outside [-1, 1] or nan raises DomainError, a
-    nan or infinite ``J`` or ``h`` NonFiniteParameter.
+    through ``mu`` alone.  A denominator (the 1x1 curvature) not positive by
+    ``_eigs`` raises DegenerateMaximum, ``mu`` outside [-1, 1] or nan
+    DomainError, a nan or infinite ``J`` or ``h`` NonFiniteParameter.
     """
     if not (math.isfinite(J) and math.isfinite(h)):
         raise NonFiniteParameter(f"J and h must be finite, got J={J!r}, h={h!r}")
     if not abs(mu) <= 1.0:
         raise DomainError(f"mu must lie in [-1, 1], got {mu!r}")
     denom = 1.0 - J * (1.0 - mu ** 2)
-    if denom <= 1e-12:
+    if _eigs(np.array([[denom]]))[0] <= 0:
         raise DegenerateMaximum("response diverges: the maximum is degenerate")
     return (1.0 - mu ** 2) / denom
 
@@ -156,10 +158,11 @@ def susceptibility_matrix(model: ValidatedModel, mu) -> np.ndarray:
 
     chi = D^{-1} M^{-1} D for the curvature M at mu, D = diag(sqrt(alpha)):
     the solution of chi = P (I + J diag(alpha) chi), P = diag(var) (1 - mu^2 for +-1).
+    SingularSystem where S M S is singular by ``_eigs``.
     """
     mu = _require_validated(model).check_point(mu, "mu")
     K, s = _curvature(model, mu)
-    if np.linalg.cond(K) > 1e10:
+    if np.any(_eigs(K) == 0):
         raise SingularSystem("response system is singular at this point")
     d = np.sqrt(model.alpha)
     return (s / d)[:, None] * np.linalg.inv(K) * (s * d)[None, :]
@@ -167,14 +170,12 @@ def susceptibility_matrix(model: ValidatedModel, mu) -> np.ndarray:
 
 def covariance_tilde(model: ValidatedModel, mu,
                      classification: MaximumClassification) -> np.ndarray:
-    """Covariance M^{-1} of the rescaled sums, M at ``mu``; Cholesky-certified."""
+    """Covariance M^{-1} of the rescaled sums, M at ``mu`` positive definite by ``_eigs``."""
     mu = _require_validated(model).check_point(mu, "mu")
     if classification.k != 1 or classification.hessian is None:
         raise NotK1("covariance requires a type-1 maximum")
     K, s = _curvature(model, mu)
-    try:
-        np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
+    if _eigs(K)[0] <= 0:
         raise NotPositiveDefiniteResult("curvature is not positive definite")
     cov = s[:, None] * np.linalg.inv(K) * s[None, :]
     return 0.5 * (cov + cov.T)
@@ -206,10 +207,10 @@ def _log_weight(model: ValidatedModel, cls: MaximumClassification) -> float:
     """ln of the peak-sharpness integral used as mixture weight."""
     n = model.n
     if cls.k == 1:
-        sign, logdet = np.linalg.slogdet(_curvature(model, cls.point.x)[0])
-        if sign <= 0:
+        lam = _eigs(_curvature(model, cls.point.x)[0])
+        if lam[0] <= 0:
             raise NotPositiveDefiniteResult("curvature must be positive definite")
-        return 0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet
+        return 0.5 * n * math.log(2.0 * math.pi) - 0.5 * np.sum(np.log(lam))
     return _log_form_integral(_rescaled_form(model, cls), n)
 
 

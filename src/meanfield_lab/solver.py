@@ -17,9 +17,10 @@ where Newton is only linear, a row moves to the simple root of the first
 odd cumulant that has one).  A single solve and the phase scan share the
 stage after it: ``_cluster``'s row rules, ``_fbar_rows`` and ``_curvature``.
 Maxima are classified by one rule for every n and any symmetric J:
-fbar's curvature (``_curvature``) first, and where it vanishes f's Taylor
-terms ray by ray, whose first nonvanishing even order is 2k (type k;
-strength lambda for one species).
+fbar's curvature (``_curvature``) first, whose eigenvalues at the rounding
+of forming it are 0 (``_cluster._eigs``, the one rule for "singular"), and
+where it vanishes f's Taylor terms ray by ray, whose first nonvanishing
+even order is 2k (type k; strength lambda for one species).
 
 The pressure limit is computed by two routes that share no solver:
 route 1 takes max fbar over the fixed points, route 2 maximizes f
@@ -39,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._ascent import _EPS, _ascend, _steady
-from ._cluster import _dedup_points, _dedup_rows, _equilibrium, _keep  # noqa: F401
+from ._cluster import _dedup_points, _dedup_rows, _eigs, _equilibrium, _keep  # noqa: F401
 from .errors import (
     ConfigParse,
     DomainError,
@@ -53,11 +54,7 @@ from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,  # 
                     hamiltonian_density, validate_model)
 
 LN2 = math.log(2.0)
-_DERIV_TOL = 1e-9
-# A degenerate maximum is located to ~1e-6 at worst (flat roots resolve no
-# better in double precision), so a lower odd derivative of order j picks up
-# |lambda| * offset^(2k - j) and must only vanish to that.
-_POS_ERR = 1e-6
+_DERIV_TOL = 1e-9     # a Taylor term of f no larger than this vanishes
 _MAX_ORDER = 8
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
@@ -352,8 +349,8 @@ def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarr
 
 def _deflated(model, X, step, shrink, B, h):
     """Candidates at a multiple root for rows whose Newton steps shrink by ``shrink``
-    (B, h shared or per row), and which are roots: every component's defect at
-    rounding level, and I - diag(var) B singular to within 16 eps.
+    (B, h shared or per row), and which are roots: every component's defect at rounding
+    level, and I - diag(var) B singular by ``_eigs`` in its symmetric form I - S D J D S.
 
     At a root of multiplicity m = 2k - 1 each step shrinks by (m - 1)/m, and as
     F^(j) = -J^j kappa_(j+1) for j >= 2, kappa_m has a simple root there (Ralston &
@@ -376,8 +373,8 @@ def _deflated(model, X, step, shrink, B, h):
     mean, var = _map_rows(model, C, B, h)
     scale = np.abs(C) + np.abs(mean) + np.abs(np.matmul(B, C[:, :, None])[:, :, 0]) + np.abs(h)
     ok = np.all(np.abs(C - mean) <= 4.0 * _EPS * scale, axis=1)
-    K = np.eye(model.n) - var[ok, :, None] * B[ok]
-    ok[ok] = np.linalg.svd(K, compute_uv=False)[:, -1] <= 16.0 * _EPS
+    a, b = np.sqrt(var[ok] * model.alpha), np.sqrt(var[ok] / model.alpha)
+    ok[ok] = np.any(_eigs(np.eye(model.n) - a[:, :, None] * B[ok] * b[:, None, :]) == 0, axis=1)
     return C, ok
 
 
@@ -492,11 +489,6 @@ def _curvature(model: ValidatedModel, x, B=None) -> tuple[np.ndarray, np.ndarray
     return np.eye(model.n) - s[..., :, None] * core * s[..., None, :], s
 
 
-def _peaks(model: ValidatedModel, X: np.ndarray, B=None) -> np.ndarray:
-    """Rows whose lowest curvature eigenvalue is at least -_DERIV_TOL (``_curvature``)."""
-    return np.linalg.eigvalsh(_curvature(model, X, B)[0])[:, 0] >= -_DERIV_TOL
-
-
 def _term_sizes(model: ValidatedModel, u: np.ndarray, rays: np.ndarray, order: int):
     """Cumulants 1..order at fields u and the size |alpha_l kappa_m,l| |R_l|^m
     of f's order-m Taylor term on ray l; both (order, n)."""
@@ -509,31 +501,33 @@ def classify_maximum(model: ValidatedModel,
                      point: StationaryPoint) -> MaximumClassification:
     """Type k of a maximum by exact certificates, one rule for every n.
 
-    fbar's curvature (``_curvature``) decides first: positive definite is
-    k=1 unless the cubic term could fake it (a fold, NotAMaximum), a negative
-    eigenvalue is NotAMaximum, singular but nonzero is a refused mixed
-    degeneracy.  Where it vanishes, f's order-m Taylor term is
-    sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m, R = J diag(alpha): 2k is the
-    first even order with a term above the threshold, lower odd terms must
-    vanish ray by ray, and the degree-2k form must pass the ray certificate
+    fbar's curvature (``_curvature``), read by ``_eigs``, decides first: a negative eigenvalue
+    is NotAMaximum; all positive is k=1 unless it is a fold (NotAMaximum): the point is located
+    to the map's rounding loc = 4 eps max(|x| + |R x| + |h|), so to loc / lambda_min, and
+    lambda_min^2 <= 10 cubic term * loc; some zero is a refused mixed degeneracy.  Where it is
+    zero, f's order-m Taylor term is sum_l alpha_l kappa_m(u_l) / m! <R_l, v>^m, R = J
+    diag(alpha): 2k is the first even order with a term above _DERIV_TOL, a lower odd term may
+    be no larger than the offset (loc / size_2k)^(1/(2k - 1)) off a root of multiplicity 2k - 1
+    makes it, and the degree-2k form must pass the ray certificate
     (``HomogeneousForm.definiteness_fault``).  One species is the ray R = (J).
     """
     model = _require_validated(model)
     model.check_measure("classify_maximum")
     x = np.asarray(point.x, dtype=float)
-    eigs = np.linalg.eigvalsh(_curvature(model, x)[0])
-    if eigs.min() < -_DERIV_TOL:
+    eigs = _eigs(_curvature(model, x)[0])
+    if eigs[0] < 0:
         raise NotAMaximum("curvature diag(1/var) - D J D has a negative eigenvalue")
     u = _fields(model, x[None, :])[0]
     rays = model.row_couplings()[0]
-    if eigs.min() > _DERIV_TOL:
-        # a fold located _POS_ERR off its double root shows cubic term * offset
-        if eigs.min() <= 10.0 * _term_sizes(model, u, rays, 3)[1][2].max() * _POS_ERR:
+    loc = 4.0 * _EPS * np.max(np.abs(x) + np.abs(rays @ x) + np.abs(model.h))
+    if eigs[0] > 0:
+        # a fold located loc / eigs[0] off its double root shows cubic term * offset
+        if eigs[0] ** 2 <= 10.0 * _term_sizes(model, u, rays, 3)[1][2].max() * loc:
             raise NotAMaximum("curvature is within the cubic term's reach: a fold")
         hess = _hessian_f(model, x[None, :])[0]
         return MaximumClassification(point=point, k=1, hessian=hess,
                                      strength=float(hess[0, 0]) if model.n == 1 else None)
-    if eigs.max() > _DERIV_TOL:
+    if eigs[-1] > 0:
         raise UnsupportedDegeneracy(
             "curvature is singular but not zero: mixed-homogeneity maximum")
     # M = 0 forces D J D = diag(1/var) > 0, where f's leading form is the law's.
@@ -542,8 +536,9 @@ def classify_maximum(model: ValidatedModel,
     if not even:
         raise UnsupportedDegeneracy(f"all even terms through order {_MAX_ORDER} vanish")
     deg = even[0]
+    offset = (loc / size[deg - 1].max()) ** (1.0 / (deg - 1))   # off a root of order deg - 1
     for j in range(3, deg, 2):
-        allowed = np.maximum(_DERIV_TOL, 10.0 * size[deg - 1] * _POS_ERR ** (deg - j))
+        allowed = np.maximum(_DERIV_TOL, 10.0 * size[deg - 1] * offset ** (deg - j))
         if np.any(size[j - 1] > allowed):
             raise NotAMaximum(f"odd term of order {j} dominates: an inflection")
     coeffs = model.alpha * kappa[deg - 1] / math.factorial(deg)
@@ -588,7 +583,7 @@ def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
     """Fixed points, the limit and its classified equilibrium set, stamped with their types."""
     points = solve_fixed_points(model, opts)
     values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
-    limit, peaks = _equilibrium(values, _peaks(model, np.array([p.x for p in points])))
+    limit, peaks = _equilibrium(values, _curvature(model, np.array([p.x for p in points]))[0])
     maxima = [classify_maximum(model, p) for p, peak in zip(points, peaks) if peak]
     types = tuple(c.k for c in maxima)
     return points, float(limit[0]), [replace(c, global_types=types) for c in maxima]
@@ -635,7 +630,7 @@ def cw_phase_scan(J_grid, h: float,
     X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), opts, B, H)
     rows = _keep(X, res, opts.tol, opts.dedup_radius, group)
     X, B, group = X[rows], B[rows], group[rows]
-    pressure, peaks = _equilibrium(_fbar_rows(model, X, B), _peaks(model, X, B), group)
+    pressure, peaks = _equilibrium(_fbar_rows(model, X, B), _curvature(model, X, B)[0], group)
     mu = np.full_like(J_grid, -np.inf)
     np.maximum.at(mu, group[peaks], X[peaks, 0])
     dj, dp = np.diff(J_grid), np.diff(pressure)

@@ -21,6 +21,10 @@ global maximum lies on the edge of the hull [-1, 1]^2 and in its corner (1, 1)
 its two global maxima) on the bipartite antiferromagnet alpha = (1/2, 1/2),
 J_11 = J_22 = 0, J_12 = -2.5, h = (0.3, 0.3), ``solve`` and ``limits`` on the
 bipartite ferromagnet J_12 = 2.5 at the same field (one Gaussian maximum),
+``solve`` on cw J = 1 +- 1e-12, h = 0 and on alpha = (1/2, 1/2),
+J = diag(2 - 2e-11, 1), h = 0, and ``limits`` on cw J = 1 - 1e-12 at N = 400
+(curvatures far above the rounding of forming them, though 1e-11 or less: each
+maximum is Gaussian, and x = 0 is a minimum above J = 1),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
@@ -78,6 +82,9 @@ CORNER2 = {"n": 2, "alpha": [0.27975668663814557, 0.7202433133618544],
            "h": [0.012448950262779368, 0.2224703971485656]}
 BIP_AF = {"n": 2, "alpha": [0.5, 0.5], "J": [[0.0, -2.5], [-2.5, 0.0]], "h": [0.3, 0.3]}
 BIP_F = {"n": 2, "alpha": [0.5, 0.5], "J": [[0.0, 2.5], [2.5, 0.0]], "h": [0.3, 0.3]}
+CW1P12 = {"n": 1, "alpha": [1.0], "J": [[1.0 + 1e-12]], "h": [0.0]}
+CW1M12 = {"n": 1, "alpha": [1.0], "J": [[1.0 - 1e-12]], "h": [0.0]}
+NEAR2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.0 - 2e-11, 0.0], [0.0, 1.0]], "h": [0.0, 0.0]}
 GRIDS = {"ref4": 6, "cw10-g10": 10}
 
 
@@ -128,7 +135,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "bip-af-ball": {"model": BIP_AF, "sizes": [200, 200],
                                       "conditioned": {"center": [0.77, -0.58],
                                                       "radius": 0.3}},
-                      "bip-f": {"model": BIP_F, "sizes": [200, 200]}}.items():
+                      "bip-f": {"model": BIP_F, "sizes": [200, 200]},
+                      "cw1m1e-12": {"model": CW1M12, "sizes": [400]}}.items():
         config, out = work / f"config-{name}.json", work / f"limits-{name}.json"
         config.write_text(json.dumps(doc))
         runs.append((["limits", "--config", str(config), "--out", str(out)],
@@ -138,7 +146,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "ref4": MODELS["ref4"], "cw1-tilt": CW1_TILT, "cw10-g10": MODELS["cw10"],
                       "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8,
                       "ferro2": FERRO2, "edge2": EDGE2, "corner2": CORNER2,
-                      "bip-af": BIP_AF, "bip-f": BIP_F}.items():
+                      "bip-af": BIP_AF, "bip-f": BIP_F, "cw1p1e-12": CW1P12,
+                      "cw1m1e-12": CW1M12, "near2": NEAR2}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
         config.write_text(json.dumps({"model": doc, **opts}))
