@@ -10,16 +10,17 @@ pieces of one row cut along axis 1 where a row is longer): pass 1 takes
 the maximum, pass 2 sums exp(W - max) over numpy's own pairwise tree
 (``_pairwise``) with leaves of at most one block, so the sum has the bits
 of the whole-lattice ``sum()`` (any other order would move them).  The
-n >= 3 moments promise no bits: pass 1 takes the maximum, pass 2 reduces
-exp(W - max) block by block into the per-axis and pairwise marginals,
-which are then divided by their total.  Overflowing weights (a block
-maximum of +inf or nan) raise DomainError.  Every reduction runs in a
-fixed order, so results do not depend on scheduling.  Each pass allocates
-its own block buffers and nothing is kept across calls.  ``log_partition``,
-``finite_pressure`` and the n >= 3 moments hold a few blocks;
-``magnetization_law``, ``exact_sample`` and the n <= 2 moments hold one
-lattice-sized array, and ``normalized_sum_law`` one float per point, plus
-one byte with a conditioning ball (``DiscreteLaw``).  One cap holds
+n >= 3 moments promise no bits and take one pass: each block's
+exp(W - running max) is reduced into the pairwise marginals, which give
+the per-axis ones and are divided by their total.  Overflowing weights
+(a block maximum of +inf or nan) raise DomainError.  Every reduction runs
+in a fixed order, so results do not depend on scheduling.  Each pass
+allocates its own block buffers and nothing is kept across calls.
+``log_partition``, ``finite_pressure`` and the n >= 3 moments hold a few blocks;
+``magnetization_law`` and the n <= 2 moments hold one lattice-sized array,
+``exact_sample`` that array as its CDF plus a guide table of 2^12 entries
+and one chunk of draws, and ``normalized_sum_law`` one float per point,
+plus one byte with a conditioning ball (``DiscreteLaw``).  One cap holds
 everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
 LatticeTooLarge (CLI exit 3) before any allocation; only ``log_partition``
 takes a ``cap``.
@@ -64,8 +65,9 @@ from .model import ValidatedModel, _check_ball, _integer, _require_validated
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
 _BLOCK = 1 << 16          # lattice points per pass block
-_CHUNK = 1 << 12          # lattice points per chunk of the sum law's per-point work
+_CHUNK = 1 << 12          # sum-law points per chunk of per-point work; sampler draws per chunk
 _STREAM = 1 << 16         # draws per sampler stream; fixes the bytes of every sample file
+_GUIDE = 1 << 12          # cells of the sampler's guide table; a power of 2
 SAMPLES_HEADER = "# meanfield-lab samples v1"
 _LN_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 _LS2PI = 0.91893853320467274178         # ln sqrt(2 pi)
@@ -561,9 +563,9 @@ def magnetization_law(model: ValidatedModel, sizes) -> MagnetizationLaw:
 
 
 def _marginal(P: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
-    """P summed over every axis not in ``keep`` (P itself if none)."""
-    other = tuple(a for a in range(P.ndim) if a not in keep)
-    return P.sum(axis=other) if other else P
+    """P summed over every axis not in ``keep``; axes of length 1 are reshaped away, not summed."""
+    other = tuple(a for a in range(P.ndim) if a not in keep and P.shape[a] > 1)
+    return (P.sum(axis=other, keepdims=True) if other else P).reshape([P.shape[a] for a in keep])
 
 
 def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
@@ -572,10 +574,11 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
     They are reduced from P = exp(W - ln Z) through its per-axis and pairwise
     marginals.  At n <= 2 the (0, n - 1) marginal is the lattice itself, so P
     is held there: the magnetization law, exponentiated in place.  At n >= 3
-    the marginals are smaller than the lattice: pass 1 takes the maximum of
-    W, pass 2 adds each block's marginals of exp(W - max) into the entries
-    its index ranges cover, and they are divided by axis 0's total.  The
-    per-axis ones off axis 0 are the (0, l) marginals summed over axis 0.
+    the marginals are smaller than the lattice: one pass adds each block's
+    pairwise marginals of exp(W - top), top the running maximum, into the
+    entries its index ranges cover, and they are divided by axis 0's total.
+    The per-axis ones are the (0, 1) marginal summed over axis 1 and the
+    (0, l) marginals summed over axis 0.
     """
     lattice = _prepare(model, sizes, "exact_moments")
     n, shape = lattice.n, lattice.shape
@@ -586,15 +589,23 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
         marg = {keep: _marginal(P, keep) for keep in keeps}
     else:
         weights = _Weights(model.J, model.h, lattice, LATTICE_CAP)
-        top = max(map(_block_max, weights))
-        marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps}
+        top = -np.inf
+        marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps[1:]}
         for key in weights.keys():
             P = weights.block(key)
+            block_top = _block_max(P)
+            if block_top == -np.inf:        # no mass, and P - -inf would be nan
+                continue
+            if block_top > top:             # rescale the sums so far to the new top
+                for m in marg.values():
+                    m *= math.exp(top - block_top)
+                top = block_top
             P -= top
             np.exp(P, out=P)
-            for keep in keeps:
+            for keep in keeps[1:]:
                 into = marg[keep][tuple(key[a] for a in keep)]     # a view: no copy back
                 into += _marginal(P, keep)
+        marg[0,] = marg[0, 1].sum(axis=1)
         marg = {keep: m / marg[0,].sum() for keep, m in marg.items()}
     for l in range(1, n):
         marg[l,] = marg[0, l].sum(axis=0)
@@ -611,10 +622,18 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
 def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     """M i.i.d. draws of the per-species sums by inverse CDF.
 
+    Guide-table inversion (Chen & Asau, *AIIE Trans.* 6, 1974; Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. III) gives exactly
+    ``searchsorted(cdf, u, "right")``: u falls in cell floor(u K) of K =
+    ``_GUIDE`` equal cells (exact, K being a power of 2), and a binary search
+    between the first points past the cell's two ends finds it.  Besides the
+    CDF it holds the table and one chunk of ``_CHUNK`` draws.
+
     RNG: numpy PCG64, one stream per ``_STREAM`` = 2^16 draws, each
-    seeded from (seed, stream index).  Same inputs give bit-identical
-    output regardless of how streams would be scheduled.  ``M`` and ``seed``
-    must be integers >= 0 (ConfigParse otherwise).
+    seeded from (seed, stream index) and read a chunk at a time.  Same
+    inputs give bit-identical output regardless of how streams would be
+    scheduled.  ``M`` and ``seed`` must be integers >= 0 (ConfigParse
+    otherwise).
     """
     _integer(M, "sample count M", 0)
     _integer(seed, "seed", 0)
@@ -623,19 +642,26 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     np.exp(cdf, out=cdf)
     np.cumsum(cdf, out=cdf)
     cdf[-1] = 1.0
+    guide = np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right")
+    # a draw from cell c lies in guide[c] .. guide[c + 1]; steps[c] is the width's bit length
+    steps = np.frexp(np.diff(guide, append=cdf.size - 1))[1]
     shape = law.lattice.shape
     sums_axes = [law.lattice.sum_axis(l) for l in range(law.lattice.n)]
 
     draws = np.empty((M, law.lattice.n), dtype=np.int64)
-    for stream, start in enumerate(range(0, M, _STREAM)):
-        count = min(_STREAM, M - start)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(seed), stream])))
-        u = rng.random(count)
-        flat_idx = np.searchsorted(cdf, u, side="right")
+    for a in range(0, M, _CHUNK):
+        if a % _STREAM == 0:
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence([int(seed), a // _STREAM])))
+        u = rng.random(min(_CHUNK, M - a))
+        cell = (u * _GUIDE).astype(np.intp)
+        flat_idx = guide[cell]
+        for step in 2 ** np.arange(steps[cell].max())[::-1]:
+            # the draw is past a probe <= u; past the lattice, cdf[-1] = 1.0 > u
+            flat_idx += step * (np.take(cdf, flat_idx + (step - 1), mode="clip") <= u)
         multi = np.unravel_index(flat_idx, shape)
         for l in range(law.lattice.n):
-            draws[start:start + count, l] = sums_axes[l][multi[l]]
+            draws[a:a + u.size, l] = sums_axes[l][multi[l]]
     return SampleSet(sizes=law.lattice.sizes, seed=int(seed), sums=draws)
 
 

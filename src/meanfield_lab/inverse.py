@@ -59,7 +59,7 @@ def estimate_moments(samples: SampleSet) -> EmpiricalMoments:
         raise InconsistentRows("sample rows do not match the species count")
     if np.any(np.abs(sums) > samples.sizes[None, :]):
         raise InconsistentRows("per-species sums exceed the block sizes")
-    if np.any((sums + samples.sizes[None, :]) % 2 != 0):
+    if np.any((sums + samples.sizes[None, :]) & 1):
         raise InconsistentRows("per-species sums have impossible parity")
     m = samples.magnetizations()
     mean = m.mean(axis=0)
@@ -133,7 +133,11 @@ def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
     N = float(samples.sizes.sum())
     ln_z = _log_z(J, h, MagLattice(samples.sizes), LATTICE_CAP) + N * LN2
     S = samples.sums.astype(float)
-    energies = 0.5 / N * np.einsum("bi,ij,bj->b", S, J, S) + S @ h
+    quad = np.zeros(samples.sample_count)
+    for i in range(samples.n):      # einsum("bi,ij,bj->b", S, J, S)'s bits from 3 rows on
+        for j in range(samples.n):
+            quad += S[:, i] * J[i, j] * S[:, j]
+    energies = 0.5 / N * quad + S @ h
     return float(energies.sum() - samples.sample_count * ln_z)
 
 

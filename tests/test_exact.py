@@ -507,6 +507,79 @@ def test_sampler_frequencies_match_law():
         assert abs(pooled_c - M * pooled_p) <= 4.0 * max(pooled_se, 1.0)
 
 
+def _low_corner():
+    """Two species pushed to the (+, +) corner: the CDF starts with zeros, then subnormals."""
+    return validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.0, 0.5), (0.5, 1.0)),
+                                    h=(1.0, 1.0)))
+
+
+def _searchsorted_sums(model, sizes, uniforms) -> np.ndarray:
+    """Reference draws: the whole-lattice CDF searched for each uniform, then unravelled."""
+    law = magnetization_law(model, sizes)
+    cdf = np.cumsum(np.exp(law.log_weights.reshape(-1)))
+    cdf[-1] = 1.0
+    flat = np.searchsorted(cdf, uniforms, side="right")
+    return np.column_stack([law.lattice.sum_axis(l)[i] for l, i in
+                            enumerate(np.unravel_index(flat, law.lattice.shape))])
+
+
+SAMPLER_CASES = {
+    "n1-N1": (make_cw(1.0, 0.0), [1]),
+    "cw12": (make_cw(1.2, 0.0), [1000]),
+    "ref2": (make_ref2(), [500, 500]),          # several pass blocks
+    "ref3": (make_ref3(), [60, 90, 150]),
+    "low-corner": (_low_corner(), [200, 200]),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_the_guide_table_draws_what_a_whole_lattice_searchsorted_draws(case):
+    model, sizes = SAMPLER_CASES[case]
+    M, seed = (1 << 16) + 4465, 8          # two streams, the last chunk short
+    assert M % exact._CHUNK
+    uniforms = np.concatenate([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+        .random(min(1 << 16, M - start)) for stream, start in enumerate(range(0, M, 1 << 16))])
+    got = exact_sample(model, sizes, M, seed).sums
+    assert got.tobytes() == _searchsorted_sums(model, sizes, uniforms).tobytes()
+
+
+@pytest.mark.parametrize("case", ["n1-N1", "cw12", "low-corner"])
+def test_the_guide_search_is_exact_at_cell_edges_and_on_cdf_entries(monkeypatch, case):
+    # uniforms PCG64 would hardly ever draw: every cell edge k/K, each CDF entry below 1
+    # and its two neighbours, 0 and the largest double below 1
+    model, sizes = SAMPLER_CASES[case]
+    law = magnetization_law(model, sizes)
+    cdf = np.cumsum(np.exp(law.log_weights.reshape(-1)))
+    if case == "low-corner":
+        assert cdf[0] == 0.0 and np.any((cdf > 0.0) & (cdf < np.finfo(float).tiny))
+    inner = cdf[cdf < 1.0]
+    uniforms = np.concatenate([np.arange(exact._GUIDE) / exact._GUIDE, inner,
+                               np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                               [0.0, np.nextafter(1.0, 0.0)]])
+    uniforms = uniforms[uniforms < 1.0]
+    left = iter(np.split(uniforms, range(1 << 16, uniforms.size, 1 << 16)))
+
+    class Replay:
+        def __init__(self, bit_generator):
+            self.stream = next(left)
+
+        def random(self, count):
+            out, self.stream = self.stream[:count], self.stream[count:]
+            return out
+
+    monkeypatch.setattr(np.random, "Generator", Replay)
+    got = exact_sample(model, sizes, uniforms.size, seed=0).sums
+    assert got.tobytes() == _searchsorted_sums(model, sizes, uniforms).tobytes()
+
+
+def test_the_sampler_holds_its_cdf_a_guide_table_and_one_chunk_of_draws():
+    # the draws (3.2 MB) and the CDF (2.0 MB); a whole stream of indices and their
+    # unravelled coordinates took the peak to 9.07 MB, and sorting every uniform to 14.6 MB
+    peak = _peak_bytes(lambda: exact_sample(make_ref2(), [500, 500], 200_000, seed=0))
+    assert peak <= 9e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
 # --- normalized sum law ----------------------------------------------------------
 
 
@@ -1000,9 +1073,8 @@ def test_a_block_without_mass_is_no_overflow():
         assert exact_module._lse_blocks(lambda: iter([np.full(2, -math.inf)])) == -math.inf
 
 
-def test_three_species_moments_evaluate_each_weight_twice_and_need_no_bitwise_ln_z(monkeypatch):
-    # one pass takes the maximum and one sums exp(W - max); a bitwise ln Z took
-    # two passes of its own before a third formed exp(W - ln Z)
+def test_three_species_moments_evaluate_each_weight_once_and_need_no_bitwise_ln_z(monkeypatch):
+    # one pass sums exp(W - running max): no pass for the maximum, no bitwise ln Z
     model, sizes = make_ref3(), [60, 90, 150]
     keys = list(_Weights(model.J, model.h, MagLattice(np.asarray(sizes)), 10 ** 8).keys())
     assert len(keys) > 1
@@ -1015,7 +1087,7 @@ def test_three_species_moments_evaluate_each_weight_twice_and_need_no_bitwise_ln
 
     monkeypatch.setattr(_Weights, "block", counted)
     want = exact_moments(model, sizes)
-    assert len(calls) == 2 * len(keys)
+    assert len(calls) == len(keys)
 
     def refuse(blocks):
         raise AssertionError("the bitwise normaliser ran")
@@ -1035,3 +1107,23 @@ def test_three_species_exact_cov_is_symmetric_and_matches_an_fsum_reference(size
     cov = law.cov()
     assert np.array_equal(cov, cov.T)
     assert np.max(np.abs(cov - _fsum_cov(law))) <= 4.4e-16
+
+
+def test_three_species_moments_skip_leading_blocks_without_mass():
+    # J_00 = -1.7e308 leaves mass only at S_0 = 0: 240 of the 246 blocks, cut along
+    # axis 1, have maximum -inf, the first of them too; subtracting a running maximum
+    # of -inf gave nan
+    model = validate_model(ModelSpec(n=3, alpha=(1 / 16, 15 / 32, 15 / 32),
+                                     J=((-1.7e308, 0.1, 0.0), (0.1, 1.0, 0.2), (0.0, 0.2, 1.0)),
+                                     h=(0.0, 0.1, -0.1)))
+    sizes = [40, 300, 300]
+    weights = _Weights(model.J, model.h, MagLattice(np.asarray(sizes)), 10 ** 8)
+    keys = list(weights.keys())
+    assert len(keys) == 246 and all(k[1] != slice(0, 301) for k in keys)
+    assert weights.block(keys[0]).max() == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exact_moments(model, sizes)
+    # the two-pass reduction's mean, which subtracted the global maximum
+    want = [0.0, 0.157135258217754, -0.157135258217754]
+    np.testing.assert_allclose(got.mean, want, rtol=1e-13, atol=0.0)

@@ -27,6 +27,8 @@ from meanfield_lab.errors import (
     SingularChi,
     ZeroVariance,
 )
+from meanfield_lab import inverse as inverse_module
+from meanfield_lab.exact import LN2
 from meanfield_lab.inverse import _sample_log_likelihood
 
 from conftest import MU0_J12, make_cw, make_ref2
@@ -82,6 +84,15 @@ def test_moments_errors():
         # odd sums are unreachable with an even spin count
         estimate_moments(SampleSet(sizes=np.array([4]), seed=0,
                                    sums=np.array([[1], [2]])))
+
+
+def test_moments_read_the_parity_of_negative_sums():
+    # -2 is unreachable with 3 spins; -3 and -1 are reachable
+    with pytest.raises(InconsistentRows):
+        estimate_moments(SampleSet(sizes=np.array([3]), seed=0, sums=np.array([[-2], [1]])))
+    mom = estimate_moments(SampleSet(sizes=np.array([3]), seed=0,
+                                     sums=np.array([[-3], [-1], [1]])))
+    assert mom.mean == pytest.approx([-1 / 3])
 
 
 # --- susceptibility estimate ---------------------------------------------------
@@ -278,6 +289,24 @@ def test_mle_weak_coupling_scores_non_model_estimate():
                         for k in range(N + 1)))
     want = float(np.sum(J * S ** 2 / (2 * N) + h * S)) - len(S) * ln_z
     assert est.log_likelihood == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sample_log_likelihood_energies_have_the_einsum_formulas_bits(monkeypatch, n):
+    # with ln Z patched to 0, the log-likelihood of a one-row sample is that row's energy
+    rng = np.random.default_rng(n)
+    sizes = np.full(n, 40)
+    sums = 2 * rng.integers(0, 41, size=(64, n)) - 40
+    A = rng.normal(size=(n, n)) * 3.0
+    J, h, N = A + A.T, rng.normal(size=n), float(sizes.sum())
+    monkeypatch.setattr(inverse_module, "_log_z", lambda *args: -(N * LN2))
+    S = sums.astype(float)
+    quad = np.einsum("bi,ij,bj->b", S, J, S)
+    for b, row in enumerate(sums):
+        got = _sample_log_likelihood(SampleSet(sizes=sizes, seed=0, sums=row[None, :]),
+                                     J, h, np.full(n, 1.0 / n))
+        want = 0.5 / N * quad[b] + (S[b:b + 1] @ h)[0]
+        assert np.float64(got).tobytes() == want.tobytes(), b
 
 
 def test_sample_log_likelihood_checks_sizes():

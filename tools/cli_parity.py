@@ -38,7 +38,9 @@ N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
 classifies its maxima x = +-1.7e-5 as inflections), a one-species ``sample``
 then ``invert`` from a model-only config, with and without ``--ball``, an
 ``invert`` from a hand-written sample file with blank and whitespace-only lines
-between its rows, a ``sample`` with M = 0 (a header-only file), and the demos.
+between its rows, a ``sample`` with M = 0 (a header-only file), a three-species
+``sample`` (ref3 at [60, 90, 150], M = 140000: three streams over a lattice of
+many row blocks) then ``invert`` on its file, and the demos.
 Prints per
 output file "identical" or the count of moved numbers with their largest
 absolute and relative change, and for a CSV file the same per column, named
@@ -189,6 +191,14 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(empty)],
               [empty]),
              (["invert", "--config", str(model_only), "--samples", str(hand),
+               "--out", str(out)], [out])]
+    config, model_only = work / "config-sample-ref3.json", work / "config-invert-ref3.json"
+    config.write_text(json.dumps({"model": MODELS["ref3"], "sizes": [60, 90, 150], "M": 140_000}))
+    model_only.write_text(json.dumps({"model": MODELS["ref3"]}))
+    samples, out = work / "sample-ref3.csv", work / "invert-ref3.json"
+    runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(samples)],
+              [samples]),
+             (["invert", "--config", str(model_only), "--samples", str(samples),
                "--out", str(out)], [out])]
     outputs = {}
     for argv, files in runs:
