@@ -8,16 +8,17 @@ from ._ascent import _EPS
 from .errors import NoConvergence
 
 _TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
+_DEDUP_RADIUS = 1e-8    # converged rows this close (max norm) are one fixed point
 
 
-def _keep(pts, res, tol, radius, group=None) -> np.ndarray:
-    """Indices of the rows with residual <= ``tol``, deduplicated per group (``_dedup_rows``;
-    no group is one group).  NoConvergence if a group keeps no row."""
+def _keep(pts, res, tol, group=None) -> np.ndarray:
+    """Indices of the rows with residual <= ``tol``, deduplicated per group at _DEDUP_RADIUS
+    (``_dedup_rows``; no group is one group).  NoConvergence if a group keeps no row."""
     group = np.zeros(len(pts), dtype=int) if group is None else group
     keep = np.flatnonzero(res <= tol)
     if np.any(np.bincount(group[keep], minlength=group.max(initial=-1) + 1) == 0):
         raise NoConvergence("no start converged to the requested residual")
-    return keep[_dedup_rows(pts[keep], res[keep], radius, group[keep])]
+    return keep[_dedup_rows(pts[keep], res[keep], _DEDUP_RADIUS, group[keep])]
 
 
 def _equilibrium(values, K, group=None):

@@ -150,11 +150,12 @@ def cmd_pressure(args, doc: dict) -> int:
     """finite-size pressure ladder with sandwich bounds"""
     m = _model_from_config(doc)
     n_values = [_integer(v, "N_values entry", 1) for v in _list(doc, "N_values")]
+    # the lattice layer's rules (the split of each N, the +-1 measure) run before the solve
+    ladder = [exact._prepare(m, m.species_sizes(N), "log_partition").sizes for N in n_values]
     points = solver.solve_fixed_points(m, _solver_options(doc))
     limit = float(np.max([p.fbar_value if m.is_binary else p.f_value for p in points]))
     rows = []
-    for N in n_values:
-        sizes = m.species_sizes(N)
+    for N, sizes in zip(n_values, ladder):
         p_n = exact.finite_pressure(m, sizes)
         lower = limit - (math.log(3.0) + 0.5 * float(np.sum(np.log(sizes)))) / N
         upper = limit + float(np.sum(np.log(sizes + 1))) / N

@@ -55,6 +55,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyCondition,
+    InconsistentRows,
     IoError,
     LatticeTooLarge,
     OffLattice,
@@ -244,6 +245,14 @@ class SampleSet:
         return self.sums.shape[0]
 
     def magnetizations(self) -> np.ndarray:
+        """S_l / N_l per row; every fit reads rows here, so the one row rule runs here first:
+        n columns, |S_l| <= N_l and S_l = N_l (mod 2) on every row, else InconsistentRows."""
+        if self.sums.ndim != 2 or self.sums.shape[1] != self.n:
+            raise InconsistentRows("sample rows do not match the species count")
+        if np.any(np.abs(self.sums) > self.sizes[None, :]):
+            raise InconsistentRows("per-species sums exceed the block sizes")
+        if np.any((self.sums + self.sizes[None, :]) & 1):
+            raise InconsistentRows("per-species sums have impossible parity")
         return self.sums / self.sizes[None, :].astype(float)
 
 
@@ -671,9 +680,9 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
 
     With ``condition_ball`` set, the magnetization law is first restricted
     to the Euclidean ball of that radius around ``center`` and
-    renormalized.  ``k`` must be an integer >= 1 (ConfigParse otherwise);
-    ``center`` needs one finite entry per species; with a ball, a nan or
-    infinite entry, or a nan or negative radius, raises ConfigParse.  The law
+    renormalized.  Every rule runs before any lattice work: ``k`` an integer >= 1 and a
+    ball's center and radius (ConfigParse), then the model, measure and sizes, and one finite
+    center entry per species (DimensionMismatch, DomainError).  The law
     keeps the magnetization law's lattice-sized buffer, exponentiated in place, and
     with a ball a boolean mask; the mask, the ball's normaliser and its
     probabilities are formed ``_CHUNK`` points at a time, with the bits of
@@ -682,8 +691,9 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
     _integer(k, "type k", 1)
     if condition_ball is not None:
         _check_ball(center, condition_ball, model.n, "conditioning ball")
-    law = magnetization_law(model, sizes)
+    _prepare(model, sizes, "magnetization_law")
     center = model.check_point(center, "center")
+    law = magnetization_law(model, sizes)
     lattice, P, mask = law.lattice, law.log_weights, None     # the law is ours alone
     if condition_ball is None:
         np.exp(P, out=P)

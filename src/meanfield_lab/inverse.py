@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     EmptyCondition,
     EmptySample,
-    InconsistentRows,
     LatticeTooLarge,
     MagnetizationSaturated,
     SingularChi,
@@ -51,16 +50,9 @@ class InverseEstimate:
 
 
 def estimate_moments(samples: SampleSet) -> EmpiricalMoments:
-    """Plain (uncorrected) sample moments of the magnetizations."""
+    """Plain (uncorrected) sample moments; EmptySample below two rows, then the row rule."""
     if samples.sample_count < 2:
         raise EmptySample("need at least two sample rows")
-    sums = samples.sums
-    if sums.ndim != 2 or sums.shape[1] != samples.n:
-        raise InconsistentRows("sample rows do not match the species count")
-    if np.any(np.abs(sums) > samples.sizes[None, :]):
-        raise InconsistentRows("per-species sums exceed the block sizes")
-    if np.any((sums + samples.sizes[None, :]) & 1):
-        raise InconsistentRows("per-species sums have impossible parity")
     m = samples.magnetizations()
     mean = m.mean(axis=0)
     second = m.T @ m / samples.sample_count
@@ -112,9 +104,9 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
                        alpha) -> InverseEstimate:
     """Restrict the sample to a magnetization ball, then invert as usual.
 
-    This is how coexisting phases are handled: conditioning near one
-    maximum restores a well-defined mean and variance.  A non-finite center
-    entry, or a nan or negative radius, raises ConfigParse.
+    This is how coexisting phases are handled: conditioning near one maximum restores a
+    well-defined mean and variance.  A non-finite center entry, or a nan or negative radius,
+    raises ConfigParse; then every row, in the ball or not, meets ``magnetizations``' rule.
     """
     center, radius = _check_ball(ball_center, radius, samples.n, "ball")
     m = samples.magnetizations()

@@ -49,11 +49,10 @@ from .errors import (
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
-from .exact import _lse
+from .exact import LN2, _lse
 from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,  # noqa: F401
                     hamiltonian_density, validate_model)
 
-LN2 = math.log(2.0)
 _DERIV_TOL = 1e-9     # a Taylor term of f no larger than this vanishes
 _MAX_ORDER = 8
 # Newton stops a row whose defect has not fallen over this many steps.
@@ -62,14 +61,13 @@ _STALL_STEPS = 30
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the multistart fixed-point search.
+    """Knobs for the multistart search, each checked here; dedup is ``_cluster._keep``'s.
 
     ``threads`` is accepted for config compatibility and has no effect.
     """
 
     grid_points: int = 11
     tol: float = 1e-12
-    dedup_radius: float = 1e-8
     threads: int = 1
     newton_max_iter: int = 200
 
@@ -78,10 +76,8 @@ class SolverOptions:
             raise ConfigParse("solver options must be numbers, not booleans")
         _integer(self.grid_points, "grid_points", 1)
         _integer(self.newton_max_iter, "newton_max_iter", 0)
-        for name in ("tol", "dedup_radius"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-                raise ConfigParse(f"{name} must be finite and positive")
+        if not isinstance(self.tol, numbers.Real) or not 0.0 < self.tol < math.inf:
+            raise ConfigParse("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -454,7 +450,7 @@ def solve_fixed_points(model: ValidatedModel,
     model.check_measure("solve_fixed_points")
     opts = opts or SolverOptions()
     X, res = _newton_polish(model, _start_grid(model, opts), opts)
-    rows = _keep(X, res, opts.tol, opts.dedup_radius)
+    rows = _keep(X, res, opts.tol)
     fbar = _fbar_rows(model, X[rows]).tolist() if model.is_binary else [None] * len(rows)
     return [StationaryPoint(x=X[i], residual=float(res[i]),
                             f_value=float(_f_batch(model, X[i:i + 1])[0]), fbar_value=v)
@@ -618,17 +614,17 @@ def cw_phase_scan(J_grid, h: float,
     so each J keeps the bits of its own solve.
     """
     J_grid = np.asarray(J_grid, dtype=float)
-    if np.any(np.diff(J_grid) <= 0):
-        raise DomainError("J grid must be strictly increasing")
     if not np.all(np.isfinite(J_grid)):
         raise NonFiniteParameter("J grid entries must be finite")
+    if np.any(np.diff(J_grid) <= 0):
+        raise DomainError("J grid must be strictly increasing")
     # one model holds the measure and h; each row of the batch carries its own J
     model = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((1.0,),), h=(float(h),)))
     opts = opts or SolverOptions()
     group = np.repeat(np.arange(len(J_grid)), opts.grid_points)     # each row's J index
     B, H = J_grid[group, None, None], np.full((len(group), 1), model.h)    # alpha = 1: B = J
     X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), opts, B, H)
-    rows = _keep(X, res, opts.tol, opts.dedup_radius, group)
+    rows = _keep(X, res, opts.tol, group)
     X, B, group = X[rows], B[rows], group[rows]
     pressure, peaks = _equilibrium(_fbar_rows(model, X, B), _curvature(model, X, B)[0], group)
     mu = np.full_like(J_grid, -np.inf)

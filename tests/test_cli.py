@@ -214,6 +214,41 @@ def test_invert_conditioned_ball_flag(tmp_path, capsys):
     assert abs(report["J"][0][0] - 1.2) < 0.15
 
 
+@pytest.mark.parametrize("row", [402, 401])
+def test_invert_ball_refuses_an_impossible_row_outside_the_ball(tmp_path, capsys, row):
+    # the fit used only the rows in the ball and exited 0 with an estimate
+    cfg = write_config(tmp_path, {"model": CW12, "sizes": [400], "M": 2000})
+    sample_file, out = tmp_path / "s.csv", tmp_path / "fit.json"
+    assert main(["sample", "--config", cfg, "--seed", "11", "--out", str(sample_file)]) == 0
+    sample_file.write_text(sample_file.read_text() + f"{row}\n")
+    capsys.readouterr()
+    assert main(["invert", "--config", cfg, "--samples", str(sample_file),
+                 "--ball", "0.66,0.3", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InconsistentRows"
+    assert not out.exists()
+
+
+def test_phase_on_a_non_finite_unordered_grid_exits_2(tmp_path, capsys):
+    # [inf, 1.0] failed the order check first and exited 3
+    path = tmp_path / "cfg.json"
+    path.write_text('{"J_grid": [Infinity, 1.0], "h": 0.0}')
+    assert main(["phase", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteParameter"
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"model": REF2, "N_values": [200, 401]}, "BadSizes"),
+    ({"model": {**CW12, "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}},
+      "N_values": [200]}, "UnsupportedMeasure"),
+])
+def test_pressure_checks_every_size_and_the_measure_before_the_solve(tmp_path, capsys,
+                                                                      monkeypatch, doc, error):
+    # the solve and the sums for every earlier N ran before the lattice layer refused
+    monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _raise)
+    assert main(["pressure", "--config", write_config(tmp_path, doc)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 @pytest.mark.parametrize("command,ball", [
     ("limits", {"center": [math.nan], "radius": 0.3}),
     ("limits", {"center": [-math.inf], "radius": 0.3}),

@@ -863,6 +863,19 @@ def test_normalized_law_refuses_a_non_finite_center(center):
         normalized_sum_law(make_cw(0.5, 0.0), [10], center, k=1)
 
 
+@pytest.mark.parametrize("center,error", [([math.nan], DomainError),
+                                          ([0.0, 0.0], DimensionMismatch)])
+def test_normalized_law_refuses_a_bad_center_before_any_lattice_work(monkeypatch, center,
+                                                                     error):
+    # the whole magnetization law was built first, then refused
+    def lattice_work(*args, **kwargs):
+        raise AssertionError("lattice work started")
+
+    monkeypatch.setattr(exact_module, "_lattice_log_weights", lattice_work)
+    with pytest.raises(error):
+        normalized_sum_law(make_cw(0.5, 0.0), [10], center, k=1)
+
+
 # --- the lattice-backed sum law and rows longer than a block -------------------------
 
 

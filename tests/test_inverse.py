@@ -239,6 +239,16 @@ def test_conditioned_inversion_refuses_a_bad_ball_as_a_config_error(center, radi
         invert_conditioned(_cw12_sample(), center, radius, [1.0])
 
 
+@pytest.mark.parametrize("row", [402, 401], ids=["over-N", "odd-parity"])
+def test_conditioned_inversion_checks_every_row_not_only_those_in_the_ball(row):
+    # the ball [0.36, 0.96] held the rule back from the row; the fit returned with no error
+    sample = _cw12_sample()
+    bad = SampleSet(sizes=sample.sizes, seed=sample.seed,
+                    sums=np.vstack([sample.sums, [[row]]]))
+    with pytest.raises(InconsistentRows):
+        invert_conditioned(bad, [MU0_J12], 0.3, [1.0])
+
+
 # --- maximum likelihood ---------------------------------------------------------------
 
 

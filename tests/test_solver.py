@@ -845,6 +845,13 @@ def test_phase_scan_refuses_a_non_finite_coupling(grid):
         cw_phase_scan(grid, 0.0)
 
 
+@pytest.mark.parametrize("grid", [[math.inf, 1.0], [1.0, -math.inf]])
+def test_phase_scan_checks_finiteness_before_order(grid):
+    # a grid both out of order and not finite raised DomainError, a data outcome (CLI exit 3)
+    with pytest.raises(NonFiniteParameter):
+        cw_phase_scan(grid, 0.0)
+
+
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
 def test_phase_scan_refuses_a_non_finite_field(h):
     with pytest.raises(NonFiniteParameter):

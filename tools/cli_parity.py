@@ -29,8 +29,9 @@ maximum is Gaussian, and x = 0 is a minimum above J = 1),
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
 h = 1e308 on J = 1e308, 1.5e308 (the field u = Jx + h overflows to inf in the +-1
-Newton map) and at h = 1e-12 on 600 points J = 0.05..3.0 (the one-batch scan at
-scale, just off the h = 0 tie of its two branches), ``pressure`` on ref3 at
+Newton map), at h = 1e-12 on 600 points J = 0.05..3.0 (the one-batch scan at
+scale, just off the h = 0 tie of its two branches) and on J = inf, 1.0 (not
+finite and out of order: a config error, exit 2), ``pressure`` on ref3 at
 N = 300 and 600 (the exact sums run over row blocks of a 3-axis lattice), on the
 two-species model alpha = (1/2, 1/2), J = ((1.5, 0.5), (0.5, 1.5)), h = 0 at
 N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
@@ -38,7 +39,9 @@ N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
 classifies its maxima x = +-1.7e-5 as inflections), a one-species ``sample``
 then ``invert`` from a model-only config, with and without ``--ball``, an
 ``invert`` from a hand-written sample file with blank and whitespace-only lines
-between its rows, a ``sample`` with M = 0 (a header-only file), a three-species
+between its rows, an ``invert --ball`` from a hand-written file whose one
+impossible row (S = 42 at N = 40) lies outside the ball (every row is checked:
+exit 3), a ``sample`` with M = 0 (a header-only file), a three-species
 ``sample`` (ref3 at [60, 90, 150], M = 140000: three streams over a lattice of
 many row blocks) then ``invert`` on its file, and the demos.
 Prints per
@@ -161,7 +164,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "uneven": {"J_grid": [1.2, 1.25, 1.4, 1.45, 1.7], "h": 0.0},
                       "sat": {"J_grid": [1e308, 1.5e308], "h": 1e308},
                       "600": {"J_grid": [0.05 + 2.95 * i / 599 for i in range(600)],
-                              "h": 1e-12}}.items():
+                              "h": 1e-12},
+                      "inf": {"J_grid": [float("inf"), 1.0], "h": 0.0}}.items():
         config, out = work / f"config-phase-{name}.json", work / f"phase-{name}.csv"
         config.write_text(json.dumps(doc))
         runs.append((["phase", "--config", str(config), "--out", str(out)], [out]))
@@ -188,10 +192,15 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     hand, out = work / "sample-hand.csv", work / "invert-hand.json"
     hand.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
                     "12\n\n8\n  \n16\n\t\n10\n \n\n14\n-2\n\n")
+    impossible, ball_out = work / "sample-impossible.csv", work / "invert-impossible-ball.json"
+    impossible.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
+                          "12\n8\n16\n10\n14\n42\n")
     runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(empty)],
               [empty]),
              (["invert", "--config", str(model_only), "--samples", str(hand),
-               "--out", str(out)], [out])]
+               "--out", str(out)], [out]),
+             (["invert", "--config", str(model_only), "--samples", str(impossible),
+               "--ball", "0.3,0.2", "--out", str(ball_out)], [ball_out])]
     config, model_only = work / "config-sample-ref3.json", work / "config-invert-ref3.json"
     config.write_text(json.dumps({"model": MODELS["ref3"], "sizes": [60, 90, 150], "M": 140_000}))
     model_only.write_text(json.dumps({"model": MODELS["ref3"]}))
