@@ -21,9 +21,9 @@ allocates its own block buffers and nothing is kept across calls.
 ``exact_sample`` that array as its CDF plus a guide table of 2^12 entries
 and one chunk of draws, and ``normalized_sum_law`` one float per point,
 plus one byte with a conditioning ball (``DiscreteLaw``).  One cap holds
-everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points raises
-LatticeTooLarge (CLI exit 3) before any allocation; only ``log_partition``
-takes a ``cap``.
+everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points, or a sample
+of more than that many sums, raises LatticeTooLarge (CLI exit 3) before any
+allocation; only ``log_partition`` takes a ``cap``.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -34,9 +34,12 @@ uses: (x - 1/2) ln x - x + ln sqrt(2 pi), plus a five-term polynomial in
 It equals scipy.special.gammaln(k + 1) bit for bit for k <= 9168; past
 that numpy's log can differ from the C library's by one ulp.
 
-File formats: every CSV the package writes, sample files and CLI tables,
-comes from one row template (``_csv_rows``) and one writer (``_write``), a
-block of rows at a time; a sample file is read in one streamed parse.
+File formats: every CSV the package writes goes through one writer (``_write``), a
+block of rows at a time.  CLI tables come from one row template (``_csv_rows``); a
+sample file's rows and the axis columns of CLI ``limits`` format each distinct value of
+a column once (``_cells``) and gather the cells per row.  A sample file is read by
+numpy's C file reader after its metadata, and parsed again line by line only if that
+reader refuses it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -642,10 +647,14 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     seeded from (seed, stream index) and read a chunk at a time.  Same
     inputs give bit-identical output regardless of how streams would be
     scheduled.  ``M`` and ``seed`` must be integers >= 0 (ConfigParse
-    otherwise).
+    otherwise), and M n sums at most ``LATTICE_CAP`` (LatticeTooLarge before any
+    lattice work).
     """
     _integer(M, "sample count M", 0)
     _integer(seed, "seed", 0)
+    n = _prepare(model, sizes, "magnetization_law").n
+    if int(M) * n > LATTICE_CAP:
+        raise LatticeTooLarge(f"a sample of {M} x {n} sums exceeds the cap {LATTICE_CAP}")
     law = magnetization_law(model, sizes)
     cdf = law.log_weights.reshape(-1)       # the law is ours alone
     np.exp(cdf, out=cdf)
@@ -737,10 +746,13 @@ def _csv_rows(*blocks) -> str:
     return "".join([row + "\n"] * len(table)) % tuple(table.ravel().tolist())
 
 
-def _cells(v: np.ndarray) -> np.ndarray:
-    """Each float of v as ``_csv_rows`` prints it, an object array of strings."""
-    return np.array(["%.17g" % c for c in np.where(np.isfinite(v), v, np.nan).tolist()],
-                    dtype=object)
+def _cells(v: np.ndarray, end: str = "") -> np.ndarray:
+    """Each entry of v as ``_csv_rows`` prints it, then ``end``: an object array of strings."""
+    if v.dtype.kind == "f":
+        v, fmt = np.where(np.isfinite(v), v, np.nan), "%.17g" + end
+    else:
+        fmt = "%d" + end
+    return np.array([fmt % c for c in v.tolist()], dtype=object)
 
 
 def _write(path: str | None, chunks):
@@ -755,16 +767,45 @@ def _write(path: str | None, chunks):
         raise IoError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(col, return_inverse=True)``; a column whose range is shorter than it
+    marks its values in a table over that range instead, which sorts nothing."""
+    lo = int(col.min())
+    span = int(col.max()) - lo
+    if span >= col.size:
+        return np.unique(col, return_inverse=True)
+    at = col - lo
+    seen = np.zeros(span + 1, dtype=bool)
+    seen[at] = True
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[at]
+
+
+def _sum_rows(sums: np.ndarray) -> str:
+    """CSV rows of a block of integer sums: each column's distinct values formatted once
+    as finished cells (``_cells``), then gathered per row."""
+    table = np.empty(sums.shape, dtype=object)
+    for l in range(sums.shape[1]):
+        values, at = _distinct(sums[:, l])
+        table[:, l] = _cells(values, "\n" if l == sums.shape[1] - 1 else ",")[at]
+    return "".join(table.ravel().tolist())
+
+
 def write_samples_csv(samples: SampleSet, path: str):
-    """Sample file: versioned header, geometry metadata, one row per draw, in row blocks."""
+    """Sample file: versioned header, geometry metadata, then one row per draw, ``%d``
+    cells joined by commas; written ``_CHUNK`` rows at a time by ``_sum_rows``."""
     head = (f"{SAMPLES_HEADER}\n# n={samples.n}\n"
             f"# N={json.dumps([int(v) for v in samples.sizes])}\n# seed={samples.seed}\n")
-    _write(path, itertools.chain([head], (_csv_rows(samples.sums[a:a + _CHUNK])
+    _write(path, itertools.chain([head], (_sum_rows(samples.sums[a:a + _CHUNK])
                                           for a in range(0, samples.sample_count, _CHUNK))))
 
 
 def read_samples_csv(path: str) -> SampleSet:
-    """A sample file: header and metadata, then one streamed parse of the non-blank rows."""
+    """A sample file: header and metadata, then the rows in one parse by numpy's C reader.
+
+    Only a file that reader refuses (a whitespace-only line, a bad row, a name such as
+    ``*.gz`` that it would decompress) is parsed again, line by line from the open file
+    without whitespace-only lines: the same sums where both succeed, ConfigParse on a bad row.
+    """
     try:
         fh = open(path)
     except OSError as exc:
@@ -772,11 +813,11 @@ def read_samples_csv(path: str) -> SampleSet:
     with fh:
         if fh.readline().removesuffix("\n") != SAMPLES_HEADER:
             raise ConfigParse(f"{path} is not a v1 sample file")
-        meta, line = {}, fh.readline()
+        meta, skip, line = {}, 1, fh.readline()
         while line.startswith("# "):
             key, _, value = line[2:].removesuffix("\n").partition("=")
             meta[key] = value
-            line = fh.readline()
+            skip, line = skip + 1, fh.readline()
         try:
             n = int(meta["n"])
             sizes = json.loads(meta["N"])
@@ -787,15 +828,19 @@ def read_samples_csv(path: str) -> SampleSet:
                 and all(type(v) is int and 1 <= v < 2 ** 63 for v in sizes)):
             raise ConfigParse(f"N in {path} must list {n} integers >= 1")
         sizes = np.array(sizes, dtype=np.int64)
-        rows = filter(str.strip, itertools.chain([line], fh))
-        first = next(rows, None)            # loadtxt warns on a file with no rows
-        try:
-            # one parse of every cell; a ragged row or a non-integer cell fails
-            sums = (np.empty((0, n), dtype=np.int64) if first is None else
-                    np.loadtxt(itertools.chain([first], rows), delimiter=",",
-                               dtype=np.int64, comments=None, ndmin=2))
-        except ValueError as exc:
-            raise ConfigParse(f"bad sample row in {path}: {exc}") from exc
+        options = dict(delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        with warnings.catch_warnings():         # loadtxt warns on a body without rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:        # an absolute path, which numpy never takes for a URL
+                sums = np.loadtxt(os.path.abspath(path), skiprows=skip, **options)
+            except Exception:   # ValueError on a row; OSError, EOFError or LZMAError on a name
+                try:
+                    sums = np.loadtxt(filter(str.strip, itertools.chain([line], fh)),
+                                      **options)
+                except ValueError as exc:
+                    raise ConfigParse(f"bad sample row in {path}: {exc}") from exc
+    if sums.size == 0:
+        sums = np.empty((0, n), dtype=np.int64)
     if sums.shape[1] != n:
         raise ConfigParse(f"rows in {path} do not have {n} columns")
     return SampleSet(sizes=sizes, seed=seed, sums=sums)

@@ -617,3 +617,11 @@ def test_limits_runs_no_cross_check(tmp_path, monkeypatch):
 
 def test_dumps17_of_an_empty_list():
     assert dumps17([]) == "[]"
+
+
+def test_sample_over_the_cap_exits_3_before_any_allocation(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    cfg = write_config(tmp_path, {"model": CW12, "sizes": [10], "M": 10 ** 12})
+    assert main(["sample", "--config", cfg, "--seed", "0", "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "LatticeTooLarge"
+    assert not out.exists()

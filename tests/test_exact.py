@@ -1140,3 +1140,89 @@ def test_three_species_moments_skip_leading_blocks_without_mass():
     # the two-pass reduction's mean, which subtracted the global maximum
     want = [0.0, 0.157135258217754, -0.157135258217754]
     np.testing.assert_allclose(got.mean, want, rtol=1e-13, atol=0.0)
+
+
+_SAMPLE_HEAD = "# meanfield-lab samples v1\n# n=2\n# N=[3, 5]\n# seed=7\n"
+
+
+@pytest.mark.parametrize("body,newline,sums", [
+    (" 1 ,  -3\n-3\t,\t5\t\n", "\n", [[1, -3], [-3, 5]]),             # spaces and tabs
+    ("\f1,-3\v\n\v-3,5\f\n", "\n", [[1, -3], [-3, 5]]),               # form feeds, vertical tabs
+    ("+1,01\n-0,-03\n", "\n", [[1, 1], [0, -3]]),                    # signs and leading zeros
+    ("1,-3\n-3,5\n", "\r\n", [[1, -3], [-3, 5]]),                    # CRLF line ends
+    ("1,-3\n-3,5\n", "\r", [[1, -3], [-3, 5]]),                      # CR-only line ends
+    ("1,-3\n-3,5", "\n", [[1, -3], [-3, 5]]),                        # no final newline
+    ("1,-3\n\n  \n\t\n\f\n\v\n-3,5\n\n", "\n", [[1, -3], [-3, 5]]),  # blank lines between rows
+    ("1,-3\n \n\n-3,5\n", "\r\n", [[1, -3], [-3, 5]]),               # the same with CRLF
+])
+def test_sample_reader_accepts(tmp_path, body, newline, sums):
+    path = tmp_path / "ok.csv"
+    path.write_bytes((_SAMPLE_HEAD + body).replace("\n", newline).encode())
+    got = read_samples_csv(str(path))
+    assert got.sums.dtype == np.int64 and got.sums.tolist() == sums
+    assert got.sizes.tolist() == [3, 5] and got.seed == 7
+
+
+@pytest.mark.parametrize("row", [
+    "1,- 3", "1,--3", "1,3e0", "1,0x3",
+    "1,３",                       # a full-width digit
+    "1,99999999999999999999",         # past int64
+    "1,", ",3", "1,,3", "1,3,", "1;3", "1,1_0",
+    "#x", "# x",                      # comments after the body
+])
+def test_sample_reader_refuses(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_bytes((_SAMPLE_HEAD + "1,-3\n" + row + "\n").encode())
+    with pytest.raises(ConfigParse):
+        read_samples_csv(str(path))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", [0, 1, 4095, 4096, 4097, 2 ** 16 + 1])
+def test_sample_writer_bytes_match_a_row_template(tmp_path, n, M):
+    rng = np.random.default_rng(1000 * n + M)
+    sums = rng.integers(-60, 61, size=(M, n))     # narrow columns, as lattice sums are
+    if n > 1:                                     # a wide column with repeated values
+        wide = rng.integers(_INT64.min, _INT64.max, size=M, dtype=np.int64, endpoint=True)
+        sums[:, 1] = np.where(rng.random(M) < 0.5, wide, sums[:, 1])
+    if n > 2:                                     # a narrow column at the top of int64
+        sums[:, 2] += _INT64.max - 60
+    edges = np.array([0, _INT64.max, -_INT64.max, _INT64.min], dtype=np.int64)
+    flat = sums.reshape(-1)
+    flat[:min(flat.size, 4)] = edges[:min(flat.size, 4)]
+    sizes = np.arange(1, n + 1)
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(sizes=sizes, seed=3, sums=sums), str(path))
+    head = (f"# meanfield-lab samples v1\n# n={n}\n"
+            f"# N=[{', '.join(str(v) for v in sizes)}]\n# seed=3\n")
+    want = head + "".join([",".join(["%d"] * n) + "\n"] * M) % tuple(sums.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,M,refused", [
+    (1, 10 ** 12, True), (2, 5 * 10 ** 7 + 1, True), (2, 5 * 10 ** 7, False),
+    (2, np.int64(2 ** 62), True),                # M n overflows int64
+])
+def test_exact_sample_bounds_its_sums_before_any_lattice_work(monkeypatch, n, M, refused):
+    def lattice_work(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(exact_module, "magnetization_law", lattice_work)
+    model, sizes = (make_cw(1.2, 0.0), [10]) if n == 1 else (make_ref2(), [10, 10])
+    with pytest.raises(LatticeTooLarge if refused else _Reached):
+        exact_sample(model, sizes, M, seed=0)
+
+
+@pytest.mark.parametrize("name", ["s.csv.gz", "s.bz2", "s.xz", "s.lzma"])
+def test_a_sample_file_with_a_compressed_suffix_reads_as_plain_text(tmp_path, name):
+    # numpy's file reader would decompress these names; the file is read as written
+    path = tmp_path / name
+    path.write_text(_SAMPLE_HEAD + "1,-3\n-3,5\n")
+    assert read_samples_csv(str(path)).sums.tolist() == [[1, -3], [-3, 5]]

@@ -38,10 +38,12 @@ N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
 ``solve`` refuses) and on cw J = 1 + 1e-10, h = 0 at N = 200 and 400 (``solve``
 classifies its maxima x = +-1.7e-5 as inflections), a one-species ``sample``
 then ``invert`` from a model-only config, with and without ``--ball``, an
-``invert`` from a hand-written sample file with blank and whitespace-only lines
-between its rows, an ``invert --ball`` from a hand-written file whose one
-impossible row (S = 42 at N = 40) lies outside the ball (every row is checked:
-exit 3), a ``sample`` with M = 0 (a header-only file), a three-species
+``invert`` from each of three hand-written sample files (one with blank and
+whitespace-only lines between its rows, one with CRLF line ends and
+whitespace-only lines, which numpy's C reader refuses, so it is parsed again
+line by line, and one without a final newline), an ``invert --ball`` from a
+hand-written file whose one impossible row (S = 42 at N = 40) lies outside the
+ball (every row is checked: exit 3), a ``sample`` with M = 0 (a header-only file), a three-species
 ``sample`` (ref3 at [60, 90, 150], M = 140000: three streams over a lattice of
 many row blocks) then ``invert`` on its file, and the demos.
 Prints per
@@ -195,10 +197,20 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     impossible, ball_out = work / "sample-impossible.csv", work / "invert-impossible-ball.json"
     impossible.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
                           "12\n8\n16\n10\n14\n42\n")
+    crlf, crlf_out = work / "sample-crlf.csv", work / "invert-crlf.json"
+    crlf.write_bytes(b"# meanfield-lab samples v1\r\n# n=1\r\n# N=[40]\r\n# seed=0\r\n"
+                     b"12\r\n \r\n8\r\n16\r\n\t \r\n\r\n10\r\n14\r\n-2\r\n")
+    unended, unended_out = work / "sample-unended.csv", work / "invert-unended.json"
+    unended.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
+                       "12\n8\n16\n10\n14\n-2")
     runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(empty)],
               [empty]),
              (["invert", "--config", str(model_only), "--samples", str(hand),
                "--out", str(out)], [out]),
+             (["invert", "--config", str(model_only), "--samples", str(crlf),
+               "--out", str(crlf_out)], [crlf_out]),
+             (["invert", "--config", str(model_only), "--samples", str(unended),
+               "--out", str(unended_out)], [unended_out]),
              (["invert", "--config", str(model_only), "--samples", str(impossible),
                "--ball", "0.3,0.2", "--out", str(ball_out)], [ball_out])]
     config, model_only = work / "config-sample-ref3.json", work / "config-invert-ref3.json"
