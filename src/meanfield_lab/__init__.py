@@ -41,14 +41,10 @@ from .limits import (
     susceptibility_matrix,
 )
 from .model import (
-    Configuration,
     FiniteMeasure,
     ModelSpec,
     ValidatedModel,
-    check_configuration,
     hamiltonian_density,
-    magnetization,
-    materialize_configuration,
     model_from_dict,
     model_from_json,
     model_to_dict,

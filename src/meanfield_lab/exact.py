@@ -20,7 +20,10 @@ allocates its own block buffers and nothing is kept across calls.
 ``magnetization_law`` and the n <= 2 moments hold one lattice-sized array,
 ``exact_sample`` that array as its CDF plus a guide table of 2^12 entries
 and one chunk of draws, and ``normalized_sum_law`` one float per point,
-plus one byte with a conditioning ball (``DiscreteLaw``).  One cap holds
+plus one byte with a conditioning ball (``DiscreteLaw``).  The sample fits
+(``inverse.py``) walk a ``SampleSet`` in blocks of ``_CHUNK`` rows
+(``SampleSet.row_blocks``): the row rule holds one block's copies, and only
+``magnetizations`` returns one float per sum.  One cap holds
 everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points, or a sample
 of more than that many sums, raises LatticeTooLarge (CLI exit 3) before any
 allocation; only ``log_partition`` takes a ``cap``.
@@ -71,7 +74,8 @@ from .model import ValidatedModel, _check_ball, _integer, _require_validated
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
 _BLOCK = 1 << 16          # lattice points per pass block
-_CHUNK = 1 << 12          # sum-law points per chunk of per-point work; sampler draws per chunk
+_CHUNK = 1 << 12          # sum-law points per chunk of per-point work; sampler draws per
+                          # chunk; sample rows per block of a fit
 _STREAM = 1 << 16         # draws per sampler stream; fixes the bytes of every sample file
 _GUIDE = 1 << 12          # cells of the sampler's guide table; a power of 2
 SAMPLES_HEADER = "# meanfield-lab samples v1"
@@ -249,15 +253,24 @@ class SampleSet:
     def sample_count(self) -> int:
         return self.sums.shape[0]
 
-    def magnetizations(self) -> np.ndarray:
-        """S_l / N_l per row; every fit reads rows here, so the one row rule runs here first:
-        n columns, |S_l| <= N_l and S_l = N_l (mod 2) on every row, else InconsistentRows."""
+    def row_blocks(self) -> list[slice]:
+        """The rows in blocks of ``_CHUNK``: every M-row pass of a fit walks these."""
+        return [slice(a, a + _CHUNK) for a in range(0, self.sample_count, _CHUNK)]
+
+    def check_rows(self) -> None:
+        """The one row rule, which every fit runs before it reads a row: n columns, then
+        |S_l| <= N_l on every row, then S_l = N_l (mod 2) on every row, else
+        InconsistentRows.  Each pass walks ``row_blocks``, so it holds one block's copies."""
         if self.sums.ndim != 2 or self.sums.shape[1] != self.n:
             raise InconsistentRows("sample rows do not match the species count")
-        if np.any(np.abs(self.sums) > self.sizes[None, :]):
+        if any(np.any(np.abs(self.sums[rows]) > self.sizes) for rows in self.row_blocks()):
             raise InconsistentRows("per-species sums exceed the block sizes")
-        if np.any((self.sums + self.sizes[None, :]) & 1):
+        if any(np.any((self.sums[rows] + self.sizes) & 1) for rows in self.row_blocks()):
             raise InconsistentRows("per-species sums have impossible parity")
+
+    def magnetizations(self) -> np.ndarray:
+        """S_l / N_l per row, after ``check_rows``: the one (M, n) float array a fit holds."""
+        self.check_rows()
         return self.sums / self.sizes[None, :].astype(float)
 
 
@@ -805,19 +818,23 @@ def read_samples_csv(path: str) -> SampleSet:
     Only a file that reader refuses (a whitespace-only line, a bad row, a name such as
     ``*.gz`` that it would decompress) is parsed again, line by line from the open file
     without whitespace-only lines: the same sums where both succeed, ConfigParse on a bad row.
+    A byte that does not decode raises ConfigParse wherever it sits.
     """
     try:
         fh = open(path)
     except OSError as exc:
         raise IoError(f"cannot read sample file {path}: {exc}") from exc
     with fh:
-        if fh.readline().removesuffix("\n") != SAMPLES_HEADER:
-            raise ConfigParse(f"{path} is not a v1 sample file")
-        meta, skip, line = {}, 1, fh.readline()
-        while line.startswith("# "):
-            key, _, value = line[2:].removesuffix("\n").partition("=")
-            meta[key] = value
-            skip, line = skip + 1, fh.readline()
+        try:
+            if fh.readline().removesuffix("\n") != SAMPLES_HEADER:
+                raise ConfigParse(f"{path} is not a v1 sample file")
+            meta, skip, line = {}, 1, fh.readline()
+            while line.startswith("# "):
+                key, _, value = line[2:].removesuffix("\n").partition("=")
+                meta[key] = value
+                skip, line = skip + 1, fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ConfigParse(f"bad sample file {path}: {exc}") from exc
         try:
             n = int(meta["n"])
             sizes = json.loads(meta["N"])

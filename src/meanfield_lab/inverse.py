@@ -50,7 +50,11 @@ class InverseEstimate:
 
 
 def estimate_moments(samples: SampleSet) -> EmpiricalMoments:
-    """Plain (uncorrected) sample moments; EmptySample below two rows, then the row rule."""
+    """Plain (uncorrected) sample moments; EmptySample below two rows, then the row rule.
+
+    Holds the (M, n) magnetizations, one float per sum: ``m.T @ m`` is one BLAS call,
+    whose bits depend on having the whole array.
+    """
     if samples.sample_count < 2:
         raise EmptySample("need at least two sample rows")
     m = samples.magnetizations()
@@ -106,11 +110,16 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
 
     This is how coexisting phases are handled: conditioning near one maximum restores a
     well-defined mean and variance.  A non-finite center entry, or a nan or negative radius,
-    raises ConfigParse; then every row, in the ball or not, meets ``magnetizations``' rule.
+    raises ConfigParse; then every row, in the ball or not, meets ``SampleSet.check_rows``.
+    The ball mask is built one block of rows at a time, one bool per row, and only the rows
+    in the ball are copied and fitted.
     """
     center, radius = _check_ball(ball_center, radius, samples.n, "ball")
-    m = samples.magnetizations()
-    mask = np.linalg.norm(m - center[None, :], axis=1) <= radius
+    samples.check_rows()
+    scale = samples.sizes.astype(float)
+    mask = np.empty(samples.sample_count, dtype=bool)
+    for rows in samples.row_blocks():
+        mask[rows] = np.linalg.norm(samples.sums[rows] / scale - center, axis=1) <= radius
     if mask.sum() < 2:
         raise EmptyCondition("fewer than two sample rows fall in the ball")
     restricted = SampleSet(sizes=samples.sizes, seed=samples.seed,
@@ -120,16 +129,22 @@ def invert_conditioned(samples: SampleSet, ball_center, radius: float,
 
 def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
                            alpha: np.ndarray) -> float:
-    """Exact log-likelihood of the sample rows under any real (J, h), model or not."""
+    """Exact log-likelihood of the sample rows under any real (J, h), model or not.
+
+    Each block of rows gets the whole-array formula's energies, written into one array of
+    M floats, whose single ``sum()`` has the bits of the whole-array sum.
+    """
     _check_fractions(samples.sizes, alpha)
     N = float(samples.sizes.sum())
     ln_z = _log_z(J, h, MagLattice(samples.sizes), LATTICE_CAP) + N * LN2
-    S = samples.sums.astype(float)
-    quad = np.zeros(samples.sample_count)
-    for i in range(samples.n):      # einsum("bi,ij,bj->b", S, J, S)'s bits from 3 rows on
-        for j in range(samples.n):
-            quad += S[:, i] * J[i, j] * S[:, j]
-    energies = 0.5 / N * quad + S @ h
+    energies = np.empty(samples.sample_count)
+    for rows in samples.row_blocks():
+        S = samples.sums[rows].astype(float)
+        quad = np.zeros(len(S))
+        for i in range(samples.n):      # einsum("bi,ij,bj->b", S, J, S)'s bits from 3 rows on
+            for j in range(samples.n):
+                quad += S[:, i] * J[i, j] * S[:, j]
+        energies[rows] = 0.5 / N * quad + S @ h
     return float(energies.sum() - samples.sample_count * ln_z)
 
 
@@ -137,7 +152,8 @@ def mle_fit(samples: SampleSet, alpha) -> InverseEstimate:
     """Moment-matching fit plus the exact likelihood it achieves.
 
     The point estimate is the moment inversion, which is asymptotically
-    equivalent (N -> infinity) to maximum likelihood.
+    equivalent (N -> infinity) to maximum likelihood.  The moments hold one float per sum;
+    the likelihood then holds one float per row and a block of rows at a time.
     """
     est = invert_multi(estimate_moments(samples), alpha)
     try:

@@ -193,24 +193,6 @@ def _check_ball(center, radius: float, n: int, what: str) -> tuple[np.ndarray, f
     return center, radius
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Explicit spin assignment with contiguous species blocks.
-
-    The first ``partition[0]`` spins belong to species 1, the next block
-    to species 2, and so on.
-    """
-
-    spins: np.ndarray
-    partition: np.ndarray
-
-    def __post_init__(self):
-        if int(np.sum(self.partition)) != len(self.spins):
-            raise DimensionMismatch("partition does not sum to the spin count")
-        if np.any(np.asarray(self.partition) < 1):
-            raise BadSizes("partition blocks must be positive")
-
-
 def validate_model(spec: ModelSpec) -> ValidatedModel:
     """Check all structural invariants of a model specification."""
     alpha = np.asarray(spec.alpha, dtype=float)
@@ -243,52 +225,6 @@ def hamiltonian_density(model: ValidatedModel, m) -> float:
     model = _require_validated(model)
     am = model.alpha * model.check_point(m, "magnetization vector")
     return float(0.5 * am @ model.J @ am + model.h @ am)
-
-
-def check_configuration(model: ValidatedModel, config: Configuration):
-    """Verify a configuration against a model.
-
-    Every spin must sit on a support point of the single-spin measure and
-    the block sizes must match the species fractions to within rounding.
-    """
-    model = _require_validated(model)
-    locs = model.site_measure.locations
-    dist = np.min(np.abs(config.spins[:, None] - locs[None, :]), axis=1)
-    if np.any(dist > ATOL):
-        raise DegenerateMeasure("configuration contains off-support spin values")
-    total = int(np.sum(config.partition))
-    frac = np.asarray(config.partition) / total
-    if np.any(np.abs(frac - model.alpha) > 1.0 / total + ATOL):
-        raise BadSizes("partition does not match the species fractions")
-
-
-def magnetization(config: Configuration) -> np.ndarray:
-    """Per-species average spin of a configuration."""
-    out = np.empty(len(config.partition))
-    start = 0
-    for l, size in enumerate(config.partition):
-        block = config.spins[start:start + size]
-        out[l] = block.mean()
-        start += size
-    return out
-
-
-def materialize_configuration(model: ValidatedModel, sizes, sums) -> Configuration:
-    """Build an explicit +-1 configuration with the given per-species sums.
-
-    Deterministic (leading spins up); intended only for brute-force
-    cross-checks where the exact arrangement within a block is irrelevant.
-    """
-    model = _require_validated(model)
-    sizes = model.check_sizes(sizes)
-    sums = np.asarray(sums, dtype=np.int64)
-    spins = []
-    for size, s in zip(sizes, sums):
-        if (size + s) % 2 != 0 or not -size <= s <= size:
-            raise BadSizes(f"sum {s} unreachable with {size} binary spins")
-        ups = (size + s) // 2
-        spins.append(np.concatenate([np.ones(ups), -np.ones(size - ups)]))
-    return Configuration(spins=np.concatenate(spins), partition=sizes)
 
 
 # --- model JSON document ------------------------------------------------

@@ -7,12 +7,15 @@ the code under test.
 
 import itertools
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meanfield_lab import ModelSpec, validate_model
+from meanfield_lab.errors import BadSizes, DegenerateMeasure, DimensionMismatch
+from meanfield_lab.model import ATOL, ValidatedModel, _require_validated
 
 # Child interpreters (the CLI entry-point test) import the package from
 # src/ as well, as pyproject's pytest ``pythonpath`` does for this process.
@@ -141,3 +144,68 @@ def brute_force_hamiltonian(model, config):
         for j in range(N):
             acc += model.J[species[i], species[j]] * spins[i] * spins[j]
     return acc / (2.0 * N) + float(model.h[species] @ spins)
+
+
+# Configuration-level helpers: explicit spins for the brute-force oracles above.
+@dataclass(frozen=True)
+class Configuration:
+    """Explicit spin assignment with contiguous species blocks.
+
+    The first ``partition[0]`` spins belong to species 1, the next block
+    to species 2, and so on.
+    """
+
+    spins: np.ndarray
+    partition: np.ndarray
+
+    def __post_init__(self):
+        if int(np.sum(self.partition)) != len(self.spins):
+            raise DimensionMismatch("partition does not sum to the spin count")
+        if np.any(np.asarray(self.partition) < 1):
+            raise BadSizes("partition blocks must be positive")
+
+
+def check_configuration(model: ValidatedModel, config: Configuration):
+    """Verify a configuration against a model.
+
+    Every spin must sit on a support point of the single-spin measure and
+    the block sizes must match the species fractions to within rounding.
+    """
+    model = _require_validated(model)
+    locs = model.site_measure.locations
+    dist = np.min(np.abs(config.spins[:, None] - locs[None, :]), axis=1)
+    if np.any(dist > ATOL):
+        raise DegenerateMeasure("configuration contains off-support spin values")
+    total = int(np.sum(config.partition))
+    frac = np.asarray(config.partition) / total
+    if np.any(np.abs(frac - model.alpha) > 1.0 / total + ATOL):
+        raise BadSizes("partition does not match the species fractions")
+
+
+def magnetization(config: Configuration) -> np.ndarray:
+    """Per-species average spin of a configuration."""
+    out = np.empty(len(config.partition))
+    start = 0
+    for l, size in enumerate(config.partition):
+        block = config.spins[start:start + size]
+        out[l] = block.mean()
+        start += size
+    return out
+
+
+def materialize_configuration(model: ValidatedModel, sizes, sums) -> Configuration:
+    """Build an explicit +-1 configuration with the given per-species sums.
+
+    Deterministic (leading spins up); intended only for brute-force
+    cross-checks where the exact arrangement within a block is irrelevant.
+    """
+    model = _require_validated(model)
+    sizes = model.check_sizes(sizes)
+    sums = np.asarray(sums, dtype=np.int64)
+    spins = []
+    for size, s in zip(sizes, sums):
+        if (size + s) % 2 != 0 or not -size <= s <= size:
+            raise BadSizes(f"sum {s} unreachable with {size} binary spins")
+        ups = (size + s) // 2
+        spins.append(np.concatenate([np.ones(ups), -np.ones(size - ups)]))
+    return Configuration(spins=np.concatenate(spins), partition=sizes)

@@ -625,3 +625,15 @@ def test_sample_over_the_cap_exits_3_before_any_allocation(tmp_path, capsys):
     assert main(["sample", "--config", cfg, "--seed", "0", "--out", str(out)]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "LatticeTooLarge"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-row", "past-8-KB"])
+def test_invert_refuses_a_byte_that_is_not_utf8_as_a_config_error(tmp_path, capsys,
+                                                                  rows_before):
+    # in the first 8 KB it escaped as an untyped UnicodeDecodeError (exit 5)
+    cfg = write_config(tmp_path, {"model": CW12})
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"# meanfield-lab samples v1\n# n=1\n# N=[10]\n# seed=0\n"
+                     + b"2\n" * rows_before + b"\xff4\n0\n")
+    assert main(["invert", "--config", cfg, "--samples", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"

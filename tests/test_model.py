@@ -7,14 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meanfield_lab import (
-    Configuration,
     FiniteMeasure,
     Gaussian,
     ModelSpec,
     build_limit_law,
     hamiltonian_density,
-    magnetization,
-    materialize_configuration,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -32,7 +29,15 @@ from meanfield_lab.errors import (
     NonSymmetricJ,
 )
 
-from conftest import brute_force_hamiltonian, make_cw, make_ref2
+from conftest import (
+    Configuration,
+    brute_force_hamiltonian,
+    check_configuration,
+    magnetization,
+    make_cw,
+    make_ref2,
+    materialize_configuration,
+)
 
 
 def test_validate_canonical_cw():
@@ -195,7 +200,6 @@ def test_materialize_configuration_roundtrip():
 
 
 def test_check_configuration():
-    from meanfield_lab import check_configuration
     from meanfield_lab.errors import DegenerateMeasure
 
     model = make_ref2()

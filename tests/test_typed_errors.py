@@ -34,11 +34,9 @@ from meanfield_lab.limits import (
     susceptibility_matrix,
 )
 from meanfield_lab.model import (
-    Configuration,
     FiniteMeasure,
     ModelSpec,
     hamiltonian_density,
-    materialize_configuration,
     model_from_dict,
     validate_model,
 )
@@ -48,7 +46,7 @@ from meanfield_lab.solver import (
     StationaryPoint,
 )
 
-from conftest import make_cw, make_ref2
+from conftest import Configuration, make_cw, make_ref2, materialize_configuration
 
 REF2_DOC = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [0.2, -0.1]}
 
