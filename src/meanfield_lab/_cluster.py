@@ -9,15 +9,16 @@ from .errors import NoConvergence
 
 _TIE_TOL = 1e-9     # fixed points this close to the top functional value tie
 _DEDUP_RADIUS = 1e-8    # converged rows this close (max norm) are one fixed point
+_TARGET_RESIDUAL = 1e-12    # Newton's target; far below _DEDUP_RADIUS, which relies on it
 
 
-def _keep(pts, res, tol, group=None) -> np.ndarray:
-    """Indices of the rows with residual <= ``tol``, deduplicated per group at _DEDUP_RADIUS
-    (``_dedup_rows``; no group is one group).  NoConvergence if a group keeps no row."""
+def _keep(pts, res, group=None) -> np.ndarray:
+    """Indices of the rows with residual <= _TARGET_RESIDUAL, deduplicated per group at
+    _DEDUP_RADIUS (``_dedup_rows``; no group is one group).  NoConvergence if a group keeps none."""
     group = np.zeros(len(pts), dtype=int) if group is None else group
-    keep = np.flatnonzero(res <= tol)
+    keep = np.flatnonzero(res <= _TARGET_RESIDUAL)
     if np.any(np.bincount(group[keep], minlength=group.max(initial=-1) + 1) == 0):
-        raise NoConvergence("no start converged to the requested residual")
+        raise NoConvergence("no start converged to the target residual")
     return keep[_dedup_rows(pts[keep], res[keep], _DEDUP_RADIUS, group[keep])]
 
 

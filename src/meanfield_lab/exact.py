@@ -26,7 +26,7 @@ plus one byte with a conditioning ball (``DiscreteLaw``).  The sample fits
 ``magnetizations`` returns one float per sum.  One cap holds
 everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points, or a sample
 of more than that many sums, raises LatticeTooLarge (CLI exit 3) before any
-allocation; only ``log_partition`` takes a ``cap``.
+allocation.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -391,10 +391,10 @@ class _Weights:
     one broadcast operand.
     """
 
-    def __init__(self, J: np.ndarray, h: np.ndarray, lattice: MagLattice, cap: int):
+    def __init__(self, J: np.ndarray, h: np.ndarray, lattice: MagLattice):
         volume = lattice.volume()
-        if volume > cap:
-            raise LatticeTooLarge(f"lattice volume {volume} exceeds the cap {cap}")
+        if volume > LATTICE_CAP:
+            raise LatticeTooLarge(f"lattice volume {volume} exceeds the cap {LATTICE_CAP}")
         self.J, self.h, self.lattice = J, h, lattice
         shape = lattice.shape
         per_block = max(shape[0], volume // shape[0]) > _BLOCK
@@ -456,10 +456,9 @@ class _Weights:
             yield self.block(key).reshape(-1)
 
 
-def _lattice_log_weights(J: np.ndarray, h: np.ndarray, lattice: MagLattice,
-                         cap: int) -> np.ndarray:
+def _lattice_log_weights(J: np.ndarray, h: np.ndarray, lattice: MagLattice) -> np.ndarray:
     """The whole lattice of ``_Weights``, assembled block by block."""
-    weights = _Weights(J, h, lattice, cap)
+    weights = _Weights(J, h, lattice)
     W = np.empty(lattice.shape)
     for key in weights.keys():
         weights.block(key, out=W[key])
@@ -565,15 +564,15 @@ def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
     return MagLattice(sizes=model.check_sizes(sizes))
 
 
-def _log_z(J: np.ndarray, h: np.ndarray, lattice: MagLattice, cap: int) -> float:
+def _log_z(J: np.ndarray, h: np.ndarray, lattice: MagLattice) -> float:
     """ln Z with the 2^-N single-spin weights for any real (J, h), streamed."""
-    return _lse_blocks(_Weights(J, h, lattice, cap).__iter__)
+    return _lse_blocks(_Weights(J, h, lattice).__iter__)
 
 
-def log_partition(model: ValidatedModel, sizes, cap: int = LATTICE_CAP) -> float:
-    """ln Z_N under the convention with the 2^-N single-spin weights, up to ``cap`` points."""
+def log_partition(model: ValidatedModel, sizes) -> float:
+    """ln Z_N under the convention with the 2^-N single-spin weights, up to LATTICE_CAP points."""
     lattice = _prepare(model, sizes, "log_partition")
-    return _log_z(model.J, model.h, lattice, cap)
+    return _log_z(model.J, model.h, lattice)
 
 
 def finite_pressure(model: ValidatedModel, sizes) -> float:
@@ -584,7 +583,7 @@ def finite_pressure(model: ValidatedModel, sizes) -> float:
 def magnetization_law(model: ValidatedModel, sizes) -> MagnetizationLaw:
     """Normalized law of the magnetization vector on its lattice."""
     lattice = _prepare(model, sizes, "magnetization_law")
-    W = _lattice_log_weights(model.J, model.h, lattice, LATTICE_CAP)
+    W = _lattice_log_weights(model.J, model.h, lattice)
     W -= _lse(W)
     return MagnetizationLaw(lattice=lattice, log_weights=W)
 
@@ -615,7 +614,7 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
         np.exp(P, out=P)
         marg = {keep: _marginal(P, keep) for keep in keeps}
     else:
-        weights = _Weights(model.J, model.h, lattice, LATTICE_CAP)
+        weights = _Weights(model.J, model.h, lattice)
         top = -np.inf
         marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps[1:]}
         for key in weights.keys():

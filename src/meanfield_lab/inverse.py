@@ -22,7 +22,7 @@ from .errors import (
     SingularChi,
     ZeroVariance,
 )
-from .exact import LATTICE_CAP, LN2, MagLattice, SampleSet, _log_z
+from .exact import LN2, MagLattice, SampleSet, _log_z
 from .exact import log_partition  # noqa: F401 - re-exported; perfbench traces it here
 from .model import _check_ball, _check_fractions
 from .model import validate_model  # noqa: F401 - re-exported likewise
@@ -136,7 +136,7 @@ def _sample_log_likelihood(samples: SampleSet, J: np.ndarray, h: np.ndarray,
     """
     _check_fractions(samples.sizes, alpha)
     N = float(samples.sizes.sum())
-    ln_z = _log_z(J, h, MagLattice(samples.sizes), LATTICE_CAP) + N * LN2
+    ln_z = _log_z(J, h, MagLattice(samples.sizes)) + N * LN2
     energies = np.empty(samples.sample_count)
     for rows in samples.row_blocks():
         S = samples.sums[rows].astype(float)

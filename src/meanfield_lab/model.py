@@ -173,7 +173,7 @@ class ValidatedModel:
 def _check_fractions(sizes: np.ndarray, alpha) -> None:
     """BadSizes unless ``sizes`` holds one block >= 1 per species, in proportion ``alpha``."""
     if np.shape(alpha) != sizes.shape or np.any(sizes < 1) \
-            or np.any(np.abs(sizes / sizes.sum() - alpha) > ATOL):
+            or not np.all(np.abs(sizes / sizes.sum() - alpha) <= ATOL):     # nan fails
         raise BadSizes(f"block sizes {sizes.tolist()} must be positive and "
                        "proportional to the species fractions")
 

@@ -34,13 +34,13 @@ of one strictly concave cell).  Their gap is reported as
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._ascent import _EPS, _ascend, _steady
-from ._cluster import _dedup_points, _dedup_rows, _eigs, _equilibrium, _keep  # noqa: F401
+from ._cluster import (_TARGET_RESIDUAL, _dedup_points, _dedup_rows, _eigs,  # noqa: F401
+                       _equilibrium, _keep)
 from .errors import (
     ConfigParse,
     DomainError,
@@ -57,27 +57,24 @@ _DERIV_TOL = 1e-9     # a Taylor term of f no larger than this vanishes
 _MAX_ORDER = 8
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
+_NEWTON_STEPS = 200     # and every row after this many
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the multistart search, each checked here; dedup is ``_cluster._keep``'s.
-
-    ``threads`` is accepted for config compatibility and has no effect.
+    """Knobs for the multistart search, each checked here.  ``threads`` is accepted for
+    config compatibility and has no effect.  Newton's target residual and step cap and the
+    dedup radius are constants (``_cluster._TARGET_RESIDUAL``, ``_NEWTON_STEPS``).
     """
 
     grid_points: int = 11
-    tol: float = 1e-12
     threads: int = 1
-    newton_max_iter: int = 200
 
     def __post_init__(self):
         if any(isinstance(getattr(self, f.name), bool) for f in fields(self)):
             raise ConfigParse("solver options must be numbers, not booleans")
         _integer(self.grid_points, "grid_points", 1)
-        _integer(self.newton_max_iter, "newton_max_iter", 0)
-        if not isinstance(self.tol, numbers.Real) or not 0.0 < self.tol < math.inf:
-            raise ConfigParse("tol must be finite and positive")
+        _integer(self.threads, "threads", 1)
 
 
 @dataclass(frozen=True)
@@ -374,16 +371,17 @@ def _deflated(model, X, step, shrink, B, h):
     return C, ok
 
 
-def _newton_polish(model, X, opts, B=None, h=None):
+def _newton_polish(model, X, B=None, h=None):
     """Newton on x - map(x) = 0 for a batch of rows; every row and its residual.
 
     B = J diag(alpha) and h are the model's unless given (as ``_map_rows``),
     so one batch can hold many models' starts.  Each row takes exactly the
-    steps it would take alone.  A row stops once its defect and last step
-    are both small (at a degenerate root the defect is cubically flat), at
-    an exactly singular Jacobian (dropped before its first step unless its
-    defect is 0), or when its defect, above tol, is no lower than
-    ``_STALL_STEPS`` steps before.  Roots lie in the support hull [lo, hi]^n,
+    steps it would take alone.  A row stops once its defect is at most
+    ``_TARGET_RESIDUAL`` and its last step at most that times 1 + max|x| (at a
+    degenerate root the defect is cubically flat), at an exactly singular
+    Jacobian (dropped before its first step unless its defect is 0), when its
+    defect, above the target, is no lower than ``_STALL_STEPS`` steps before,
+    or after ``_NEWTON_STEPS`` steps.  Roots lie in the support hull [lo, hi]^n,
     so each iterate is clamped to it: a step toward a root on the hull's edge
     can overshoot it, and the row lands on the edge instead of being lost (a
     nan step stays nan and fails the residual test).  Newton is only linear
@@ -400,7 +398,7 @@ def _newton_polish(model, X, opts, B=None, h=None):
     tried = np.zeros(len(X), dtype=bool)
     mark = np.full(len(X), np.inf)
     live = np.arange(len(X))
-    for it in range(opts.newton_max_iter):
+    for it in range(_NEWTON_STEPS):
         if not len(live):
             break
         x = X[live]
@@ -408,10 +406,10 @@ def _newton_polish(model, X, opts, B=None, h=None):
         F, var = _map_defect(model, x, Bx, hx)
         JF = np.eye(model.n) - var[:, :, None] * Bx
         defect = np.max(np.abs(F), axis=1)
-        small = opts.tol * (1.0 + np.max(np.abs(x), axis=1))
-        go = (defect > opts.tol) | (step_norm[live] > small)
+        small = _TARGET_RESIDUAL * (1.0 + np.max(np.abs(x), axis=1))
+        go = (defect > _TARGET_RESIDUAL) | (step_norm[live] > small)
         if it % _STALL_STEPS == 0:
-            go &= (defect < mark[live]) | (defect <= opts.tol)
+            go &= (defect < mark[live]) | (defect <= _TARGET_RESIDUAL)
             mark[live] = defect
         live, F, JF = live[go], F[go], JF[go]
         try:
@@ -449,8 +447,8 @@ def solve_fixed_points(model: ValidatedModel,
     model = _require_validated(model)
     model.check_measure("solve_fixed_points")
     opts = opts or SolverOptions()
-    X, res = _newton_polish(model, _start_grid(model, opts), opts)
-    rows = _keep(X, res, opts.tol)
+    X, res = _newton_polish(model, _start_grid(model, opts))
+    rows = _keep(X, res)
     fbar = _fbar_rows(model, X[rows]).tolist() if model.is_binary else [None] * len(rows)
     return [StationaryPoint(x=X[i], residual=float(res[i]),
                             f_value=float(_f_batch(model, X[i:i + 1])[0]), fbar_value=v)
@@ -623,8 +621,8 @@ def cw_phase_scan(J_grid, h: float,
     opts = opts or SolverOptions()
     group = np.repeat(np.arange(len(J_grid)), opts.grid_points)     # each row's J index
     B, H = J_grid[group, None, None], np.full((len(group), 1), model.h)    # alpha = 1: B = J
-    X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), opts, B, H)
-    rows = _keep(X, res, opts.tol, group)
+    X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), B, H)
+    rows = _keep(X, res, group)
     X, B, group = X[rows], B[rows], group[rows]
     pressure, peaks = _equilibrium(_fbar_rows(model, X, B), _curvature(model, X, B)[0], group)
     mu = np.full_like(J_grid, -np.inf)

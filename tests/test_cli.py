@@ -329,6 +329,21 @@ def test_invert_ball_refuses_alpha_that_contradicts_the_sample_sizes(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ball", [None, "0.2,0.5"])
+def test_invert_refuses_a_nan_species_fraction(tmp_path, capsys, ball):
+    # the ball fit exited 0 with "J": [[null]]; the plain fit exited 3 on overflowing weights
+    cfg = write_config(tmp_path, {"model": CW12, "sizes": [400], "M": 2000})
+    sample_file = tmp_path / "s.csv"
+    assert main(["sample", "--config", cfg, "--seed", "11",
+                 "--out", str(sample_file)]) == 0
+    nan = write_config(tmp_path, {"alpha": [math.nan]}, name="nan.json")
+    out = tmp_path / "fit.json"
+    argv = ["invert", "--config", nan, "--samples", str(sample_file), "--out", str(out)]
+    assert main(argv + (["--ball", ball] if ball else [])) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "BadSizes"
+    assert not out.exists()
+
+
 def test_invert_ball_refuses_a_one_species_alpha_that_contradicts_the_sample_size(
         tmp_path, capsys):
     # a single block is the whole sample: its fraction is 1, not 0.5
@@ -384,6 +399,7 @@ def test_exit_codes(tmp_path, capsys):
     {"grid_points": 2.5}, {"max_iter": 0}, {"newton_max_iter": -1},
     {"tol": float("nan")}, {"dedup_radius": -1}, {"newton_trigger": float("inf")},
     {"damping": 0}, {"damping": 1.5},
+    {"tol": 1e-3}, {"tol": 1e-16}, {"newton_max_iter": 3}, {"threads": "abc"}, {"threads": 0},
 ])
 def test_bad_solver_options_exit_2(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"model": CW12, "solver": bad})

@@ -129,9 +129,10 @@ def test_log_partition_field_flip_symmetry():
     assert log_partition(plus, [10, 10]) == log_partition(minus, [10, 10])
 
 
-def test_log_partition_lattice_cap():
+def test_log_partition_lattice_cap(monkeypatch):
+    monkeypatch.setattr(exact_module, "LATTICE_CAP", 50)
     with pytest.raises(LatticeTooLarge):
-        log_partition(make_cw(1.0, 0.0), [100], cap=50)
+        log_partition(make_cw(1.0, 0.0), [100])
 
 
 def test_log_partition_requires_binary():
@@ -283,8 +284,7 @@ def test_moments_three_species_brute_force():
 def test_log_sum_exp_matches_scipy_bitwise(model, sizes):
     from scipy.special import logsumexp
 
-    W = _lattice_log_weights(model.J, model.h, MagLattice(np.asarray(sizes)),
-                             10 ** 8)
+    W = _lattice_log_weights(model.J, model.h, MagLattice(np.asarray(sizes)))
     want = logsumexp(W)
     assert log_partition(model, sizes) == float(want)
     assert magnetization_law(model, sizes).log_weights.tobytes() == (W - want).tobytes()
@@ -328,7 +328,7 @@ def test_row_blocks_reproduce_the_full_array_weights(sizes):
     n = len(sizes)
     A = rng.normal(size=(n, n))
     J, h = (A + A.T) / 2.0, rng.uniform(-0.3, 0.3, n)
-    W = _lattice_log_weights(J, h, MagLattice(np.asarray(sizes)), 10 ** 8)
+    W = _lattice_log_weights(J, h, MagLattice(np.asarray(sizes)))
     assert W.tobytes() == _full_array_weights(J, h, sizes).tobytes()
 
 
@@ -341,7 +341,7 @@ def test_streamed_sums_match_scipy_bitwise_across_blocks(model, sizes):
     from scipy.special import logsumexp
 
     lattice = MagLattice(np.asarray(sizes))
-    W = _lattice_log_weights(model.J, model.h, lattice, 10 ** 8)
+    W = _lattice_log_weights(model.J, model.h, lattice)
     assert W.size > 2 * _BLOCK
     want = logsumexp(W)
     assert log_partition(model, sizes) == float(want)
@@ -420,8 +420,8 @@ def test_two_weight_streams_zipped_in_one_thread_keep_their_own_blocks():
     other = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.5, -0.3), (-0.3, 0.8)),
                                      h=(0.0, 0.3)))
     models = [make_ref2(), other]
-    alone = [[W.copy() for W in _Weights(m.J, m.h, lattice, 10 ** 8)] for m in models]
-    streams = [_Weights(m.J, m.h, lattice, 10 ** 8) for m in models]
+    alone = [[W.copy() for W in _Weights(m.J, m.h, lattice)] for m in models]
+    streams = [_Weights(m.J, m.h, lattice) for m in models]
     for i, (W0, W1) in enumerate(zip(*streams)):
         assert W0.tobytes() == alone[0][i].tobytes()
         assert W1.tobytes() == alone[1][i].tobytes()
@@ -915,7 +915,7 @@ def test_rows_longer_than_a_block_are_cut_along_axis_1_bit_for_bit(monkeypatch):
     monkeypatch.setattr(exact, "_BLOCK", 1 << 10)
     for (model, sizes, center, ball), want in zip(cases, whole):
         lattice = MagLattice(np.asarray(sizes))
-        keys = _Weights(model.J, model.h, lattice, 10 ** 8).keys()
+        keys = _Weights(model.J, model.h, lattice).keys()
         assert any(key[1] != slice(0, lattice.shape[1]) for key in keys)    # rows are cut
         for got, old in zip(run(model, sizes, center, ball), want):
             assert np.asarray(got).tobytes() == np.asarray(old).tobytes()
@@ -1089,7 +1089,7 @@ def test_a_block_without_mass_is_no_overflow():
 def test_three_species_moments_evaluate_each_weight_once_and_need_no_bitwise_ln_z(monkeypatch):
     # one pass sums exp(W - running max): no pass for the maximum, no bitwise ln Z
     model, sizes = make_ref3(), [60, 90, 150]
-    keys = list(_Weights(model.J, model.h, MagLattice(np.asarray(sizes)), 10 ** 8).keys())
+    keys = list(_Weights(model.J, model.h, MagLattice(np.asarray(sizes))).keys())
     assert len(keys) > 1
     calls = []
     block = _Weights.block
@@ -1130,7 +1130,7 @@ def test_three_species_moments_skip_leading_blocks_without_mass():
                                      J=((-1.7e308, 0.1, 0.0), (0.1, 1.0, 0.2), (0.0, 0.2, 1.0)),
                                      h=(0.0, 0.1, -0.1)))
     sizes = [40, 300, 300]
-    weights = _Weights(model.J, model.h, MagLattice(np.asarray(sizes)), 10 ** 8)
+    weights = _Weights(model.J, model.h, MagLattice(np.asarray(sizes)))
     keys = list(weights.keys())
     assert len(keys) == 246 and all(k[1] != slice(0, 301) for k in keys)
     assert weights.block(keys[0]).max() == -math.inf

@@ -374,6 +374,18 @@ def test_one_species_inverse_refuses_alpha_that_contradicts_the_block_size(fit):
         fit(_cw12_sample(), [0.5])
 
 
+@pytest.mark.parametrize("fit", [
+    lambda sample, alpha: invert_multi(estimate_moments(sample), alpha),
+    lambda sample, alpha: invert_conditioned(sample, [0.6586], 0.3, alpha),
+    lambda sample, alpha: mle_fit(sample, alpha),
+], ids=["invert_multi", "invert_conditioned", "mle_fit"])
+def test_inverse_refuses_a_nan_species_fraction(fit):
+    # |nan - 1| > tolerance is False: the ball fit returned J = h = nan, and mle_fit's
+    # likelihood refused "the lattice weights overflow (maximum nan)"
+    with pytest.raises(BadSizes):
+        fit(_cw12_sample(), [math.nan])
+
+
 @pytest.mark.parametrize("moments", [
     lambda: moments_from_exact(make_cw(0.5, 0.2), [500]),
     lambda: estimate_moments(_cw12_sample()),

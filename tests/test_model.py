@@ -215,6 +215,20 @@ def test_check_configuration():
         check_configuration(model, skewed)
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Configuration(spins=np.ones(4), partition=np.array([2, 1])),
+     DimensionMismatch, "spin count"),
+    (lambda: Configuration(spins=np.ones(4), partition=np.array([4, 0])),
+     BadSizes, "positive"),
+    (lambda: materialize_configuration(make_cw(1.0, 0.0), [4], [3]),
+     BadSizes, "unreachable"),
+], ids=["configuration-partition-not-the-spin-count", "configuration-empty-block",
+        "unreachable-sum"])
+def test_configuration_helpers_raise_their_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_model_json_roundtrip():
     doc = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]],
            "h": [0.2, -0.1]}

@@ -21,6 +21,7 @@ from meanfield_lab import (
     functional_f,
     functional_fbar,
     hamiltonian_density,
+    log_partition,
     mean_field_map,
     model_from_dict,
     pressure_limit,
@@ -361,12 +362,12 @@ def test_fixed_point_set_negation_symmetric_without_field():
         assert np.min(np.max(np.abs(pts + x), axis=1)) <= 1e-8
 
 
-def test_no_convergence_when_polish_is_disabled():
+def test_no_convergence_when_polish_is_disabled(monkeypatch):
     from meanfield_lab.errors import NoConvergence
 
-    opts = SolverOptions(newton_max_iter=0, tol=1e-12)
+    monkeypatch.setattr(solver, "_NEWTON_STEPS", 0)
     with pytest.raises(NoConvergence):
-        solve_fixed_points(make_cw(1.2, 0.3), opts)
+        solve_fixed_points(make_cw(1.2, 0.3))
 
 
 def test_threads_do_not_change_results():
@@ -376,6 +377,17 @@ def test_threads_do_not_change_results():
     assert len(a) == len(b)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.x, pb.x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SolverOptions(tol=1e-12),
+    lambda: SolverOptions(newton_max_iter=200),
+    lambda: log_partition(make_cw(1.2, 0.0), [100], cap=10 ** 8),
+], ids=["tol", "newton_max_iter", "cap"])
+def test_the_fixed_solver_and_lattice_settings_are_not_arguments(call):
+    # a user tol of 1e-3 counted 7 fixed points of cw J = 1.2, h = 0, where there are 3
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_dedup_chains_links_and_collapses_repeats():
@@ -397,8 +409,8 @@ def test_newton_polish_batch_matches_single_rows(model_fn):
     model = model_fn()
     opts = SolverOptions(grid_points=9)
     starts = _start_grid(model, opts)
-    pts, res = _newton_polish(model, starts, opts)
-    rows = [_newton_polish(model, starts[i:i + 1], opts)
+    pts, res = _newton_polish(model, starts)
+    rows = [_newton_polish(model, starts[i:i + 1])
             for i in range(len(starts))]
     assert pts.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
     assert res.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
@@ -408,9 +420,8 @@ def test_a_singular_row_falls_back_and_keeps_the_bits_of_its_lone_polish(monkeyp
     # x = 0 has an exactly singular Jacobian, 1 - sech^2(1e-12) = 0, so the
     # batch's first solve raises and that step runs the slogdet filter
     model = make_cw(1.0, 1e-12)
-    opts = SolverOptions()
     starts = np.array([[-0.99], [-0.5], [0.0], [0.3], [0.99]])
-    alone = [_newton_polish(model, starts[i:i + 1], opts) for i in range(len(starts))]
+    alone = [_newton_polish(model, starts[i:i + 1]) for i in range(len(starts))]
     sizes = []
     slogdet = np.linalg.slogdet
 
@@ -419,12 +430,12 @@ def test_a_singular_row_falls_back_and_keeps_the_bits_of_its_lone_polish(monkeyp
         return slogdet(a)
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
-    pts, res = _newton_polish(model, starts, opts)
+    pts, res = _newton_polish(model, starts)
     assert sizes == [len(starts)]
     assert pts.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
     assert res.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
     assert np.isnan(pts[2, 0]) and np.isnan(res[2])
-    assert np.all(res[[0, 1, 3, 4]] <= opts.tol)
+    assert np.all(res[[0, 1, 3, 4]] <= solver._TARGET_RESIDUAL)
 
 
 def test_dedup_sorts_its_input():
@@ -463,8 +474,8 @@ def test_newton_polish_with_per_row_pairs_matches_each_model(models):
     B = np.concatenate([np.repeat([m.J * m.alpha], len(s), axis=0)
                         for m, s in zip(models, starts)])
     h = np.concatenate([np.repeat([m.h], len(s), axis=0) for m, s in zip(models, starts)])
-    pts, res = _newton_polish(models[0], np.concatenate(starts), opts, B, h)
-    alone = [_newton_polish(m, s, opts) for m, s in zip(models, starts)]
+    pts, res = _newton_polish(models[0], np.concatenate(starts), B, h)
+    alone = [_newton_polish(m, s) for m, s in zip(models, starts)]
     assert pts.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
     assert res.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
 
@@ -486,7 +497,7 @@ def test_newton_drops_rows_whose_defect_stops_falling(monkeypatch):
 
     monkeypatch.setattr(solver, "_map_defect", counted)
     assert len(solve_fixed_points(model)) == 1
-    assert len(steps) < SolverOptions().newton_max_iter
+    assert len(steps) < solver._NEWTON_STEPS
 
 
 @pytest.mark.parametrize("model_fn", [lambda: make_cw(0.8, 0.1),
@@ -859,11 +870,12 @@ def test_phase_scan_refuses_a_non_finite_field(h):
 
 
 @pytest.mark.parametrize("grid,steps", [([1.2], 0), ([1.2, 1e20], 1)])
-def test_phase_scan_raises_when_a_coupling_keeps_no_start(grid, steps):
+def test_phase_scan_raises_when_a_coupling_keeps_no_start(monkeypatch, grid, steps):
     # no start is a root at h = 0.05; one Newton step takes every start of J = 1e20 to
     # x = 1, so there only J = 1.2 is left without a converged row
+    monkeypatch.setattr(solver, "_NEWTON_STEPS", steps)
     with pytest.raises(NoConvergence):
-        cw_phase_scan(grid, 0.05, SolverOptions(newton_max_iter=steps))
+        cw_phase_scan(grid, 0.05)
 
 
 @pytest.mark.parametrize("grid", [[1e308], [1e308, 1.5e308]])

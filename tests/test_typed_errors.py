@@ -7,7 +7,6 @@ import pytest
 
 from meanfield_lab import cli
 from meanfield_lab.errors import (
-    BadSizes,
     ConfigParse,
     DimensionMismatch,
     DegenerateMeasure,
@@ -46,7 +45,7 @@ from meanfield_lab.solver import (
     StationaryPoint,
 )
 
-from conftest import Configuration, make_cw, make_ref2, materialize_configuration
+from conftest import make_cw, make_ref2
 
 REF2_DOC = {"n": 2, "alpha": [0.5, 0.5], "J": [[1.0, 0.5], [0.5, 1.0]], "h": [0.2, -0.1]}
 
@@ -101,12 +100,6 @@ CASES = {     # (call, class, what the message says)
     "ball-center-of-the-wrong-length": (
         lambda: invert_conditioned(_samples([[2], [4]], [10]), [0.1, 0.2], 0.5, [1.0]),
         DimensionMismatch, "one entry per species"),
-    "configuration-partition-not-the-spin-count": (
-        lambda: Configuration(spins=np.ones(4), partition=np.array([2, 1])),
-        DimensionMismatch, "spin count"),
-    "configuration-empty-block": (
-        lambda: Configuration(spins=np.ones(4), partition=np.array([4, 0])),
-        BadSizes, "positive"),
     "model-shapes": (
         lambda: validate_model(ModelSpec(n=2, alpha=(1.0,), J=((1.0,),), h=(0.0,))),
         DimensionMismatch, "shape"),
@@ -114,9 +107,6 @@ CASES = {     # (call, class, what the message says)
         lambda: hamiltonian_density(ModelSpec(n=1, alpha=(1.0,), J=((1.0,),), h=(0.0,)),
                                     [0.5]),
         TypeError, "ValidatedModel"),
-    "unreachable-sum": (
-        lambda: materialize_configuration(make_cw(1.0, 0.0), [4], [3]),
-        BadSizes, "unreachable"),
     "model-document-not-an-object": (
         lambda: model_from_dict([REF2_DOC]),
         ConfigParse, "JSON object"),

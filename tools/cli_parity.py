@@ -24,7 +24,10 @@ bipartite ferromagnet J_12 = 2.5 at the same field (one Gaussian maximum),
 ``solve`` on cw J = 1 +- 1e-12, h = 0 and on alpha = (1/2, 1/2),
 J = diag(2 - 2e-11, 1), h = 0, and ``limits`` on cw J = 1 - 1e-12 at N = 400
 (curvatures far above the rounding of forming them, though 1e-11 or less: each
-maximum is Gaussian, and x = 0 is a minimum above J = 1),
+maximum is Gaussian, and x = 0 is a minimum above J = 1), ``solve`` with the
+removed solver key ``tol`` on cw J = 1.2, h = 0 at 1e-3 and on cw J = 3, h = -0.2
+at 1e-16 (a config error, exit 2: a loose target counted 7 fixed points where
+there are 3, a tight one lost the global root),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
@@ -37,7 +40,8 @@ two-species model alpha = (1/2, 1/2), J = ((1.5, 0.5), (0.5, 1.5)), h = 0 at
 N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
 ``solve`` refuses) and on cw J = 1 + 1e-10, h = 0 at N = 200 and 400 (``solve``
 classifies its maxima x = +-1.7e-5 as inflections), a one-species ``sample``
-then ``invert`` from a model-only config, with and without ``--ball``, an
+then ``invert`` from a model-only config, with and without ``--ball``, and
+with ``--ball`` from alpha = [NaN] (a species fraction that fits no sample: exit 3), an
 ``invert`` from each of three hand-written sample files (one with blank and
 whitespace-only lines between its rows, one with CRLF line ends and
 whitespace-only lines, which numpy's C reader refuses, so it is parsed again
@@ -92,7 +96,9 @@ BIP_F = {"n": 2, "alpha": [0.5, 0.5], "J": [[0.0, 2.5], [2.5, 0.0]], "h": [0.3, 
 CW1P12 = {"n": 1, "alpha": [1.0], "J": [[1.0 + 1e-12]], "h": [0.0]}
 CW1M12 = {"n": 1, "alpha": [1.0], "J": [[1.0 - 1e-12]], "h": [0.0]}
 NEAR2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.0 - 2e-11, 0.0], [0.0, 1.0]], "h": [0.0, 0.0]}
-GRIDS = {"ref4": 6, "cw10-g10": 10}
+CW3 = {"n": 1, "alpha": [1.0], "J": [[3.0]], "h": [-0.2]}
+SOLVER = {"ref4": {"grid_points": 6}, "cw10-g10": {"grid_points": 10},
+          "cw12-tol": {"tol": 1e-3}, "cw3-tol": {"tol": 1e-16}}
 
 
 def number_diff(old: str, new: str):
@@ -154,9 +160,10 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "cw1001": CW1001, "cw1-1e-10": CW1_1E10, "cw1-1e-8": CW1_1E8,
                       "ferro2": FERRO2, "edge2": EDGE2, "corner2": CORNER2,
                       "bip-af": BIP_AF, "bip-f": BIP_F, "cw1p1e-12": CW1P12,
-                      "cw1m1e-12": CW1M12, "near2": NEAR2}.items():
+                      "cw1m1e-12": CW1M12, "near2": NEAR2, "cw12-tol": MODELS["cw12"],
+                      "cw3-tol": CW3}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
-        opts = {"solver": {"grid_points": GRIDS[name]}} if name in GRIDS else {}
+        opts = {"solver": SOLVER[name]} if name in SOLVER else {}
         config.write_text(json.dumps({"model": doc, **opts}))
         runs.append((["solve", "--config", str(config), "--out", str(out)], [out]))
     for name, doc in {"h005": {"J_grid": [round(0.5 + 0.005 * i, 10) for i in range(201)],
@@ -182,13 +189,17 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     config.write_text(json.dumps({"model": MODELS["cw12"], "sizes": [400], "M": 2000}))
     model_only.write_text(json.dumps({"model": MODELS["cw12"]}))
     samples, out = work / "sample-cw12.csv", work / "invert-cw12.json"
-    ball_out = work / "invert-cw12-ball.json"
+    ball_out, nan_config = work / "invert-cw12-ball.json", work / "config-invert-nan.json"
+    nan_config.write_text(json.dumps({"alpha": [float("nan")]}))
+    nan_out = work / "invert-cw12-nan-ball.json"
     runs += [(["sample", "--config", str(config), "--seed", "11", "--out", str(samples)],
               [samples]),
              (["invert", "--config", str(model_only), "--samples", str(samples),
                "--out", str(out)], [out]),
              (["invert", "--config", str(model_only), "--samples", str(samples),
-               "--ball", "0.66,0.3", "--out", str(ball_out)], [ball_out])]
+               "--ball", "0.66,0.3", "--out", str(ball_out)], [ball_out]),
+             (["invert", "--config", str(nan_config), "--samples", str(samples),
+               "--ball", "0.66,0.3", "--out", str(nan_out)], [nan_out])]
     config, empty = work / "config-sample-empty.json", work / "sample-empty.csv"
     config.write_text(json.dumps({"model": MODELS["cw12"], "sizes": [400], "M": 0}))
     hand, out = work / "sample-hand.csv", work / "invert-hand.json"
