@@ -41,11 +41,6 @@ def _eigs(K) -> np.ndarray:
     return np.where(np.abs(lam) <= 16.0 * _EPS * (1.0 + a_max), 0.0, lam)
 
 
-def _dedup_points(pts, res, radius) -> list[tuple[np.ndarray, float]]:
-    """Each cluster's best point and its residual (``_dedup_rows``)."""
-    return [(pts[i], float(res[i])) for i in _dedup_rows(pts, res, radius)]
-
-
 def _dedup_rows(pts, res, radius, group=None) -> np.ndarray:
     """Single-linkage clustering; the index of each cluster's best row.
 

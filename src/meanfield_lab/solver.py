@@ -39,8 +39,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._ascent import _EPS, _ascend, _steady
-from ._cluster import (_TARGET_RESIDUAL, _dedup_points, _dedup_rows, _eigs,  # noqa: F401
-                       _equilibrium, _keep)
+from ._cluster import _TARGET_RESIDUAL, _eigs, _equilibrium, _keep
 from .errors import (
     ConfigParse,
     DomainError,
@@ -188,8 +187,9 @@ def _fields(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
     return x @ B.T + h
 
 
-def _tilted_moments(model: ValidatedModel, u: np.ndarray, order: int) -> np.ndarray:
-    """Raw moments 1..order of the measure tilted by exp(s*u); shape (order, *u.shape)."""
+def _cumulants(model: ValidatedModel, u: np.ndarray, order: int) -> np.ndarray:
+    """Cumulants 1..order of the measure tilted by exp(s*u), shape (order, *u.shape): the one
+    place in ``src/`` where raw moments become cumulants or a variance (kappa_2)."""
     locs = model.site_measure.locations
     logw = np.log(model.site_measure.weights)
     logits = u[..., None] * locs + logw
@@ -197,18 +197,11 @@ def _tilted_moments(model: ValidatedModel, u: np.ndarray, order: int) -> np.ndar
         logits -= logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=-1, keepdims=True)
-    return np.stack([(w * locs ** m).sum(axis=-1) for m in range(1, order + 1)])
-
-
-def _cumulants_from_moments(m: np.ndarray) -> np.ndarray:
-    """Cumulants 1..order from raw moments (same layout as input)."""
-    order = m.shape[0]
-    k = np.empty_like(m)
-    for n in range(1, order + 1):
-        acc = m[n - 1].copy()
+    m = np.stack([(w * locs ** j).sum(axis=-1) for j in range(1, order + 1)])
+    k = m.copy()
+    for n in range(2, order + 1):
         for j in range(1, n):
-            acc -= math.comb(n - 1, j - 1) * k[j - 1] * m[n - j - 1]
-        k[n - 1] = acc
+            k[n - 1] -= math.comb(n - 1, j - 1) * k[j - 1] * m[n - j - 1]
     return k
 
 
@@ -278,7 +271,7 @@ def _f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
 
 def _grad_f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     u = _fields(model, X)
-    mean = _tilted_moments(model, u, 1)[0]
+    mean = _cumulants(model, u, 1)[0]
     core = model.alpha[:, None] * model.J * model.alpha[None, :]
     return (mean - X) @ core
 
@@ -310,8 +303,7 @@ def _map_rows(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarray
         u = np.matmul(X[:, None, :], np.swapaxes(B, -1, -2))[:, 0] + h
     if model.is_binary:
         return np.tanh(u), _sech2(u)
-    m = _tilted_moments(model, u, 2)
-    return m[0], m[1] - m[0] ** 2
+    return _cumulants(model, u, 2)
 
 
 def _map_defect(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarray):
@@ -360,9 +352,9 @@ def _deflated(model, X, step, shrink, B, h):
         u = (X - (m[:, None] - 1) * step) * B[:, 0] + h
         with np.errstate(all="ignore"):     # a runaway u gives nan: no candidate
             for _ in range(8):
-                kappa = _cumulants_from_moments(_tilted_moments(model, u[:, 0], m.max() + 1))
+                kappa = _cumulants(model, u[:, 0], m.max() + 1)
                 u[:, 0] -= kappa[m - 1, i] / kappa[m, i]
-            C = _tilted_moments(model, u, 1)[0]
+            C = _cumulants(model, u, 1)[0]
     mean, var = _map_rows(model, C, B, h)
     scale = np.abs(C) + np.abs(mean) + np.abs(np.matmul(B, C[:, :, None])[:, :, 0]) + np.abs(h)
     ok = np.all(np.abs(C - mean) <= 4.0 * _EPS * scale, axis=1)
@@ -460,9 +452,7 @@ def solve_fixed_points(model: ValidatedModel,
 
 def _hessian_f(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     """Hessians of f at a batch of rows, shape (P, n, n)."""
-    u = _fields(model, X)
-    mom = _tilted_moments(model, u, 2)
-    var = mom[1] - mom[0] ** 2
+    var = _cumulants(model, _fields(model, X), 2)[1]
     inner = model.J @ ((model.alpha * var)[:, :, None] * model.J) - model.J
     return (model.alpha[:, None] * model.alpha[None, :]) * inner
 
@@ -486,7 +476,7 @@ def _curvature(model: ValidatedModel, x, B=None) -> tuple[np.ndarray, np.ndarray
 def _term_sizes(model: ValidatedModel, u: np.ndarray, rays: np.ndarray, order: int):
     """Cumulants 1..order at fields u and the size |alpha_l kappa_m,l| |R_l|^m
     of f's order-m Taylor term on ray l; both (order, n)."""
-    kappa = _cumulants_from_moments(_tilted_moments(model, u, order))
+    kappa = _cumulants(model, u, order)
     orders = np.arange(1, order + 1)[:, None]
     return kappa, np.abs(model.alpha * kappa) * np.linalg.norm(rays, axis=1) ** orders
 

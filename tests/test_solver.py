@@ -37,9 +37,9 @@ from meanfield_lab.errors import (
     UnsupportedMeasure,
 )
 from meanfield_lab import solver
+from meanfield_lab._cluster import _dedup_rows
 from meanfield_lab.solver import (
-    _dedup_points,
-    _dedup_rows,
+    _cumulants,
     _f_batch,
     _fields,
     _grad_f_batch,
@@ -48,7 +48,6 @@ from meanfield_lab.solver import (
     _max_f_direct,
     _newton_polish,
     _start_grid,
-    _tilted_moments,
 )
 
 from conftest import (
@@ -214,6 +213,26 @@ def test_map_three_atoms_tilted_mean():
     w = np.array([0.25 * np.exp(-u), 0.5, 0.25 * np.exp(u)])
     want = (w @ np.array([-1.0, 0.0, 1.0])) / w.sum()
     assert mean_field_map(m, [x]) == pytest.approx([want], abs=1e-13)
+
+
+def test_cumulants_of_pm1_spins_are_the_tanh_derivatives():
+    u = np.linspace(-3.0, 3.0, 121)
+    t, s2 = np.tanh(u), 1.0 / np.cosh(u) ** 2
+    want = [t, s2, -2.0 * t * s2, -2.0 * s2 * (1.0 - 3.0 * t ** 2)]
+    assert np.max(np.abs(_cumulants(make_cw(1.0, 0.0), u, 4) - want)) <= 1e-14
+
+
+def test_cumulants_of_atoms_are_the_mean_and_central_moments():
+    atoms = ((-1.0, 0.25), (0.0, 0.5), (1.5, 0.25))
+    u = np.array([-2.0, -0.5, 0.0, 0.7, 2.0])
+    got = _cumulants(make_cw(1.0, 0.0, measure=FiniteMeasure(atoms=atoms)), u, 4)
+    for i, ui in enumerate(u.tolist()):
+        w = [p * math.exp(ui * s) for s, p in atoms]
+        w = [v / math.fsum(w) for v in w]
+        mean = math.fsum(v * s for v, (s, _) in zip(w, atoms))
+        mu2, mu3, mu4 = (math.fsum(v * (s - mean) ** j for v, (s, _) in zip(w, atoms))
+                         for j in (2, 3, 4))
+        assert np.max(np.abs(got[:, i] - [mean, mu2, mu3, mu4 - 3.0 * mu2 ** 2])) <= 1e-14
 
 
 # --- fixed points ---------------------------------------------------------------
@@ -396,8 +415,8 @@ def test_dedup_chains_links_and_collapses_repeats():
     # through the middle point, which has the best residual.
     pts = np.array([[0.0], [0.6], [0.6], [1.2], [5.0], [5.0]])
     res = np.array([3e-13, 1e-13, 1e-13, 2e-13, 4e-13, 4e-13])
-    kept = _dedup_points(pts, res, radius)
-    assert [(float(x[0]), r) for x, r in kept] == [(0.6, 1e-13), (5.0, 4e-13)]
+    kept = _dedup_rows(pts, res, radius)
+    assert [(pts[i, 0], res[i]) for i in kept] == [(0.6, 1e-13), (5.0, 4e-13)]
 
 
 @pytest.mark.parametrize("model_fn", [
@@ -443,9 +462,9 @@ def test_dedup_sorts_its_input():
     pts = np.round(rng.uniform(-1.0, 1.0, (40, 2)), 1)
     res = rng.uniform(0.0, 1e-12, 40)
     order = np.lexsort(pts.T[::-1])
-    want = _dedup_points(pts[order], res[order], 0.15)
-    got = _dedup_points(pts, res, 0.15)
-    assert [(x.tobytes(), r) for x, r in got] == [(x.tobytes(), r) for x, r in want]
+    want = order[_dedup_rows(pts[order], res[order], 0.15)]
+    got = _dedup_rows(pts, res, 0.15)
+    assert [(pts[i].tobytes(), res[i]) for i in got] == [(pts[i].tobytes(), res[i]) for i in want]
 
 
 def test_grid_rows_are_the_product_rows():
@@ -542,8 +561,7 @@ def test_classification_hessian_is_the_single_point_formula(model_fn):
     model = model_fn()
     p = pressure_limit(model).maxima[0].point
     u = _fields(model, p.x[None, :])[0]
-    mom = _tilted_moments(model, u, 2)
-    var = mom[1] - mom[0] ** 2
+    var = _cumulants(model, u, 2)[1]
     inner = model.J @ ((model.alpha * var)[:, None] * model.J) - model.J
     want = (model.alpha[:, None] * model.alpha[None, :]) * inner
     assert classify_maximum(model, p).hessian.tobytes() == want.tobytes()
@@ -716,6 +734,15 @@ def test_classify_a_type_three_maximum():
     cls = classify_maximum(three_atom_critical(1.0 / 6.0, 3.0), stationary_at([0.0]))
     assert cls.k == 3
     assert cls.strength == pytest.approx(-162.0, abs=1e-10)
+
+
+def test_classify_refuses_a_root_flat_through_order_eight():
+    # the 5-node Gauss-Hermite rule matches N(0, 1) through degree 9: at J = 1, h = 0 the
+    # curvature and kappa_3..kappa_8 vanish at x = 0, and kappa_10 = -120 lies past _MAX_ORDER
+    nodes, weights = np.polynomial.hermite_e.hermegauss(5)
+    measure = FiniteMeasure(atoms=tuple(zip(nodes.tolist(), (weights / weights.sum()).tolist())))
+    with pytest.raises(UnsupportedDegeneracy, match="all even terms through order 8 vanish"):
+        classify_maximum(make_cw(1.0, 0.0, measure=measure), stationary_at([0.0]))
 
 
 def test_classify_rejects_a_positive_quartic_term():

@@ -4,7 +4,10 @@ Runs one fixed list on REV (built with ``git archive``) and on this tree, with
 OPENBLAS_NUM_THREADS=1: the benchmark's ``cli`` commands at seed 11, ``limits``
 on six more configs (among them a two-species law conditioned on a ball and
 cw05 at N = 150000, whose CSV spans many row blocks), ``solve`` on four
-one-species models (one with a three-atom measure), on a two-species model
+one-species models (one with a three-atom measure), on the three-atom measures
+(-1, e), (0, 1 - 2e), (1, e) at J = 1/(2e) (critical at x = 0): e = 1/4 at h = 0
+(one k = 2 maximum), e = 1/6 at h = 0 (one k = 3 maximum) and at h = 1e-15 (the
+atom route's deflated candidates and its k >= 2 Taylor terms), on a two-species model
 whose first field, h = 400, saturates tanh, on crit2 (a degenerate n = 2 root:
 its 121 starts end on deflated candidates within 5 Newton steps), on ref4 at
 grid_points 6 (1296 starts in R^4), on cw J = 1, h = 1e-12 (its start x = 0 has
@@ -101,6 +104,12 @@ SOLVER = {"ref4": {"grid_points": 6}, "cw10-g10": {"grid_points": 10},
           "cw12-tol": {"tol": 1e-3}, "cw3-tol": {"tol": 1e-16}}
 
 
+def three_atoms(e: float, h: float) -> dict:
+    """Atoms (-1, e), (0, 1 - 2e), (1, e) at J = 1/(2e), as the degenerate-root tests build it."""
+    return {"n": 1, "alpha": [1.0], "J": [[1.0 / (2.0 * e)]], "h": [h],
+            "measure": {"atoms": [[-1.0, e], [0.0, 1.0 - 2.0 * e], [1.0, e]]}}
+
+
 def number_diff(old: str, new: str):
     """(moved, max abs, max rel change) of the numbers; None if the other text differs."""
     if NUMBER.split(old) != NUMBER.split(new):
@@ -161,7 +170,9 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "ferro2": FERRO2, "edge2": EDGE2, "corner2": CORNER2,
                       "bip-af": BIP_AF, "bip-f": BIP_F, "cw1p1e-12": CW1P12,
                       "cw1m1e-12": CW1M12, "near2": NEAR2, "cw12-tol": MODELS["cw12"],
-                      "cw3-tol": CW3}.items():
+                      "cw3-tol": CW3, "atom3-k2": three_atoms(0.25, 0.0),
+                      "atom3-k3": three_atoms(1.0 / 6.0, 0.0),
+                      "atom3-k3-tilt": three_atoms(1.0 / 6.0, 1e-15)}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": SOLVER[name]} if name in SOLVER else {}
         config.write_text(json.dumps({"model": doc, **opts}))
