@@ -18,8 +18,9 @@ in a fixed order, so results do not depend on scheduling.  Each pass
 allocates its own block buffers and nothing is kept across calls.
 ``log_partition``, ``finite_pressure`` and the n >= 3 moments hold a few blocks;
 ``magnetization_law`` and the n <= 2 moments hold one lattice-sized array,
-``exact_sample`` that array as its CDF plus a guide table of 2^12 entries
-and one chunk of draws, and ``normalized_sum_law`` one float per point,
+``exact_sample`` that array as its CDF plus a guide table of 2^12 cells
+(a draw takes the probes that cover 15/16 of the cells, or numpy's binary
+search in a wider cell) and one chunk of draws, and ``normalized_sum_law`` one float per point,
 plus one byte with a conditioning ball (``DiscreteLaw``).  The sample fits
 (``inverse.py``) walk a ``SampleSet`` in blocks of ``_CHUNK`` rows
 (``SampleSet.row_blocks``): the row rule holds one block's copies, and only
@@ -40,7 +41,8 @@ that numpy's log can differ from the C library's by one ulp.
 File formats: every CSV the package writes goes through one writer (``_write``), a
 block of rows at a time.  CLI tables come from one row template (``_csv_rows``); a
 sample file's rows and the axis columns of CLI ``limits`` format each distinct value of
-a column once (``_cells``) and gather the cells per row.  A sample file is read by
+a column once (``_cells``; per file for a sample column whose values differ by less than
+``_CHUNK``, else per block) and gather the cells per row.  A sample file is read by
 numpy's C file reader after its metadata, and parsed again line by line only if that
 reader refuses it.
 """
@@ -652,8 +654,11 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     *Non-Uniform Random Variate Generation*, 1986, ch. III) gives exactly
     ``searchsorted(cdf, u, "right")``: u falls in cell floor(u K) of K =
     ``_GUIDE`` equal cells (exact, K being a power of 2), and a binary search
-    between the first points past the cell's two ends finds it.  Besides the
-    CDF it holds the table and one chunk of ``_CHUNK`` draws.
+    between the first points past the cell's two ends finds it: every draw
+    takes the probes that cover 15/16 of the (equiprobable) cells, and a draw
+    in a wider cell takes numpy's binary search of the whole CDF, that
+    ``searchsorted`` itself.  Besides the CDF it holds the table and one chunk
+    of ``_CHUNK`` draws.
 
     RNG: numpy PCG64, one stream per ``_STREAM`` = 2^16 draws, each
     seeded from (seed, stream index) and read a chunk at a time.  Same
@@ -675,6 +680,9 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     guide = np.searchsorted(cdf, np.arange(_GUIDE) / _GUIDE, side="right")
     # a draw from cell c lies in guide[c] .. guide[c + 1]; steps[c] is the width's bit length
     steps = np.frexp(np.diff(guide, append=cdf.size - 1))[1]
+    # the fewest probes that cover 15/16 of the cells, read off their histogram
+    depth = np.searchsorted(np.cumsum(np.bincount(steps)), _GUIDE - _GUIDE // 16)
+    wide = steps > depth
     shape = law.lattice.shape
     sums_axes = [law.lattice.sum_axis(l) for l in range(law.lattice.n)]
 
@@ -686,9 +694,11 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
         u = rng.random(min(_CHUNK, M - a))
         cell = (u * _GUIDE).astype(np.intp)
         flat_idx = guide[cell]
-        for step in 2 ** np.arange(steps[cell].max())[::-1]:
+        for step in 2 ** np.arange(depth)[::-1]:
             # the draw is past a probe <= u; past the lattice, cdf[-1] = 1.0 > u
             flat_idx += step * (np.take(cdf, flat_idx + (step - 1), mode="clip") <= u)
+        rest = np.flatnonzero(wide[cell])
+        flat_idx[rest] = np.searchsorted(cdf, u[rest], side="right")
         multi = np.unravel_index(flat_idx, shape)
         for l in range(law.lattice.n):
             draws[a:a + u.size, l] = sums_axes[l][multi[l]]
@@ -792,23 +802,44 @@ def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[at]
 
 
-def _sum_rows(sums: np.ndarray) -> str:
-    """CSV rows of a block of integer sums: each column's distinct values formatted once
-    as finished cells (``_cells``), then gathered per row."""
-    table = np.empty(sums.shape, dtype=object)
-    for l in range(sums.shape[1]):
-        values, at = _distinct(sums[:, l])
-        table[:, l] = _cells(values, "\n" if l == sums.shape[1] - 1 else ",")[at]
-    return "".join(table.ravel().tolist())
+def _sum_rows(sums: np.ndarray):
+    """CSV rows of integer sums, one string per ``_CHUNK`` rows: each column's distinct
+    values formatted as finished cells (``_cells``), then gathered per row.  A column
+    whose values differ by less than ``_CHUNK`` keeps its cells for the whole file in a
+    table over its span, where each block formats the values no block before it had;
+    a wider column formats each block's distinct values."""
+    ends = [","] * (sums.shape[1] - 1) + ["\n"]
+    narrow = {}             # column: its smallest value, its cells, which are formatted
+    for l in range(sums.shape[1] if len(sums) else 0):
+        lo, hi = int(sums[:, l].min()), int(sums[:, l].max())
+        if hi - lo < _CHUNK:
+            narrow[l] = lo, np.empty(hi - lo + 1, dtype=object), np.zeros(hi - lo + 1, bool)
+    for a in range(0, len(sums), _CHUNK):
+        block = sums[a:a + _CHUNK]
+        table = np.empty(block.shape, dtype=object)
+        for l, end in enumerate(ends):
+            if l in narrow:
+                lo, cells, known = narrow[l]
+                at = block[:, l] - lo
+                fresh = np.zeros(known.size, dtype=bool)
+                fresh[at] = True
+                new = np.flatnonzero(fresh & ~known)
+                cells[new] = _cells(new + lo, end)
+                known[new] = True
+            else:
+                values, at = _distinct(block[:, l])
+                cells = _cells(values, end)
+            table[:, l] = cells[at]
+        yield "".join(table.ravel().tolist())
 
 
 def write_samples_csv(samples: SampleSet, path: str):
     """Sample file: versioned header, geometry metadata, then one row per draw, ``%d``
-    cells joined by commas; written ``_CHUNK`` rows at a time by ``_sum_rows``."""
+    cells joined by commas; written ``_CHUNK`` rows at a time by ``_sum_rows``, which
+    formats each cell of a narrow column once per file."""
     head = (f"{SAMPLES_HEADER}\n# n={samples.n}\n"
             f"# N={json.dumps([int(v) for v in samples.sizes])}\n# seed={samples.seed}\n")
-    _write(path, itertools.chain([head], (_sum_rows(samples.sums[a:a + _CHUNK])
-                                          for a in range(0, samples.sample_count, _CHUNK))))
+    _write(path, itertools.chain([head], _sum_rows(samples.sums)))
 
 
 def read_samples_csv(path: str) -> SampleSet:

@@ -53,12 +53,21 @@ def estimate_moments(samples: SampleSet) -> EmpiricalMoments:
     """Plain (uncorrected) sample moments; EmptySample below two rows, then the row rule.
 
     Holds the (M, n) magnetizations, one float per sum: ``m.T @ m`` is one BLAS call,
-    whose bits depend on having the whole array.
+    whose bits depend on having the whole array.  The mean has ``m.mean(axis=0)``'s bits:
+    numpy sums the rows of a C-order array of n >= 2 columns in order, so their cumsum
+    runs a block of ``row_blocks`` at a time from the total so far; one column, which
+    numpy sums pairwise, and any other layout take ``m.mean``.
     """
     if samples.sample_count < 2:
         raise EmptySample("need at least two sample rows")
     m = samples.magnetizations()
-    mean = m.mean(axis=0)
+    if samples.n > 1 and m.flags.c_contiguous:
+        total = np.zeros((1, samples.n))
+        for rows in samples.row_blocks():
+            total = np.cumsum(np.concatenate([total, m[rows]]), axis=0)[-1:]
+        mean = total[0] / samples.sample_count
+    else:
+        mean = m.mean(axis=0)
     second = m.T @ m / samples.sample_count
     second = 0.5 * (second + second.T)
     return EmpiricalMoments(mean=mean, second=second,

@@ -573,6 +573,42 @@ def test_the_guide_search_is_exact_at_cell_edges_and_on_cdf_entries(monkeypatch,
     assert got.tobytes() == _searchsorted_sums(model, sizes, uniforms).tobytes()
 
 
+def _cells_past_the_probe_depth(model, sizes) -> int:
+    """Guide cells wider than the probes that cover 15/16 of the cells: their draws search."""
+    cdf = np.cumsum(np.exp(magnetization_law(model, sizes).log_weights.reshape(-1)))
+    cdf[-1] = 1.0
+    guide = np.searchsorted(cdf, np.arange(exact._GUIDE) / exact._GUIDE, side="right")
+    steps = np.frexp(np.diff(guide, append=cdf.size - 1))[1]
+    return int(np.count_nonzero(steps > np.sort(steps)[exact._GUIDE * 15 // 16 - 1]))
+
+
+@pytest.mark.parametrize("case", ["ref2", "ref3"])
+def test_draws_past_the_probe_depth_are_exact_at_cell_edges_and_on_cdf_entries(monkeypatch,
+                                                                                case):
+    # ref2 [500, 500] has 103 cells 9-18 probes wide against a depth of 3
+    assert _cells_past_the_probe_depth(*SAMPLER_CASES[case]) > 0
+    test_the_guide_search_is_exact_at_cell_edges_and_on_cdf_entries(monkeypatch, case)
+
+
+SPLIT_CASES = {
+    "few-points": (make_cw(3.0, 0.5), [2000]),     # the mass sits on a few points
+    "flat": (make_cw(0.0, 0.0), [4000]),           # binomial(4000, 1/2)
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_peaked_and_flat_laws_draw_what_a_whole_lattice_searchsorted_draws(case):
+    # 15/16 of their cells hold one point, so the probe depth is 0 and every other draw searches
+    model, sizes = SPLIT_CASES[case]
+    assert _cells_past_the_probe_depth(model, sizes) > 0
+    M, seed = (1 << 16) + 4465, 5
+    uniforms = np.concatenate([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+        .random(min(1 << 16, M - start)) for stream, start in enumerate(range(0, M, 1 << 16))])
+    got = exact_sample(model, sizes, M, seed).sums
+    assert got.tobytes() == _searchsorted_sums(model, sizes, uniforms).tobytes()
+
+
 def test_the_sampler_holds_its_cdf_a_guide_table_and_one_chunk_of_draws():
     # the draws (3.2 MB) and the CDF (2.0 MB); a whole stream of indices and their
     # unravelled coordinates took the peak to 9.07 MB, and sorting every uniform to 14.6 MB
@@ -1200,6 +1236,32 @@ def test_sample_writer_bytes_match_a_row_template(tmp_path, n, M):
             f"# N=[{', '.join(str(v) for v in sizes)}]\n# seed=3\n")
     want = head + "".join([",".join(["%d"] * n) + "\n"] * M) % tuple(sums.ravel().tolist())
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("width", [exact._CHUNK - 1, exact._CHUNK])
+@pytest.mark.parametrize("lo", [-3000, _INT64.min, _INT64.max - exact._CHUNK])
+def test_a_column_narrower_than_a_block_formats_its_cells_once_per_file(monkeypatch, tmp_path,
+                                                                        width, lo):
+    # the two sides of the writer's rule: a table of cells over the column's span, or
+    # each block's distinct values formatted anew
+    rng = np.random.default_rng(width)
+    M = 3 * exact._CHUNK + 7
+    sums = np.column_stack([lo + rng.integers(0, width, size=M, endpoint=True),
+                            rng.integers(-5, 6, size=M)])
+    sums[[5, -5], 0] = lo, lo + width
+    calls = []
+
+    def distinct(col, inner=exact_module._distinct):
+        calls.append(col.size)
+        return inner(col)
+
+    monkeypatch.setattr(exact_module, "_distinct", distinct)
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(sizes=np.array([1, 2]), seed=3, sums=sums), str(path))
+    want = "# meanfield-lab samples v1\n# n=2\n# N=[1, 2]\n# seed=3\n"
+    want += "".join(["%d,%d\n"] * M) % tuple(sums.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+    assert len(calls) == (0 if width < exact._CHUNK else 4)
 
 
 class _Reached(Exception):

@@ -55,6 +55,19 @@ def test_block_likelihood_has_the_whole_array_formulas_bits(n, M):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("M", [2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10_000, 123_457])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_mean_has_the_whole_array_means_bits(n, M, layout):
+    # numpy sums the rows of a C-order array in order, and one column or F order pairwise
+    rng = np.random.default_rng(10 * n + M)
+    sizes = np.array(SIZES[n])
+    sums = np.asarray(_valid_sums(rng, sizes, M), order=layout)
+    sample = SampleSet(sizes=sizes, seed=0, sums=sums)
+    want = sample.magnetizations().mean(axis=0)
+    assert estimate_moments(sample).mean.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("model,sizes,center,radius", [
     (make_cw(1.2, 0.0), [400], [0.5], 0.25),            # m = 0.25 and 0.75 sit on the sphere
     (make_ref2(), [100, 100], [0.36, 0.0], 0.2),

@@ -14,6 +14,11 @@ package from this checkout's ``src``, as ``perfbench/run.py`` does.
   workload's ``peak_rss_mb``.  Linux carries the spawning process's own mark
   into a child's ``ru_maxrss`` across the exec, so it prints that floor first
   (``spawner``): a child that reads about that much has no larger peak of its own.
+  After a subcommand that exits 0 it reads the outputs back whole and hashes
+  them with the benchmark worker's own ``_digest`` (``perfbench/worker.py``),
+  as the worker does, and prints the spawner's mark after that read: every
+  later child starts from it, so the cli peak is the larger of that mark and
+  the largest child.
 
 Marks are in MB of 2^20 bytes, the benchmark's unit.
 """
@@ -51,7 +56,7 @@ def in_process(workloads, name: str, passes: int, workdir: str):
             last = now
 
 
-def cli(workloads, passes: int, workdir: str):
+def cli(workloads, worker, passes: int, workdir: str):
     commands = workloads.cli_commands(SEED, workdir)
     print(f"{'spawner':<30}{hwm_mb():9.2f} MB")
     for k in range(1, passes + 1):
@@ -61,7 +66,10 @@ def cli(workloads, passes: int, workdir: str):
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
             failed = f"  exit {proc.returncode}" if proc.returncode else ""
-            print(f"pass {k}  {cmd.name:<22}{usage.ru_maxrss / 1024.0:9.2f} MB{failed}")
+            if not proc.returncode:
+                worker._digest(cmd.outputs)
+            print(f"pass {k}  {cmd.name:<22}{usage.ru_maxrss / 1024.0:9.2f} MB"
+                  f"  spawner {hwm_mb():9.2f} MB{failed}")
 
 
 def main(argv=None) -> int:
@@ -82,7 +90,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as workdir:
         if args.workload == "cli":
-            cli(workloads, args.passes, workdir)
+            import worker
+            cli(workloads, worker, args.passes, workdir)
         else:
             in_process(workloads, args.workload, args.passes, workdir)
     return 0
