@@ -4,10 +4,10 @@ For +-1 spins the per-species sums take values on a known lattice and
 the number of configurations per lattice point is a binomial, so the
 partition function, the law of the magnetization vector, moments and an
 i.i.d. sampler are all exact.  The weights are built in log space by one
-block kernel (``_Weights``) and normalised by a streamed log-sum-exp over
-C-order blocks of at most ``_BLOCK`` points (runs of rows of axis 0, or
-pieces of one row cut along axis 1 where a row is longer): pass 1 takes
-the maximum, pass 2 sums exp(W - max) over numpy's own pairwise tree
+block kernel (``_Weights``) and normalised by a streamed log-sum-exp over a
+whole lattice (``_lse``) in C-order blocks of at most ``_BLOCK`` points (runs
+of rows of axis 0, or pieces of one row cut along axis 1 where a row is
+longer): pass 1 takes the maximum, pass 2 sums exp(W - max) over numpy's own pairwise tree
 (``_pairwise``) with leaves of at most one block, so the sum has the bits
 of the whole-lattice ``sum()`` (any other order would move them).  The
 n >= 3 moments promise no bits and take one pass: each block's
@@ -42,9 +42,9 @@ File formats: every CSV the package writes goes through one writer (``_write``),
 block of rows at a time.  CLI tables come from one row template (``_csv_rows``); a
 sample file's rows and the axis columns of CLI ``limits`` format each distinct value of
 a column once (``_cells``; per file for a sample column whose values differ by less than
-``_CHUNK``, else per block) and gather the cells per row.  A sample file is read by
-numpy's C file reader after its metadata, and parsed again line by line only if that
-reader refuses it.
+``_CHUNK``, else per block from ``np.unique``) and gather the cells per row.  A sample
+file is read by numpy's C file reader after its metadata, and parsed again line by line
+only if that reader refuses it.
 """
 
 from __future__ import annotations
@@ -539,24 +539,11 @@ def _lse_blocks(blocks) -> float:
     return float(np.log1p(total / m) + np.log(m) + leaves.a_max)
 
 
-def _lse(W: np.ndarray, axis: int | None = None) -> float | np.ndarray:
-    """ln sum exp(W), over all of W or along ``axis``; scipy's logsumexp, bit for bit.
-
-    Over all of W it is ``_lse_blocks`` on blocks of W; along an axis the m
-    entries equal to the maximum stay out of the shifted sum, with one
-    temporary the size of W.
-    """
-    if axis is None:
-        flat = W.reshape(-1)
-        return _lse_blocks(lambda: (flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK)))
-    a_max = W.max(axis=axis, keepdims=True)
-    top = W == a_max
-    m = np.count_nonzero(top, axis=axis, keepdims=True).astype(float)
-    E = np.subtract(W, a_max)
-    np.exp(E, out=E)
-    E[top] = 0.0
-    out = np.log1p(E.sum(axis=axis, keepdims=True) / m) + np.log(m) + a_max
-    return out.squeeze(axis)
+def _lse(W: np.ndarray) -> float:
+    """ln sum exp over all of W, ``_lse_blocks`` on C-order blocks of W; scipy's logsumexp,
+    bit for bit."""
+    flat = W.reshape(-1)
+    return _lse_blocks(lambda: (flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK)))
 
 
 def _prepare(model: ValidatedModel, sizes, what: str) -> MagLattice:
@@ -789,25 +776,12 @@ def _write(path: str | None, chunks):
         raise IoError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
-def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(col, return_inverse=True)``; a column whose range is shorter than it
-    marks its values in a table over that range instead, which sorts nothing."""
-    lo = int(col.min())
-    span = int(col.max()) - lo
-    if span >= col.size:
-        return np.unique(col, return_inverse=True)
-    at = col - lo
-    seen = np.zeros(span + 1, dtype=bool)
-    seen[at] = True
-    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[at]
-
-
 def _sum_rows(sums: np.ndarray):
     """CSV rows of integer sums, one string per ``_CHUNK`` rows: each column's distinct
     values formatted as finished cells (``_cells``), then gathered per row.  A column
     whose values differ by less than ``_CHUNK`` keeps its cells for the whole file in a
     table over its span, where each block formats the values no block before it had;
-    a wider column formats each block's distinct values."""
+    a wider column formats each block's distinct values, from ``np.unique`` (one sort)."""
     ends = [","] * (sums.shape[1] - 1) + ["\n"]
     narrow = {}             # column: its smallest value, its cells, which are formatted
     for l in range(sums.shape[1] if len(sums) else 0):
@@ -827,7 +801,7 @@ def _sum_rows(sums: np.ndarray):
                 cells[new] = _cells(new + lo, end)
                 known[new] = True
             else:
-                values, at = _distinct(block[:, l])
+                values, at = np.unique(block[:, l], return_inverse=True)
                 cells = _cells(values, end)
             table[:, l] = cells[at]
         yield "".join(table.ravel().tolist())
@@ -836,7 +810,7 @@ def _sum_rows(sums: np.ndarray):
 def write_samples_csv(samples: SampleSet, path: str):
     """Sample file: versioned header, geometry metadata, then one row per draw, ``%d``
     cells joined by commas; written ``_CHUNK`` rows at a time by ``_sum_rows``, which
-    formats each cell of a narrow column once per file."""
+    formats each cell of a narrow column once per file and of a wider one once per block."""
     head = (f"{SAMPLES_HEADER}\n# n={samples.n}\n"
             f"# N={json.dumps([int(v) for v in samples.sizes])}\n# seed={samples.seed}\n")
     _write(path, itertools.chain([head], _sum_rows(samples.sums)))

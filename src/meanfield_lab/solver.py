@@ -28,27 +28,26 @@ directly by a batched modified-Newton ascent from a coarse grid
 (``_ascent._ascend``: it retires a row at a rounding-level predicted gain,
 scales a linearly converging step by its multiplicity and merges climbers
 of one strictly concave cell).  Their gap is reported as
-``method_agreement``, nan when route 2 does not apply or overflows.
+``method_agreement``, nan when route 2 does not apply or overflows.  The forward layer
+(this module, ``_ascent`` and ``_cluster``) imports nothing from the lattice engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._ascent import _EPS, _ascend, _steady
 from ._cluster import _TARGET_RESIDUAL, _eigs, _equilibrium, _keep
 from .errors import (
-    ConfigParse,
     DomainError,
     NonFiniteParameter,
     NotAMaximum,
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
-from .exact import LN2, _lse
 from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,  # noqa: F401
                     hamiltonian_density, validate_model)
 
@@ -57,6 +56,7 @@ _MAX_ORDER = 8
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
 _NEWTON_STEPS = 200     # and every row after this many
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,6 @@ class SolverOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if any(isinstance(getattr(self, f.name), bool) for f in fields(self)):
-            raise ConfigParse("solver options must be numbers, not booleans")
         _integer(self.grid_points, "grid_points", 1)
         _integer(self.threads, "threads", 1)
 
@@ -187,12 +185,36 @@ def _fields(model: ValidatedModel, x: np.ndarray) -> np.ndarray:
     return x @ B.T + h
 
 
+def _logits(model: ValidatedModel, u: np.ndarray) -> np.ndarray:
+    """ln of the site measure's weights tilted by exp(s*u), one atom per entry of a last axis."""
+    return u[..., None] * model.site_measure.locations + np.log(model.site_measure.weights)
+
+
+def _log_mgf(model: ValidatedModel, u: np.ndarray) -> np.ndarray:
+    """ln E_rho[exp(s*u)] at fields u, the tilted measure's log-normaliser: ln cosh u for
+    +-1 spins, else scipy's logsumexp of ``_logits`` over the atoms, bit for bit (the m
+    entries equal to the maximum stay out of the shifted sum)."""
+    if model.is_binary:
+        # exp(-2|u|) is 0.0 from |u| = 400 on, so the clamp is exact and keeps
+        # -2|u| finite at |u| > 9e307
+        return np.abs(u) + np.log1p(np.exp(-2.0 * np.minimum(np.abs(u), 400.0))) - _LN2
+    W = _logits(model, u)
+    a_max = W.max(axis=-1, keepdims=True)
+    top = W == a_max
+    m = np.count_nonzero(top, axis=-1, keepdims=True).astype(float)
+    E = np.subtract(W, a_max)
+    np.exp(E, out=E)
+    E[top] = 0.0
+    out = np.log1p(E.sum(axis=-1, keepdims=True) / m) + np.log(m) + a_max
+    return out.squeeze(-1)
+
+
 def _cumulants(model: ValidatedModel, u: np.ndarray, order: int) -> np.ndarray:
     """Cumulants 1..order of the measure tilted by exp(s*u), shape (order, *u.shape): the one
-    place in ``src/`` where raw moments become cumulants or a variance (kappa_2)."""
+    place in ``src/`` where raw moments become cumulants or a variance (kappa_2), as
+    ``_log_mgf`` beside it is the one place where its log-normaliser is formed."""
     locs = model.site_measure.locations
-    logw = np.log(model.site_measure.weights)
-    logits = u[..., None] * locs + logw
+    logits = _logits(model, u)
     with np.errstate(over="ignore"):    # a gap past -1.8e308 is -inf, whose exp 0 is exact
         logits -= logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
@@ -257,16 +279,7 @@ def functional_f(model: ValidatedModel, x) -> float | np.ndarray:
 def _f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
     am = X * model.alpha[None, :]
     quad = 0.5 * np.einsum("bi,ij,bj->b", am, model.J, am)
-    u = _fields(model, X)
-    if model.is_binary:
-        # exp(-2|u|) is 0.0 from |u| = 400 on, so the clamp is exact and keeps
-        # -2|u| finite at |u| > 9e307
-        log_mgf = np.abs(u) + np.log1p(np.exp(-2.0 * np.minimum(np.abs(u), 400.0))) - LN2
-    else:
-        locs = model.site_measure.locations
-        logw = np.log(model.site_measure.weights)
-        log_mgf = _lse(u[..., None] * locs + logw, axis=-1)
-    return -quad + log_mgf @ model.alpha
+    return -quad + _log_mgf(model, _fields(model, X)) @ model.alpha
 
 
 def _grad_f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:

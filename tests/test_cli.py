@@ -400,6 +400,7 @@ def test_exit_codes(tmp_path, capsys):
     {"tol": float("nan")}, {"dedup_radius": -1}, {"newton_trigger": float("inf")},
     {"damping": 0}, {"damping": 1.5},
     {"tol": 1e-3}, {"tol": 1e-16}, {"newton_max_iter": 3}, {"threads": "abc"}, {"threads": 0},
+    {"threads": True}, {"grid_points": False},
 ])
 def test_bad_solver_options_exit_2(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, {"model": CW12, "solver": bad})

@@ -827,23 +827,6 @@ def test_log_count_takes_any_order_and_agrees_with_the_lattice_table():
     assert log_count(N, m[1, 1]) == float(T[N] - (T[37] + T[N - 37]))
 
 
-def test_lse_along_the_last_axis_matches_scipy_bitwise():
-    from scipy.special import logsumexp
-
-    # a three-point measure tilted by fields u: at u = 0 the three equal
-    # weights tie, and the hand-made rows tie two of three entries
-    locs = np.array([-1.0, 0.0, 1.0])
-    logw = np.log(np.full(3, 1.0 / 3.0))
-    u = np.linspace(-3.0, 3.0, 61).reshape(-1, 1) * np.array([1.0, 0.5])
-    W = u[..., None] * locs + logw
-    W[0, 0] = [0.88, -0.84, 0.88]
-    W[1, 1] = [-2.0, -2.0, -7.5]
-    assert np.any(u == 0.0)
-    got = _lse(W, axis=-1)
-    assert got.shape == W.shape[:-1]
-    assert got.tobytes() == logsumexp(W, axis=-1).tobytes()
-
-
 def test_non_integral_sizes_are_refused():
     ref2 = make_ref2()
     for bad in ([200.9, 200.9], [float("nan")] * 2, [float("inf")] * 2,
@@ -1249,19 +1232,46 @@ def test_a_column_narrower_than_a_block_formats_its_cells_once_per_file(monkeypa
     sums = np.column_stack([lo + rng.integers(0, width, size=M, endpoint=True),
                             rng.integers(-5, 6, size=M)])
     sums[[5, -5], 0] = lo, lo + width
-    calls = []
-
-    def distinct(col, inner=exact_module._distinct):
-        calls.append(col.size)
-        return inner(col)
-
-    monkeypatch.setattr(exact_module, "_distinct", distinct)
+    calls = _count_unique(monkeypatch)
     path = tmp_path / "s.csv"
     write_samples_csv(SampleSet(sizes=np.array([1, 2]), seed=3, sums=sums), str(path))
     want = "# meanfield-lab samples v1\n# n=2\n# N=[1, 2]\n# seed=3\n"
     want += "".join(["%d,%d\n"] * M) % tuple(sums.ravel().tolist())
     assert path.read_bytes() == want.encode()
     assert len(calls) == (0 if width < exact._CHUNK else 4)
+
+
+def _count_unique(monkeypatch) -> list[int]:
+    """The sizes of the arrays np.unique is called on from now on."""
+    calls = []
+
+    def unique(col, *args, inner=np.unique, **kwargs):
+        calls.append(col.size)
+        return inner(col, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique)
+    return calls
+
+
+@pytest.mark.parametrize("lo", [-3000, _INT64.min, _INT64.max - 2 * exact._CHUNK])
+def test_a_wide_column_of_narrow_blocks_formats_each_blocks_values_from_unique(monkeypatch,
+                                                                              tmp_path, lo):
+    # sorted draws: the column spans more than a block's rows over the file, so it has no
+    # table of cells, while each block spans fewer values than it has rows
+    rng = np.random.default_rng(7)
+    M = 3 * exact._CHUNK + 7
+    sums = np.column_stack([np.sort(lo + rng.integers(0, 2 * exact._CHUNK, size=M)),
+                            rng.integers(-5, 6, size=M)])
+    sums[[0, -1], 0] = lo, lo + 2 * exact._CHUNK
+    blocks = [sums[a:a + exact._CHUNK, 0] for a in range(0, M, exact._CHUNK)]
+    assert all(int(b.max()) - int(b.min()) < b.size for b in blocks)
+    calls = _count_unique(monkeypatch)
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(sizes=np.array([1, 2]), seed=3, sums=sums), str(path))
+    want = "# meanfield-lab samples v1\n# n=2\n# N=[1, 2]\n# seed=3\n"
+    want += "".join(["%d,%d\n"] * M) % tuple(sums.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+    assert calls == [b.size for b in blocks]
 
 
 class _Reached(Exception):

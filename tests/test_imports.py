@@ -6,6 +6,7 @@ package's own numpy kernels (``meanfield_lab._special``), and scipy.optimize
 is needed nowhere.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -35,6 +36,18 @@ def test_no_source_file_names_scipy_optimize():
     assert sources
     for path in sources:
         assert "scipy.optimize" not in path.read_text(), path.name
+
+
+def test_the_forward_layer_imports_nothing_from_the_lattice_engine():
+    for name in ("solver.py", "_ascent.py", "_cluster.py"):
+        imported = []
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+        assert imported, name
+        assert not [m for m in imported if "exact" in m.split(".")], name
 
 
 def test_cli_import_loads_no_scipy_module():

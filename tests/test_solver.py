@@ -45,6 +45,8 @@ from meanfield_lab.solver import (
     _grad_f_batch,
     _grid,
     _hessian_f,
+    _log_mgf,
+    _logits,
     _max_f_direct,
     _newton_polish,
     _start_grid,
@@ -220,6 +222,29 @@ def test_cumulants_of_pm1_spins_are_the_tanh_derivatives():
     t, s2 = np.tanh(u), 1.0 / np.cosh(u) ** 2
     want = [t, s2, -2.0 * t * s2, -2.0 * s2 * (1.0 - 3.0 * t ** 2)]
     assert np.max(np.abs(_cumulants(make_cw(1.0, 0.0), u, 4) - want)) <= 1e-14
+
+
+def test_lse_along_the_last_axis_matches_scipy_bitwise(monkeypatch):
+    from scipy.special import logsumexp
+
+    # a three-point measure tilted by fields u: at u = 0 the three equal
+    # weights tie, and the hand-made rows tie two of three entries
+    third = 1.0 / 3.0
+    model = make_cw(1.0, 0.0, measure=FiniteMeasure(atoms=((-1.0, third), (0.0, third),
+                                                           (1.0, third))))
+    locs = np.array([-1.0, 0.0, 1.0])
+    logw = np.log(np.full(3, 1.0 / 3.0))
+    u = np.linspace(-3.0, 3.0, 61).reshape(-1, 1) * np.array([1.0, 0.5])
+    W = u[..., None] * locs + logw
+    assert _logits(model, u).tobytes() == W.tobytes()
+    assert _log_mgf(model, u).tobytes() == logsumexp(W, axis=-1).tobytes()
+    W[0, 0] = [0.88, -0.84, 0.88]
+    W[1, 1] = [-2.0, -2.0, -7.5]
+    assert np.any(u == 0.0)
+    monkeypatch.setattr(solver, "_logits", lambda model, u: W)
+    got = _log_mgf(model, u)
+    assert got.shape == W.shape[:-1]
+    assert got.tobytes() == logsumexp(W, axis=-1).tobytes()
 
 
 def test_cumulants_of_atoms_are_the_mean_and_central_moments():

@@ -30,7 +30,8 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(args: list[str]) -> int:
+def run_traced(fn):
+    """fn() under ``sys.settrace``: its value and the library lines it ran, per file."""
     ran = {name: set() for name in FILES}
 
     def local(frame, event, arg):
@@ -43,13 +44,23 @@ def main(args: list[str]) -> int:
 
     sys.settrace(trace)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+        value = fn()
     finally:
         sys.settrace(None)
+    return value, ran
+
+
+def print_missed(ran: dict[str, set[int]]):
+    """``file:line: source`` for each executable library line not in ``ran``."""
     for name, path in FILES.items():
         source = path.read_text().splitlines()
         for line in sorted(executable_lines(path) - ran[name]):
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+
+
+def main(args: list[str]) -> int:
+    code, ran = run_traced(lambda: pytest.main(["-q", "-p", "no:cacheprovider", *args]))
+    print_missed(ran)
     return int(code)
 
 
