@@ -183,7 +183,8 @@ def cmd_limits(args, doc: dict) -> int:
     if args.out is None:
         raise ConfigParse("limits requires --out")
     m = _model_from_config(doc)
-    sizes = m.check_sizes(_require(doc, "sizes"))
+    # the lattice layer's rules run before the solve, as in pressure
+    sizes = exact._prepare(m, _require(doc, "sizes"), "limits").sizes
     center = ball = None
     cond = doc.get("conditioned")
     if cond is not None:

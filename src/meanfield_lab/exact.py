@@ -565,7 +565,8 @@ def log_partition(model: ValidatedModel, sizes) -> float:
 
 
 def finite_pressure(model: ValidatedModel, sizes) -> float:
-    """p_N = ln Z_N / N, with N the total of the sizes ``log_partition`` validates."""
+    """p_N = ln Z_N / N, with N the total of the sizes."""
+    sizes = _prepare(model, sizes, "finite_pressure").sizes
     return log_partition(model, sizes) / float(np.sum(sizes))
 
 
@@ -656,7 +657,7 @@ def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:
     """
     _integer(M, "sample count M", 0)
     _integer(seed, "seed", 0)
-    n = _prepare(model, sizes, "magnetization_law").n
+    n = _prepare(model, sizes, "exact_sample").n
     if int(M) * n > LATTICE_CAP:
         raise LatticeTooLarge(f"a sample of {M} x {n} sums exceeds the cap {LATTICE_CAP}")
     law = magnetization_law(model, sizes)
@@ -709,7 +710,7 @@ def normalized_sum_law(model: ValidatedModel, sizes, center, k: int,
     _integer(k, "type k", 1)
     if condition_ball is not None:
         _check_ball(center, condition_ball, model.n, "conditioning ball")
-    _prepare(model, sizes, "magnetization_law")
+    _prepare(model, sizes, "normalized_sum_law")
     center = model.check_point(center, "center")
     law = magnetization_law(model, sizes)
     lattice, P, mask = law.lattice, law.log_weights, None     # the law is ours alone

@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     NonFiniteParameter,
     NonSymmetricJ,
-    UnsupportedMeasure,
 )
 
 ATOL = 1e-12
@@ -162,12 +161,6 @@ class ValidatedModel:
         if not np.all(np.isfinite(x)):
             raise DomainError(f"{what} must be finite, got {x.tolist()}")
         return x
-
-    def check_measure(self, what: str) -> None:
-        """UnsupportedMeasure for several species under a measure other than +-1."""
-        if self.n > 1 and not self.is_binary:
-            raise UnsupportedMeasure(
-                f"{what} supports general measures only for a single species")
 
 
 def _check_fractions(sizes: np.ndarray, alpha) -> None:

@@ -3,7 +3,7 @@
 Two functionals drive everything.  On the magnetization cube the
 enumeration route maximizes
 
-    fbar(x) = g(x) - sum_l alpha_l * entropy_I(x_l)          (binary spins)
+    fbar(x) = g(x) - sum_l alpha_l * entropy_I(x_l)     (+-1 spins only)
 
 while the Gaussian-transform route maximizes, on all of R^n,
 
@@ -13,8 +13,8 @@ with u_l(x) = sum_s alpha_s J_ls x_s + h_l.  Both share the stationarity
 system x_l = tilted_mean(u_l), which for +-1 spins is the familiar
 x_l = tanh(u_l).  Stationary points are found by Newton from every start
 of a grid, each iterate clamped to the support hull (at a degenerate root,
-where Newton is only linear, a row moves to the simple root of the first
-odd cumulant that has one).  A single solve and the phase scan share the
+where Newton is only linear, each species moves to the simple root of the
+first odd cumulant that has one).  A single solve and the phase scan share the
 stage after it: ``_cluster``'s row rules, ``_fbar_rows`` and ``_curvature``.
 Maxima are classified by one rule for every n and any symmetric J:
 fbar's curvature (``_curvature``) first, whose eigenvalues at the rounding
@@ -241,7 +241,6 @@ _TANH_REMAINDER = (1.0 / 3.0, -2.0 / 15.0, 17.0 / 315.0, -62.0 / 2835.0,
 def mean_field_map(model: ValidatedModel, x) -> np.ndarray:
     """Right-hand side of the self-consistency system at x."""
     model = _require_validated(model)
-    model.check_measure("mean_field_map")
     x = np.asarray(x, dtype=float)
     out = _map_rows(model, np.atleast_2d(x), *model.row_couplings())[0]
     return out[0] if x.ndim == 1 else out
@@ -270,7 +269,6 @@ def functional_f(model: ValidatedModel, x) -> float | np.ndarray:
     Accepts a single point (returns a float) or a batch of rows.
     """
     model = _require_validated(model)
-    model.check_measure("functional_f")
     x = np.asarray(x, dtype=float)
     vals = _f_batch(model, np.atleast_2d(x))
     return float(vals[0]) if x.ndim == 1 else vals
@@ -353,8 +351,9 @@ def _deflated(model, X, step, shrink, B, h):
     At a root of multiplicity m = 2k - 1 each step shrinks by (m - 1)/m, and as
     F^(j) = -J^j kappa_(j+1) for j >= 2, kappa_m has a simple root there (Ralston &
     Rabinowitz 1978).  +-1 spins take u = x = 0 in the species within a few steps
-    of 0, where kappa_3 = -2 tanh u sech^2 u vanishes; one species of any measure
-    runs Newton on kappa_m(u) from the extrapolated root x - (m - 1) step.
+    of 0, where kappa_3 = -2 tanh u sech^2 u vanishes; any other measure runs Newton
+    on kappa_m(u_l) in every species (they decouple at the classifier's degenerate
+    maxima: M = 0) from u = B x' + h, x' = x - (m - 1) step the extrapolated root.
     """
     B = np.broadcast_to(B, (len(X),) + B.shape[-2:])
     if model.is_binary:
@@ -362,11 +361,11 @@ def _deflated(model, X, step, shrink, B, h):
     else:
         m = 2 * np.rint(0.5 / (1.0 - shrink) + 0.5).astype(int) - 1
         i = np.arange(len(X))
-        u = (X - (m[:, None] - 1) * step) * B[:, 0] + h
+        u = np.matmul(B, (X - (m[:, None] - 1) * step)[:, :, None])[:, :, 0] + h
         with np.errstate(all="ignore"):     # a runaway u gives nan: no candidate
             for _ in range(8):
-                kappa = _cumulants(model, u[:, 0], m.max() + 1)
-                u[:, 0] -= kappa[m - 1, i] / kappa[m, i]
+                kappa = _cumulants(model, u, m.max() + 1)
+                u -= kappa[m - 1, i] / kappa[m, i]
             C = _cumulants(model, u, 1)[0]
     mean, var = _map_rows(model, C, B, h)
     scale = np.abs(C) + np.abs(mean) + np.abs(np.matmul(B, C[:, :, None])[:, :, 0]) + np.abs(h)
@@ -450,7 +449,6 @@ def solve_fixed_points(model: ValidatedModel,
     linkage.  fbar comes from ``_fbar_rows``, f point by point.
     """
     model = _require_validated(model)
-    model.check_measure("solve_fixed_points")
     opts = opts or SolverOptions()
     X, res = _newton_polish(model, _start_grid(model, opts))
     rows = _keep(X, res)
@@ -509,7 +507,6 @@ def classify_maximum(model: ValidatedModel,
     (``HomogeneousForm.definiteness_fault``).  One species is the ray R = (J).
     """
     model = _require_validated(model)
-    model.check_measure("classify_maximum")
     x = np.asarray(point.x, dtype=float)
     eigs = _eigs(_curvature(model, x)[0])
     if eigs[0] < 0:

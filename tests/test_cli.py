@@ -249,6 +249,18 @@ def test_pressure_checks_every_size_and_the_measure_before_the_solve(tmp_path, c
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+def test_limits_checks_the_measure_before_the_solve(tmp_path, capsys, monkeypatch):
+    # the solve and the classification ran before the exact law refused the measure
+    monkeypatch.setattr("meanfield_lab.solver._global_maxima", _raise)
+    doc = {"model": {**CW12, "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}},
+           "sizes": [200]}
+    out = tmp_path / "l.json"
+    assert main(["limits", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnsupportedMeasure" and err["message"].startswith("limits ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,ball", [
     ("limits", {"center": [math.nan], "radius": 0.3}),
     ("limits", {"center": [-math.inf], "radius": 0.3}),

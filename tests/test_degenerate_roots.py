@@ -24,7 +24,7 @@ from meanfield_lab import (
 )
 from meanfield_lab import solver
 from meanfield_lab.cli import main
-from meanfield_lab.errors import DomainError
+from meanfield_lab.errors import DomainError, UnsupportedDegeneracy
 
 from conftest import MU0_J1001, make_cw
 
@@ -153,6 +153,46 @@ def test_a_symmetric_atom_measure_has_one_maximum_at_zero(e, k):
     assert [c.k for c in res.maxima] == [k]
     assert abs(res.maxima[0].point.x[0]) <= 1e-15
     assert res.method_agreement <= 1e-9
+
+
+SPIN1 = FiniteMeasure(atoms=((-1.0, 1.0 / 3.0), (0.0, 1.0 / 3.0), (1.0, 1.0 / 3.0)))
+
+
+def two_species(J, measure=None, h=(0.0, 0.0)):
+    extra = {} if measure is None else {"site_measure": measure}
+    return validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=J, h=h, **extra))
+
+
+def test_a_critical_two_species_spin1_model_has_one_quartic_maximum():
+    # J = 3 I: D J D kappa_2 = I at 0, where kappa_4 = -2/3 in each species
+    res = pressure_limit(two_species(((3.0, 0.0), (0.0, 3.0)), SPIN1))
+    assert [c.k for c in res.maxima] == [2]
+    assert res.maxima[0].point.x.tolist() == [0.0, 0.0]
+    form = res.maxima[0].quartic_form
+    assert np.max(np.abs(np.array(form.coeffs) + 1.0 / 72.0)) <= 1e-12
+    assert np.max(np.abs(np.array(form.rays) - 1.5 * np.eye(2))) <= 1e-12
+
+
+def test_each_species_of_a_decoupled_skewed_model_takes_its_own_candidate():
+    # the candidate ran Newton on kappa_3 in species 0 alone: 101 fixed points and a
+    # "fold" where there is one quartic maximum per species
+    J, h = SKEWED["J"][0][0], SKEWED["h"][0]
+    atoms = FiniteMeasure(atoms=tuple(map(tuple, SKEWED["measure"]["atoms"])))
+    res = pressure_limit(two_species(((2.0 * J, 0.0), (0.0, 2.0 * J)), atoms, (h, h)))
+    assert len(res.fixed_points) == 1
+    assert np.max(np.abs(res.fixed_points[0].x - 0.5)) <= 1e-15
+    assert [c.k for c in res.maxima] == [2]
+    assert abs(res.limit_value - pressure_limit(model_of(SKEWED)).limit_value) <= 1e-15
+
+
+@pytest.mark.parametrize("J,measure", [
+    (((1.5, 1.5), (1.5, 1.5)), SPIN1), (((1.0, 1.0), (1.0, 1.0)), None),
+    (((3.0, 0.0), (0.0, 1.0)), SPIN1), (((2.0, 0.0), (0.0, 2.0 / 3.0)), None),
+], ids=["rank-one-spin1", "rank-one", "diag-spin1", "diag"])
+def test_a_partially_degenerate_maximum_is_refused_under_either_measure(J, measure):
+    # each spin-1 model's +-1 analogue scales J by the spin-1 variance 2/3 at 0
+    with pytest.raises(UnsupportedDegeneracy):
+        pressure_limit(two_species(J, measure))
 
 
 def test_overflowing_lattice_weights_raise_without_a_warning(tmp_path):

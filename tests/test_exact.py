@@ -141,6 +141,19 @@ def test_log_partition_requires_binary():
         log_partition(make_cw(1.0, 0.0, measure=meas), [10])
 
 
+@pytest.mark.parametrize("entry,args", [
+    (log_partition, ()), (finite_pressure, ()), (magnetization_law, ()),
+    (exact_moments, ()), (exact_sample, (10, 1)), (normalized_sum_law, ([0.0], 1)),
+])
+def test_each_lattice_entry_point_names_itself_when_it_refuses_a_measure(entry, args):
+    # exact_sample and normalized_sum_law named magnetization_law, finite_pressure
+    # named log_partition: functions their caller never called
+    meas = FiniteMeasure(atoms=((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)))
+    with pytest.raises(UnsupportedMeasure) as err:
+        entry(make_cw(1.0, 0.0, measure=meas), [10], *args)
+    assert str(err.value).startswith(entry.__name__ + " ")
+
+
 def test_sizes_must_match_fractions():
     with pytest.raises(BadSizes):
         log_partition(make_ref2(), [10, 12])

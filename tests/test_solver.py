@@ -179,15 +179,95 @@ def test_f_equals_fbar_at_fixed_points():
             assert p.f_value == pytest.approx(p.fbar_value, abs=1e-10)
 
 
-def test_multi_species_general_measure_rejected():
+def test_two_species_atom_model_has_the_tilted_mean_and_log_mgf():
+    # the model both once refused: atoms (-1, 1/4), (0, 1/2), (1, 1/4) tilt to the
+    # mean tanh(u/2), with log-MGF 2 ln cosh(u/2)
     meas = FiniteMeasure(atoms=((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)))
-    spec = ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.0, 0.2), (0.2, 1.0)),
-                     h=(0.0, 0.0), site_measure=meas)
-    model = validate_model(spec)
-    with pytest.raises(UnsupportedMeasure):
-        functional_f(model, [0.0, 0.0])
-    with pytest.raises(UnsupportedMeasure):
-        solve_fixed_points(model)
+    model = validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.0, 0.2), (0.2, 1.0)),
+                                     h=(0.0, 0.0), site_measure=meas))
+    for x in [(0.0, 0.0), (0.3, -0.7), (-0.9, 0.95), (1.0, 1.0), (2.5, -4.0)]:
+        x = np.array(x)
+        u = model.J * model.alpha @ x + model.h
+        ax = model.alpha * x
+        f = -0.5 * ax @ model.J @ ax + model.alpha @ (2.0 * np.log(np.cosh(0.5 * u)))
+        assert np.max(np.abs(mean_field_map(model, x) - np.tanh(0.5 * u))) <= 1e-15
+        assert abs(functional_f(model, x) - f) <= 1e-15
+
+
+SPIN1 = FiniteMeasure(atoms=((-1.0, 1.0 / 3.0), (0.0, 1.0 / 3.0), (1.0, 1.0 / 3.0)))
+# two-species spin-1 models at alpha = (0.4, 0.6), (J, h, pressure limit): one maximum,
+# two global maxima +-(0.598, 0.801), and an indefinite core D J D
+SPIN1_PROBES = {
+    "field": (((1.5, 0.5), (0.5, 1.0)), (0.1, -0.05), 0.0024943204213401424),
+    "twin": (((2.0, 1.2), (1.2, 3.0)), (0.0, 0.0), 0.08691040251039883),
+    "indefinite": (((0.5, -2.0), (-2.0, 0.5)), (0.2, 0.1), 0.006415606309784424),
+}
+
+
+def spin1_lattice_pressure(model, N: int) -> float:
+    """p_N of a two-species spin-1 model by an exact sum over both species' sums S_l:
+    each count is 3^-N_l N_l! / (a! b! c!) summed over a - b = S_l (a spins +1, b -1,
+    c = N_l - a - b at 0), each weight exp(N g(S_1 / N_1, S_2 / N_2))."""
+    from scipy.special import gammaln, logsumexp
+
+    mags, logc = [], []
+    for Nl in np.rint(model.alpha * N).astype(int):
+        S = np.arange(-Nl, Nl + 1)[:, None]
+        a = np.arange(Nl + 1)[None, :]
+        b, c = a - S, Nl + S - 2 * a
+        ok = (b >= 0) & (c >= 0)
+        terms = gammaln(Nl + 1) - gammaln(a + 1) - gammaln(np.where(ok, b, 0) + 1) \
+            - gammaln(np.where(ok, c, 0) + 1)
+        logc.append(logsumexp(np.where(ok, terms, -np.inf), axis=1) - Nl * math.log(3.0))
+        mags.append(S[:, 0] / Nl)
+    am = np.stack(np.meshgrid(*mags, indexing="ij"), axis=-1) * model.alpha
+    g = 0.5 * np.einsum("...i,ij,...j->...", am, model.J, am) + am @ model.h
+    return float(logsumexp(logc[0][:, None] + logc[1][None, :] + N * g)) / N
+
+
+def spin1_fixed_points(model) -> np.ndarray:
+    """Every root of x = m(B x + h), m(u) = 2 sinh u / (1 + 2 cosh u) the tilted spin-1
+    mean: plain Newton from 41 x 41 starts in (-1, 1)^2, roots merged within 1e-8."""
+    def mean_var(u):
+        z = 1.0 + 2.0 * np.cosh(u)
+        mean = 2.0 * np.sinh(u) / z
+        return mean, 2.0 * np.cosh(u) / z - mean ** 2
+
+    B = model.J * model.alpha
+    x = np.stack(np.meshgrid(*[np.linspace(-0.99, 0.99, 41)] * 2), axis=-1).reshape(-1, 2)
+    with np.errstate(all="ignore"):     # a start that runs away ends as nan, and is dropped
+        for _ in range(60):
+            mean, var = mean_var(x @ B.T + model.h)
+            jac = np.eye(2) - var[:, :, None] * B
+            x = x - np.linalg.solve(jac, (x - mean)[:, :, None])[:, :, 0]
+        x = x[np.max(np.abs(x - mean_var(x @ B.T + model.h)[0]), axis=1) <= 1e-14]
+    roots = []
+    for r in x[np.lexsort(x.T[::-1])]:
+        if not roots or np.max(np.abs(r - roots[-1])) > 1e-8:
+            roots.append(r)
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("name", SPIN1_PROBES)
+def test_two_species_spin1_limit_is_the_lattice_limit(name):
+    # the n >= 2 guard refused these; p_N on N = 250, 500, 1000 taken past two orders in 1/N
+    J, h, limit = SPIN1_PROBES[name]
+    model = validate_model(ModelSpec(n=2, alpha=(0.4, 0.6), J=J, h=h, site_measure=SPIN1))
+    res = pressure_limit(model)
+    assert res.limit_value == pytest.approx(limit, abs=1e-15)
+    p = [spin1_lattice_pressure(model, N) for N in (250, 500, 1000)]
+    once = [2.0 * p[1] - p[0], 2.0 * p[2] - p[1]]
+    assert abs((4.0 * once[1] - once[0]) / 3.0 - res.limit_value) <= 1e-6
+    if name == "indefinite":
+        assert math.isnan(res.method_agreement)
+    else:
+        assert res.method_agreement <= 1e-9
+    assert len(res.maxima) == (2 if name == "twin" else 1)
+    assert all(c.k == 1 for c in res.maxima)
+    want = spin1_fixed_points(model)
+    got = np.array([q.x for q in res.fixed_points])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got[np.lexsort(got.T[::-1])] - want)) <= 1e-12
 
 
 # --- mean-field map -----------------------------------------------------------

@@ -7,7 +7,10 @@ cw05 at N = 150000, whose CSV spans many row blocks), ``solve`` on four
 one-species models (one with a three-atom measure), on the three-atom measures
 (-1, e), (0, 1 - 2e), (1, e) at J = 1/(2e) (critical at x = 0): e = 1/4 at h = 0
 (one k = 2 maximum), e = 1/6 at h = 0 (one k = 3 maximum) and at h = 1e-15 (the
-atom route's deflated candidates and its k >= 2 Taylor terms), on a two-species model
+atom route's deflated candidates and its k >= 2 Taylor terms), on two two-species
+atom models (spin-1 at alpha = (0.4, 0.6) in a field, and two decoupled copies of
+the skewed k = 2 model of tests/test_degenerate_roots.py, each species ending on
+its own deflated candidate), on a two-species model
 whose first field, h = 400, saturates tanh, on crit2 (a degenerate n = 2 root:
 its 121 starts end on deflated candidates within 5 Newton steps), on ref4 at
 grid_points 6 (1296 starts in R^4), on cw J = 1, h = 1e-12 (its start x = 0 has
@@ -100,6 +103,11 @@ CW1P12 = {"n": 1, "alpha": [1.0], "J": [[1.0 + 1e-12]], "h": [0.0]}
 CW1M12 = {"n": 1, "alpha": [1.0], "J": [[1.0 - 1e-12]], "h": [0.0]}
 NEAR2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.0 - 2e-11, 0.0], [0.0, 1.0]], "h": [0.0, 0.0]}
 CW3 = {"n": 1, "alpha": [1.0], "J": [[3.0]], "h": [-0.2]}
+SPIN1_2 = {"n": 2, "alpha": [0.4, 0.6], "J": [[1.5, 0.5], [0.5, 1.0]], "h": [0.1, -0.05],
+           "measure": {"atoms": [[-1.0, 1.0 / 3.0], [0.0, 1.0 / 3.0], [1.0, 1.0 / 3.0]]}}
+J_SKEWED, H_SKEWED = 0.8980536560709589, -0.3138717919994247
+SKEWED2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.0 * J_SKEWED, 0.0], [0.0, 2.0 * J_SKEWED]],
+           "h": [H_SKEWED, H_SKEWED], "measure": {"atoms": [[-1.0, 0.3], [0.5, 0.5], [2.0, 0.2]]}}
 SOLVER = {"ref4": {"grid_points": 6}, "cw10-g10": {"grid_points": 10},
           "cw12-tol": {"tol": 1e-3}, "cw3-tol": {"tol": 1e-16}}
 
@@ -172,7 +180,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "cw1m1e-12": CW1M12, "near2": NEAR2, "cw12-tol": MODELS["cw12"],
                       "cw3-tol": CW3, "atom3-k2": three_atoms(0.25, 0.0),
                       "atom3-k3": three_atoms(1.0 / 6.0, 0.0),
-                      "atom3-k3-tilt": three_atoms(1.0 / 6.0, 1e-15)}.items():
+                      "atom3-k3-tilt": three_atoms(1.0 / 6.0, 1e-15), "spin1-2": SPIN1_2,
+                      "skewed2": SKEWED2}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": SOLVER[name]} if name in SOLVER else {}
         config.write_text(json.dumps({"model": doc, **opts}))
