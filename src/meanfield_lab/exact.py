@@ -10,13 +10,14 @@ of rows of axis 0, or pieces of one row cut along axis 1 where a row is
 longer): pass 1 takes the maximum, pass 2 sums exp(W - max) over numpy's own pairwise tree
 (``_pairwise``) with leaves of at most one block, so the sum has the bits
 of the whole-lattice ``sum()`` (any other order would move them).  The
-n >= 3 moments promise no bits and take one pass: each block's
-exp(W - running max) is reduced into the pairwise marginals, which give
-the per-axis ones and are divided by their total.  Overflowing weights
-(a block maximum of +inf or nan) raise DomainError.  Every reduction runs
-in a fixed order, so results do not depend on scheduling.  Each pass
-allocates its own block buffers and nothing is kept across calls.
-``log_partition``, ``finite_pressure`` and the n >= 3 moments hold a few blocks;
+n >= 3 moments promise no bits and evaluate no block of W: ``_moments`` factors
+the quadratic form on chunks of axis-0 rows and contracts the factors into the
+pairwise marginals.  Overflowing weights (a block maximum of +inf or nan; at
+n >= 3 an axis term, cross coefficient or chunk maximum) raise DomainError.
+Every reduction runs in a fixed order, so results do not depend on scheduling.
+Each pass allocates its own buffers and nothing is kept across calls.
+``log_partition`` and ``finite_pressure`` hold a few blocks, the n >= 3 moments
+their pairwise marginals and one chunk's factors;
 ``magnetization_law`` and the n <= 2 moments hold one lattice-sized array,
 ``exact_sample`` that array as its CDF plus a guide table of 2^12 cells
 (a draw takes the probes that cover 15/16 of the cells, or numpy's binary
@@ -80,6 +81,7 @@ _CHUNK = 1 << 12          # sum-law points per chunk of per-point work; sampler 
                           # chunk; sample rows per block of a fit
 _STREAM = 1 << 16         # draws per sampler stream; fixes the bytes of every sample file
 _GUIDE = 1 << 12          # cells of the sampler's guide table; a power of 2
+_EXP_ZERO = -760.0        # np.exp is exactly 0.0 below about -745.13
 SAMPLES_HEADER = "# meanfield-lab samples v1"
 _LN_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 _LS2PI = 0.91893853320467274178         # ln sqrt(2 pi)
@@ -365,11 +367,20 @@ def _compensated(parts) -> np.ndarray:
     return total + comp
 
 
-def _log_binomials(N_l: int, lo: int, hi: int) -> np.ndarray:
-    """ln C(N_l, k) = T[N_l] - (T[k] + T[N_l - k]) for k = lo..hi-1, T[k] = ln k!."""
+def _axis_term(lattice: MagLattice, J: np.ndarray, h: np.ndarray, l: int, lo: int = 0,
+               hi: int | None = None) -> np.ndarray:
+    """ln C(N_l, k) + h_l S + J_ll S^2 / 2N on axis l of the weights, k = lo..hi-1 if given.
+
+    ln C(N_l, k) = T[N_l] - (T[k] + T[N_l - k]), T[k] = ln k!.  The term may overflow, so
+    callers ignore numpy's warnings and check the result.
+    """
+    N_l = int(lattice.sizes[l])
+    hi = N_l + 1 if hi is None else hi
     T = _log_factorial(np.arange(lo + 0.0, hi))
     T += _log_factorial(np.arange(N_l - hi + 1.0, N_l - lo + 1.0))[::-1]
-    return np.subtract(_log_factorial(np.array([N_l + 0.0]))[0], T, out=T)
+    counts = np.subtract(_log_factorial(np.array([N_l + 0.0]))[0], T, out=T)
+    S = lattice.sum_axis(l, lo, hi).astype(float)
+    return counts + h[l] * S + J[l, l] * S ** 2 / (2.0 * lattice.total)
 
 
 class _Weights:
@@ -412,14 +423,11 @@ class _Weights:
     def _factors_on(self, key: tuple[slice, ...]):
         """prefix, last axis term, axis 0's sums, cross factors with axis 0, cross grids on ``key``."""
         n, N, J, h = self.lattice.n, self.lattice.total, self.J, self.h
-        S = [self.lattice.sum_axis(l, k.start, k.stop).astype(float) for l, k in enumerate(key)]
-        terms = []
         with np.errstate(over="ignore", invalid="ignore"):  # _block_max raises on inf or nan
-            for l, k in enumerate(key):
-                counts = _log_binomials(int(self.lattice.sizes[l]), k.start, k.stop)
-                terms.append((counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N))
-                             .reshape(_along(l, n)))
-            S = [S_l.reshape(_along(l, n)) for l, S_l in enumerate(S)]
+            terms = [_axis_term(self.lattice, J, h, l, k.start, k.stop).reshape(_along(l, n))
+                     for l, k in enumerate(key)]
+            S = [self.lattice.sum_axis(l, k.start, k.stop).astype(float).reshape(_along(l, n))
+                 for l, k in enumerate(key)]
             prefix = -N * LN2
             for t in terms[:-1]:
                 prefix = prefix + t
@@ -473,7 +481,9 @@ class _Leaves:
     Each block is exponentiated into one buffer behind the values left from
     the block before, so a leaf is always one contiguous view.  The entries
     equal to the maximum are counted in ``tops`` and summed as 0; only blocks
-    whose own maximum is the maximum are searched for them.
+    whose own maximum is the maximum are searched for them.  numpy's exp is
+    0.0 below ``_EXP_ZERO`` and slow there: a block with such an entry among
+    every 64th sets those to 0.0 without it (subnormal results keep exp).
     """
 
     def __init__(self, blocks, maxima: np.ndarray, volume: int, largest: int):
@@ -491,7 +501,11 @@ class _Leaves:
             E = self._buf[kept:kept + W.size]
             with np.errstate(invalid="ignore"):     # -inf - -inf: a top, set to 0 below
                 np.subtract(W, self.a_max, out=E)
-            np.exp(E, out=E)
+            if E[::64].min() < _EXP_ZERO:           # exp is 0.0 there, and slow
+                np.exp(E, out=E, where=E >= _EXP_ZERO)
+                np.maximum(E, 0.0, out=E)           # the entries left below the floor
+            else:
+                np.exp(E, out=E)
             if w_max == self.a_max:
                 top = W == self.a_max
                 self.tops += np.count_nonzero(top)
@@ -590,39 +604,24 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
     They are reduced from P = exp(W - ln Z) through its per-axis and pairwise
     marginals.  At n <= 2 the (0, n - 1) marginal is the lattice itself, so P
     is held there: the magnetization law, exponentiated in place.  At n >= 3
-    the marginals are smaller than the lattice: one pass adds each block's
-    pairwise marginals of exp(W - top), top the running maximum, into the
-    entries its index ranges cover, and they are divided by axis 0's total.
-    The per-axis ones are the (0, 1) marginal summed over axis 1 and the
-    (0, l) marginals summed over axis 0.
+    the marginals are smaller than the lattice, and ``_moments.pair_marginals``
+    forms those of exp(W - top), top a running maximum, from the axis terms
+    and the couplings alone, without a block of W; the moments are then
+    divided by axis 0's total.  The per-axis marginals are the (0, 1) one
+    summed over axis 1 and the (0, l) ones summed over axis 0.
     """
     lattice = _prepare(model, sizes, "exact_moments")
-    n, shape = lattice.n, lattice.shape
-    keeps = [(0,)] + [(l, s) for l in range(n) for s in range(l + 1, n)]
+    n = lattice.n
     if n <= 2:
         P = magnetization_law(model, sizes).log_weights      # the law is ours alone
         np.exp(P, out=P)
-        marg = {keep: _marginal(P, keep) for keep in keeps}
+        marg, total = {keep: _marginal(P, keep) for keep in [(0,), (0, 1)][:n]}, 1.0
     else:
-        weights = _Weights(model.J, model.h, lattice)
-        top = -np.inf
-        marg = {keep: np.zeros([shape[a] for a in keep]) for keep in keeps[1:]}
-        for key in weights.keys():
-            P = weights.block(key)
-            block_top = _block_max(P)
-            if block_top == -np.inf:        # no mass, and P - -inf would be nan
-                continue
-            if block_top > top:             # rescale the sums so far to the new top
-                for m in marg.values():
-                    m *= math.exp(top - block_top)
-                top = block_top
-            P -= top
-            np.exp(P, out=P)
-            for keep in keeps[1:]:
-                into = marg[keep][tuple(key[a] for a in keep)]     # a view: no copy back
-                into += _marginal(P, keep)
+        from ._moments import pair_marginals
+
+        marg = pair_marginals(model.J, model.h, lattice)
         marg[0,] = marg[0, 1].sum(axis=1)
-        marg = {keep: m / marg[0,].sum() for keep, m in marg.items()}
+        total = marg[0,].sum()
     for l in range(1, n):
         marg[l,] = marg[0, l].sum(axis=0)
     mags = [lattice.mag_axis(l) for l in range(n)]
@@ -632,7 +631,7 @@ def exact_moments(model: ValidatedModel, sizes) -> ExactMoments:
         second[l, l] = (ml * ml) @ marg[l,]
         for s in range(l + 1, n):
             second[l, s] = second[s, l] = ml @ marg[l, s] @ mags[s]
-    return ExactMoments(mean=mean, second=second, sizes=lattice.sizes)
+    return ExactMoments(mean=mean / total, second=second / total, sizes=lattice.sizes)
 
 
 def exact_sample(model: ValidatedModel, sizes, M: int, seed: int) -> SampleSet:

@@ -401,6 +401,20 @@ def test_pairwise_walk_sums_in_numpys_order():
         assert leaves.tops == 1
 
 
+def test_exp_is_exactly_zero_below_the_floor_that_leaves_skip():
+    below = np.concatenate([np.linspace(-1e5, exact_module._EXP_ZERO, 2_000_001), [-1e308]])
+    assert not np.any(np.exp(below))
+    # a block across the floor, subnormal results in it too, takes exp's values
+    W = np.linspace(-800.0, 0.0, 3 * _BLOCK)
+    blocks = np.split(W, 3)
+    leaves = _Leaves(blocks, np.array([b.max() for b in blocks]), W.size, _BLOCK)
+    want = np.exp(W)
+    want[-1] = 0.0                              # the maximum, counted in tops
+    assert np.any((want > 0) & (want < np.finfo(float).tiny))
+    got = np.concatenate([leaves.take(b.size).copy() for b in blocks])
+    assert got.tobytes() == want.tobytes() and leaves.tops == 1
+
+
 def test_streamed_sums_hold_no_lattice_sized_array():
     import tracemalloc
 
@@ -1118,27 +1132,16 @@ def test_a_block_without_mass_is_no_overflow():
         assert exact_module._lse_blocks(lambda: iter([np.full(2, -math.inf)])) == -math.inf
 
 
-def test_three_species_moments_evaluate_each_weight_once_and_need_no_bitwise_ln_z(monkeypatch):
-    # one pass sums exp(W - running max): no pass for the maximum, no bitwise ln Z
+def test_three_species_moments_evaluate_no_lattice_block_and_repeat_bit_for_bit(monkeypatch):
+    # the marginals come from the factored weight: no block of W, no bitwise ln Z
     model, sizes = make_ref3(), [60, 90, 150]
-    keys = list(_Weights(model.J, model.h, MagLattice(np.asarray(sizes))).keys())
-    assert len(keys) > 1
-    calls = []
-    block = _Weights.block
 
-    def counted(self, key, out=None):
-        calls.append(key)
-        return block(self, key, out)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice block or the bitwise normaliser ran")
 
-    monkeypatch.setattr(_Weights, "block", counted)
-    want = exact_moments(model, sizes)
-    assert len(calls) == len(keys)
-
-    def refuse(blocks):
-        raise AssertionError("the bitwise normaliser ran")
-
+    monkeypatch.setattr(_Weights, "block", refuse)
     monkeypatch.setattr(exact_module, "_lse_blocks", refuse)
-    got = exact_moments(model, sizes)
+    want, got = exact_moments(model, sizes), exact_moments(model, sizes)
     assert got.mean.tobytes() == want.mean.tobytes()
     assert got.second.tobytes() == want.second.tobytes()
 
