@@ -12,11 +12,18 @@ marginal is one contraction: (0, 1) is U (X Y^T), (0, r) is X (U Y) and (1, r)
 is Y (U^T X), and r is reduced into the (0, s), (1, s) and (s, t) ones.  A chunk
 of h rows tilts the exponent by at most (h - 1) sum_{s>=1} |K_0s| N_s, which the
 height keeps within ``_TILT``, so U and X lie within e^+-32; strong couplings
-take one row per chunk, the cost of the whole weights.  The contractions are
-``np.einsum`` loops (BLAS would add its buffers to the peak memory) on blocks
-of the columns r, and a temporary holds about ``_FLOATS`` floats at most.
-``top`` is a running maximum over the (chunk, block) pairs: when it rises the
-sums so far are rescaled, and a pair without mass is skipped.
+take one row per chunk.  The contractions are ``np.einsum`` loops (BLAS would
+add its buffers to the peak memory) on blocks of the columns r, and a
+temporary holds about ``_FLOATS`` floats at most.  ``top`` is a running
+maximum over the (chunk, block) pairs: when it rises the sums so far are
+rescaled.  exp is taken only above ``_FLOOR`` = -300 (``_exp``), and an entry
+of U or Y below it is 0.0: such an entry of the law lies below e^-236 of its
+largest one, and no product of kept factors is subnormal (numpy's exp and
+einsum run tens of times slower on those and on underflow).  On each column
+block the chunks run in descending order of a bound on their maximum
+(``_bounds``), so the block's top comes first, and a chunk without mass or
+whose bound lies below top + ``_FLOOR`` is skipped: under strong couplings,
+where a chunk is one row, that is most of the lattice.
 """
 
 from __future__ import annotations
@@ -29,13 +36,22 @@ from .exact import MagLattice, _along, _axis_term, _block_max, _blocks, _margina
 
 _TILT = 32.0            # bound on a chunk's exponent tilt
 _FLOATS = 1 << 14       # floats per temporary of a contraction (128 KB)
+_FLOOR = -300.0         # exponents below it give 0.0
+
+
+def _exp(E: np.ndarray) -> np.ndarray:
+    """exp(E) in place, 0.0 where E < ``_FLOOR``."""
+    if E.min() < _FLOOR:
+        np.exp(E, out=E, where=E >= _FLOOR)
+        return np.maximum(E, 0.0, out=E)        # the entries left below the floor
+    return np.exp(E, out=E)
 
 
 def _height(K: np.ndarray, shape: tuple[int, ...]) -> int:
     """Rows per chunk: at most ``_FLOATS`` // shape[1], and a tilt within ``_TILT``."""
     span = float(np.abs(K[0, 1:]) @ (np.array(shape[1:]) - 1.0))    # sum_s |K_0s| N_s
     return min(shape[0], max(1, _FLOATS // shape[1]),
-               1 + int(_TILT / span) if span > 0 else shape[0])
+               1 + int(min(_TILT / span, shape[0])) if span > 0 else shape[0])
 
 
 def _columns(terms, K: np.ndarray, S, key: tuple[slice, ...]) -> list[np.ndarray]:
@@ -53,6 +69,14 @@ def _columns(terms, K: np.ndarray, S, key: tuple[slice, ...]) -> list[np.ndarray
     return [np.broadcast_to(v, shape).reshape(-1) for v in (free, c0, c1)]
 
 
+def _bounds(chunks, S1: np.ndarray, free, c0, c1) -> list[float]:
+    """Upper bounds on top0 + max Y for each chunk on one column block: Y's S_1 part and
+    the rest are bounded apart, S_1 c1 by its value at c1's ends."""
+    s1 = np.maximum(S1 * c1.min(), S1 * c1.max())
+    return [top0 + (u1 + s1).max() + (free + ref * c0).max()
+            for _, top0, _, _, u1, ref in chunks]
+
+
 @np.errstate(over="ignore", invalid="ignore")       # _block_max raises on inf or nan
 def pair_marginals(J: np.ndarray, h: np.ndarray, lattice: MagLattice) -> dict:
     """The pairwise marginals (l, s), l < s, of exp(W - top) on a lattice of n >= 3 axes.
@@ -61,8 +85,7 @@ def pair_marginals(J: np.ndarray, h: np.ndarray, lattice: MagLattice) -> dict:
     or pair maximum raises DomainError.
     """
     n, shape, K = lattice.n, lattice.shape, J / lattice.total
-    S = [lattice.sum_axis(l).astype(float) for l in range(n)]
-    terms = [_axis_term(lattice, J, h, l) for l in range(n)]
+    terms, S = zip(*(_axis_term(lattice, J, h, l) for l in range(n)))
     for t in terms:
         _block_max(t)
     height = _height(K, shape)
@@ -77,14 +100,18 @@ def pair_marginals(J: np.ndarray, h: np.ndarray, lattice: MagLattice) -> dict:
         delta = S[0][rows] - ref
         U = np.multiply.outer(K[0, 1] * S[1], delta)       # einsum runs faster on (j, i)
         U += terms[0][rows] - top0
-        chunks.append((rows, top0, delta, np.exp(U, out=U), terms[1] + ref * K[0, 1] * S[1], ref))
+        chunks.append((rows, top0, delta, _exp(U), terms[1] + ref * K[0, 1] * S[1], ref))
     top = -np.inf
     for key in _blocks(shape[2:], max(1, _FLOATS // max(height, shape[1]))):
         free, c0, c1 = _columns(terms, K, S, key)
         for c in (c0, c1):
             _block_max(np.abs(c))
         block = tuple(k.stop - k.start for k in key)
-        for rows, top0, delta, U, u1, ref in chunks:
+        bounds = _bounds(chunks, S[1], free, c0, c1)
+        for q in np.argsort(-np.array(bounds), kind="stable"):
+            if bounds[q] < top + _FLOOR:    # every entry of Y below would be 0.0
+                continue
+            rows, top0, delta, U, u1, ref = chunks[q]
             Y = np.multiply.outer(S[1], c1)
             Y += u1[:, None]
             Y += free + ref * c0
@@ -96,7 +123,7 @@ def pair_marginals(J: np.ndarray, h: np.ndarray, lattice: MagLattice) -> dict:
                     m *= math.exp(top - sigma)
                 top = sigma
             Y -= top - top0
-            np.exp(Y, out=Y)
+            _exp(Y)
             X = np.exp(np.multiply.outer(delta, c0))
             marg[0, 1][rows] += np.einsum("ic,jc->ji", X, Y).T   # times U below
             t0 = np.einsum("ji,jc->ic", U, Y)

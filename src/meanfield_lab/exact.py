@@ -26,9 +26,9 @@ plus one byte with a conditioning ball (``DiscreteLaw``).  The sample fits
 (``inverse.py``) walk a ``SampleSet`` in blocks of ``_CHUNK`` rows
 (``SampleSet.row_blocks``): the row rule holds one block's copies, and only
 ``magnetizations`` returns one float per sum.  One cap holds
-everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points, or a sample
-of more than that many sums, raises LatticeTooLarge (CLI exit 3) before any
-allocation.
+everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points (``MagLattice``
+refuses it when built), or a sample of more than that many sums, raises
+LatticeTooLarge (CLI exit 3) before any allocation.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -98,6 +98,8 @@ class MagLattice:
 
     def __post_init__(self):
         self.sizes.flags.writeable = False
+        if self.volume() > LATTICE_CAP:
+            raise LatticeTooLarge(f"lattice volume {self.volume()} exceeds the cap {LATTICE_CAP}")
 
     @property
     def n(self) -> int:
@@ -369,7 +371,8 @@ def _compensated(parts) -> np.ndarray:
 
 def _axis_term(lattice: MagLattice, J: np.ndarray, h: np.ndarray, l: int, lo: int = 0,
                hi: int | None = None) -> np.ndarray:
-    """ln C(N_l, k) + h_l S + J_ll S^2 / 2N on axis l of the weights, k = lo..hi-1 if given.
+    """ln C(N_l, k) + h_l S + J_ll S^2 / 2N on axis l of the weights, k = lo..hi-1 if given,
+    and the sums S as floats.
 
     ln C(N_l, k) = T[N_l] - (T[k] + T[N_l - k]), T[k] = ln k!.  The term may overflow, so
     callers ignore numpy's warnings and check the result.
@@ -380,7 +383,7 @@ def _axis_term(lattice: MagLattice, J: np.ndarray, h: np.ndarray, l: int, lo: in
     T += _log_factorial(np.arange(N_l - hi + 1.0, N_l - lo + 1.0))[::-1]
     counts = np.subtract(_log_factorial(np.array([N_l + 0.0]))[0], T, out=T)
     S = lattice.sum_axis(l, lo, hi).astype(float)
-    return counts + h[l] * S + J[l, l] * S ** 2 / (2.0 * lattice.total)
+    return counts + h[l] * S + J[l, l] * S ** 2 / (2.0 * lattice.total), S
 
 
 class _Weights:
@@ -406,8 +409,6 @@ class _Weights:
 
     def __init__(self, J: np.ndarray, h: np.ndarray, lattice: MagLattice):
         volume = lattice.volume()
-        if volume > LATTICE_CAP:
-            raise LatticeTooLarge(f"lattice volume {volume} exceeds the cap {LATTICE_CAP}")
         self.J, self.h, self.lattice = J, h, lattice
         shape = lattice.shape
         per_block = max(shape[0], volume // shape[0]) > _BLOCK
@@ -424,10 +425,9 @@ class _Weights:
         """prefix, last axis term, axis 0's sums, cross factors with axis 0, cross grids on ``key``."""
         n, N, J, h = self.lattice.n, self.lattice.total, self.J, self.h
         with np.errstate(over="ignore", invalid="ignore"):  # _block_max raises on inf or nan
-            terms = [_axis_term(self.lattice, J, h, l, k.start, k.stop).reshape(_along(l, n))
-                     for l, k in enumerate(key)]
-            S = [self.lattice.sum_axis(l, k.start, k.stop).astype(float).reshape(_along(l, n))
-                 for l, k in enumerate(key)]
+            terms, S = zip(*(
+                [v.reshape(_along(l, n)) for v in _axis_term(self.lattice, J, h, l, k.start, k.stop)]
+                for l, k in enumerate(key)))
             prefix = -N * LN2
             for t in terms[:-1]:
                 prefix = prefix + t

@@ -34,6 +34,7 @@ from meanfield_lab.errors import (
     OffLattice,
     UnsupportedMeasure,
 )
+from meanfield_lab import _moments
 from meanfield_lab import exact as exact_module
 from meanfield_lab.exact import (
     _BLOCK,
@@ -886,6 +887,26 @@ def test_sample_count_must_be_a_non_negative_integer(M):
 def test_every_lattice_entry_point_refuses_a_lattice_over_the_cap(entry):
     with pytest.raises(LatticeTooLarge):
         entry(make_ref2(), [20000, 20000])
+
+
+# ref3 at [400, 600, 1000] has 2.4e8 points; the n >= 3 moments build no weights, so
+# the cap is the lattice's own
+@pytest.mark.parametrize("entry", [
+    lambda m, sizes: finite_pressure(m, sizes),
+    lambda m, sizes: magnetization_law(m, sizes),
+    lambda m, sizes: exact_moments(m, sizes),
+    lambda m, sizes: exact_sample(m, sizes, 10, seed=1),
+    lambda m, sizes: normalized_sum_law(m, sizes, [0.0, 0.0, 0.0], k=1),
+], ids=["finite_pressure", "magnetization_law", "exact_moments", "exact_sample",
+        "normalized_sum_law"])
+def test_three_species_entry_points_refuse_a_lattice_over_the_cap(monkeypatch, entry):
+    def allocation(*args, **kwargs):
+        raise AssertionError("allocated before the cap")
+
+    monkeypatch.setattr(exact_module, "_axis_term", allocation)
+    monkeypatch.setattr(_moments, "_axis_term", allocation)
+    with pytest.raises(LatticeTooLarge):
+        entry(make_ref3(), [400, 600, 1000])
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])

@@ -16,6 +16,14 @@ REF4 = {"n": 4, "alpha": (0.1, 0.2, 0.3, 0.4), "h": (0.1, -0.2, 0.05, 0.0),
               (0.1, 0.0, 0.2, 1.2))}
 STRONG = dict(REF3, J=((2.0, 4.0, -0.2), (4.0, 1.5, 0.4), (-0.2, 0.4, 1.0)))
 INDEFINITE = dict(REF3, J=((0.5, 1.2, -0.3), (1.2, -0.8, 0.6), (-0.3, 0.6, 1.1)))
+NO_MASS_OFF_2_OF_4 = {"n": 4, "alpha": (1 / 22, 15 / 44, 1 / 22, 25 / 44),
+                      "h": (0.1, -0.2, 0.05, 0.0),
+                      "J": ((2.0, 0.3, -0.2, 0.1), (0.3, 1.5, 0.4, 0.0),
+                            (-0.2, 0.4, -1.7e308, 0.2), (0.1, 0.0, 0.2, 1.2))}
+# two rows a chunk, and W spans thousands below its top: most chunks are skipped
+STRONGER = dict(REF3, J=((2.0, 40.0, -40.0), (40.0, 1.5, 0.4), (-40.0, 0.4, 1.0)))
+# sum_s |K_0s| N_s ~ 1e-308: 32 over it overflows a float
+TINY_CROSS = dict(REF3, J=((2.0, 1e-307, 0.0), (1e-307, 1.5, 0.4), (0.0, 0.4, 1.0)))
 NO_MASS_OFF_0 = {"n": 3, "alpha": (1 / 16, 15 / 32, 15 / 32), "h": (0.0, 0.1, -0.1),
                  "J": ((-1.7e308, 0.1, 0.0), (0.1, 1.0, 0.2), (0.0, 0.2, 1.0))}
 NO_MASS_OFF_2 = dict(NO_MASS_OFF_0, alpha=(1 / 36, 5 / 12, 5 / 9),
@@ -53,7 +61,11 @@ def _whole_lattice_moments(spec, sizes):
     (INDEFINITE, [20, 30, 50]),
     (NO_MASS_OFF_0, [16, 120, 120]),  # mass only at S_0 = 0
     (NO_MASS_OFF_2, [8, 120, 160]),   # only at S_2 = 0, in the first of two column blocks
-], ids=["ref3", "ref4", "strong", "indefinite", "no-mass-off-0", "no-mass-off-2"])
+    (NO_MASS_OFF_2_OF_4, [8, 60, 8, 100]),  # ... at its row 4 of 9, two rows a column block
+    (STRONGER, [40, 60, 100]),
+    (TINY_CROSS, [20, 30, 50]),
+], ids=["ref3", "ref4", "strong", "indefinite", "no-mass-off-0", "no-mass-off-2",
+        "no-mass-off-2-of-4", "stronger", "tiny-cross"])
 def test_moments_match_whole_lattice_longdouble_sums(spec, sizes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -69,12 +81,40 @@ def test_the_oracle_cases_run_several_chunks_and_column_blocks():
     assert _moments._height(np.array(STRONG["J"]) / 250, (51, 76, 126)) == 25
     assert _moments._height(np.array(REF3["J"]) / 300, (61, 91, 151)) == 61
     assert _moments._FLOATS // 121 < 161         # NO_MASS_OFF_2's columns take two blocks
+    assert _moments._height(np.array(STRONGER["J"]) / 200, (41, 61, 101)) == 2
+    assert _moments._height(np.array(TINY_CROSS["J"]) / 100, (21, 31, 51)) == 21
+    assert _moments._FLOATS // 61 // 101 == 2    # NO_MASS_OFF_2_OF_4: the first two blocks
+
+
+def test_strong_couplings_skip_the_chunks_far_below_the_top(monkeypatch):
+    # 21 chunks of two rows on one column block: each takes one exp for U, and one for Y
+    # only where its bound comes within 300 of the top, in fewer than half of them
+    model, sizes = validate_model(ModelSpec(**STRONGER)), [40, 60, 100]
+    calls = []
+    exp = _moments._exp
+    monkeypatch.setattr(_moments, "_exp", lambda E: calls.append(E.size) or exp(E))
+    skipped = exact_moments(model, sizes)
+    assert 21 < len(calls) < 21 + 21 / 2
+    monkeypatch.setattr(_moments, "_FLOOR", -np.inf)    # no floor: every chunk, every exp
+    calls.clear()
+    every = exact_moments(model, sizes)
+    assert len(calls) == 42
+    assert np.max(np.abs(skipped.mean - every.mean)) <= 1e-15
+    assert np.max(np.abs(skipped.second - every.second)) <= 1e-15
+
+
+def test_exp_is_zero_below_the_floor_and_numpys_exp_above():
+    E = np.concatenate([np.linspace(-1000.0, 0.0, 100_001), [-np.inf, _moments._FLOOR]])
+    want = np.where(E < _moments._FLOOR, 0.0, np.exp(E))
+    assert np.array_equal(_moments._exp(E.copy()), want)
+    assert np.array_equal(_moments._exp(E[E >= -300.0].copy()), np.exp(E[E >= -300.0]))
 
 
 @pytest.mark.parametrize("spec,sizes", [
     (REF3, [60, 90, 150]), (REF4, [10, 20, 30, 40]), (STRONG, [50, 75, 125]),
     (NO_MASS_OFF_0, [16, 120, 120]),  # one row a chunk: all chunks but one have no mass
-], ids=["ref3", "ref4", "strong", "no-mass-off-0"])
+    (STRONGER, [40, 60, 100]),
+], ids=["ref3", "ref4", "strong", "no-mass-off-0", "stronger"])
 def test_rows_one_at_a_time_move_the_moments_by_at_most_1e_15(monkeypatch, spec, sizes):
     model = validate_model(ModelSpec(**spec))
     chunked = exact_moments(model, sizes)
