@@ -874,39 +874,29 @@ def test_sample_count_must_be_a_non_negative_integer(M):
         exact_sample(make_cw(0.5, 0.0), [10], M, seed=1)
 
 
-# ref2 at [20000, 20000] has 20001^2 ~ 4e8 lattice points, over the one cap of
-# 1e8; the check runs before anything is allocated
-@pytest.mark.parametrize("entry", [
-    lambda m, sizes: finite_pressure(m, sizes),
-    lambda m, sizes: magnetization_law(m, sizes),
-    lambda m, sizes: exact_moments(m, sizes),
-    lambda m, sizes: exact_sample(m, sizes, 10, seed=1),
-    lambda m, sizes: normalized_sum_law(m, sizes, [0.0, 0.0], k=1),
-], ids=["finite_pressure", "magnetization_law", "exact_moments", "exact_sample",
-        "normalized_sum_law"])
-def test_every_lattice_entry_point_refuses_a_lattice_over_the_cap(entry):
-    with pytest.raises(LatticeTooLarge):
-        entry(make_ref2(), [20000, 20000])
+# ref2 at [20000, 20000] has 20001^2 ~ 4e8 lattice points and ref3 at [400, 600, 1000]
+# 2.4e8, over the one cap of 1e8; the check runs before anything is allocated (the n >= 3
+# moments build no weights: the cap is the lattice's own)
+_ENTRY_POINTS = {
+    "finite_pressure": lambda m, sizes: finite_pressure(m, sizes),
+    "magnetization_law": lambda m, sizes: magnetization_law(m, sizes),
+    "exact_moments": lambda m, sizes: exact_moments(m, sizes),
+    "exact_sample": lambda m, sizes: exact_sample(m, sizes, 10, seed=1),
+    "normalized_sum_law": lambda m, sizes: normalized_sum_law(m, sizes, [0.0] * m.n, k=1),
+}
 
 
-# ref3 at [400, 600, 1000] has 2.4e8 points; the n >= 3 moments build no weights, so
-# the cap is the lattice's own
-@pytest.mark.parametrize("entry", [
-    lambda m, sizes: finite_pressure(m, sizes),
-    lambda m, sizes: magnetization_law(m, sizes),
-    lambda m, sizes: exact_moments(m, sizes),
-    lambda m, sizes: exact_sample(m, sizes, 10, seed=1),
-    lambda m, sizes: normalized_sum_law(m, sizes, [0.0, 0.0, 0.0], k=1),
-], ids=["finite_pressure", "magnetization_law", "exact_moments", "exact_sample",
-        "normalized_sum_law"])
-def test_three_species_entry_points_refuse_a_lattice_over_the_cap(monkeypatch, entry):
+@pytest.mark.parametrize("name,n", [(e, n) for n in (2, 3) for e in _ENTRY_POINTS],
+                         ids=[e if n == 2 else f"{e}-n3" for n in (2, 3) for e in _ENTRY_POINTS])
+def test_every_lattice_entry_point_refuses_a_lattice_over_the_cap(monkeypatch, name, n):
     def allocation(*args, **kwargs):
         raise AssertionError("allocated before the cap")
 
     monkeypatch.setattr(exact_module, "_axis_term", allocation)
     monkeypatch.setattr(_moments, "_axis_term", allocation)
+    model, sizes = (make_ref2(), [20000, 20000]) if n == 2 else (make_ref3(), [400, 600, 1000])
     with pytest.raises(LatticeTooLarge):
-        entry(make_ref3(), [400, 600, 1000])
+        _ENTRY_POINTS[name](model, sizes)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
