@@ -17,7 +17,7 @@ n >= 3 an axis term, cross coefficient or chunk maximum) raise DomainError.
 Every reduction runs in a fixed order, so results do not depend on scheduling.
 Each pass allocates its own buffers and nothing is kept across calls.
 ``log_partition`` and ``finite_pressure`` hold a few blocks, the n >= 3 moments
-their pairwise marginals and one chunk's factors;
+their pairwise marginals and the chunks' U factors;
 ``magnetization_law`` and the n <= 2 moments hold one lattice-sized array,
 ``exact_sample`` that array as its CDF plus a guide table of 2^12 cells
 (a draw takes the probes that cover 15/16 of the cells, or numpy's binary

@@ -22,6 +22,9 @@ NO_MASS_OFF_2_OF_4 = {"n": 4, "alpha": (1 / 22, 15 / 44, 1 / 22, 25 / 44),
                             (-0.2, 0.4, -1.7e308, 0.2), (0.1, 0.0, 0.2, 1.2))}
 # two rows a chunk, and W spans thousands below its top: most chunks are skipped
 STRONGER = dict(REF3, J=((2.0, 40.0, -40.0), (40.0, 1.5, 0.4), (-40.0, 0.4, 1.0)))
+# one row a chunk, and the law spreads along the ridge S_0 = S_1: no chunk is skipped
+RIDGE = {"n": 3, "alpha": (0.3, 0.3, 0.4), "h": (0.0, 0.0, 0.05),
+         "J": ((-400.0, 400.0, 0.2), (400.0, -400.0, 0.3), (0.2, 0.3, 1.0))}
 # sum_s |K_0s| N_s ~ 1e-308: 32 over it overflows a float
 TINY_CROSS = dict(REF3, J=((2.0, 1e-307, 0.0), (1e-307, 1.5, 0.4), (0.0, 0.4, 1.0)))
 NO_MASS_OFF_0 = {"n": 3, "alpha": (1 / 16, 15 / 32, 15 / 32), "h": (0.0, 0.1, -0.1),
@@ -63,9 +66,10 @@ def _whole_lattice_moments(spec, sizes):
     (NO_MASS_OFF_2, [8, 120, 160]),   # only at S_2 = 0, in the first of two column blocks
     (NO_MASS_OFF_2_OF_4, [8, 60, 8, 100]),  # ... at its row 4 of 9, two rows a column block
     (STRONGER, [40, 60, 100]),
+    (RIDGE, [30, 30, 40]),
     (TINY_CROSS, [20, 30, 50]),
 ], ids=["ref3", "ref4", "strong", "indefinite", "no-mass-off-0", "no-mass-off-2",
-        "no-mass-off-2-of-4", "stronger", "tiny-cross"])
+        "no-mass-off-2-of-4", "stronger", "ridge", "tiny-cross"])
 def test_moments_match_whole_lattice_longdouble_sums(spec, sizes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -83,6 +87,7 @@ def test_the_oracle_cases_run_several_chunks_and_column_blocks():
     assert _moments._FLOATS // 121 < 161         # NO_MASS_OFF_2's columns take two blocks
     assert _moments._height(np.array(STRONGER["J"]) / 200, (41, 61, 101)) == 2
     assert _moments._height(np.array(TINY_CROSS["J"]) / 100, (21, 31, 51)) == 21
+    assert _moments._height(np.array(RIDGE["J"]) / 100, (31, 31, 41)) == 1
     assert _moments._FLOATS // 61 // 101 == 2    # NO_MASS_OFF_2_OF_4: the first two blocks
 
 
