@@ -42,10 +42,10 @@ that numpy's log can differ from the C library's by one ulp.
 File formats: every CSV the package writes goes through one writer (``_write``), a
 block of rows at a time.  CLI tables come from one row template (``_csv_rows``); a
 sample file's rows and the axis columns of CLI ``limits`` format each distinct value of
-a column once (``_cells``; per file for a sample column whose values differ by less than
-``_CHUNK``, else per block from ``np.unique``) and gather the cells per row.  A sample
-file is read by numpy's C file reader after its metadata, and parsed again line by line
-only if that reader refuses it.
+a column once (``_cells``; per file, over its whole span, for a sample column whose span
+is shorter than both ``_CHUNK`` and the file, else per block from ``np.unique``) and
+gather the cells per row.  A sample file is read by numpy's C file reader after its
+metadata, and parsed again line by line only if that reader refuses it.
 """
 
 from __future__ import annotations
@@ -779,27 +779,22 @@ def _write(path: str | None, chunks):
 def _sum_rows(sums: np.ndarray):
     """CSV rows of integer sums, one string per ``_CHUNK`` rows: each column's distinct
     values formatted as finished cells (``_cells``), then gathered per row.  A column
-    whose values differ by less than ``_CHUNK`` keeps its cells for the whole file in a
-    table over its span, where each block formats the values no block before it had;
-    a wider column formats each block's distinct values, from ``np.unique`` (one sort)."""
+    whose span is shorter than both ``_CHUNK`` and the file formats every value of it
+    once, before the first block; a wider column formats each block's distinct values,
+    from ``np.unique`` (one sort)."""
     ends = [","] * (sums.shape[1] - 1) + ["\n"]
-    narrow = {}             # column: its smallest value, its cells, which are formatted
+    narrow = {}             # column: its smallest value, the cells of its whole span
     for l in range(sums.shape[1] if len(sums) else 0):
         lo, hi = int(sums[:, l].min()), int(sums[:, l].max())
-        if hi - lo < _CHUNK:
-            narrow[l] = lo, np.empty(hi - lo + 1, dtype=object), np.zeros(hi - lo + 1, bool)
+        if hi - lo < min(_CHUNK, len(sums)):
+            narrow[l] = lo, _cells(np.arange(hi - lo + 1) + lo, ends[l])
     for a in range(0, len(sums), _CHUNK):
         block = sums[a:a + _CHUNK]
         table = np.empty(block.shape, dtype=object)
         for l, end in enumerate(ends):
             if l in narrow:
-                lo, cells, known = narrow[l]
+                lo, cells = narrow[l]
                 at = block[:, l] - lo
-                fresh = np.zeros(known.size, dtype=bool)
-                fresh[at] = True
-                new = np.flatnonzero(fresh & ~known)
-                cells[new] = _cells(new + lo, end)
-                known[new] = True
             else:
                 values, at = np.unique(block[:, l], return_inverse=True)
                 cells = _cells(values, end)
@@ -810,7 +805,7 @@ def _sum_rows(sums: np.ndarray):
 def write_samples_csv(samples: SampleSet, path: str):
     """Sample file: versioned header, geometry metadata, then one row per draw, ``%d``
     cells joined by commas; written ``_CHUNK`` rows at a time by ``_sum_rows``, which
-    formats each cell of a narrow column once per file and of a wider one once per block."""
+    formats a narrow column's whole span once per file and a wider one's values per block."""
     head = (f"{SAMPLES_HEADER}\n# n={samples.n}\n"
             f"# N={json.dumps([int(v) for v in samples.sizes])}\n# seed={samples.seed}\n")
     _write(path, itertools.chain([head], _sum_rows(samples.sums)))

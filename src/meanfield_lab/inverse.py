@@ -54,18 +54,15 @@ def estimate_moments(samples: SampleSet) -> EmpiricalMoments:
 
     Holds the (M, n) magnetizations, one float per sum: ``m.T @ m`` is one BLAS call,
     whose bits depend on having the whole array.  The mean has ``m.mean(axis=0)``'s bits:
-    numpy sums the rows of a C-order array of n >= 2 columns in order, so their cumsum
-    runs a block of ``row_blocks`` at a time from the total so far; one column, which
-    numpy sums pairwise, and any other layout take ``m.mean``.
+    numpy adds the rows of a C-order array of n >= 2 columns in row order, as one
+    ``einsum`` does with no temporary; one column, which numpy sums pairwise, and any
+    other layout take ``m.mean``.
     """
     if samples.sample_count < 2:
         raise EmptySample("need at least two sample rows")
     m = samples.magnetizations()
     if samples.n > 1 and m.flags.c_contiguous:
-        total = np.zeros((1, samples.n))
-        for rows in samples.row_blocks():
-            total = np.cumsum(np.concatenate([total, m[rows]]), axis=0)[-1:]
-        mean = total[0] / samples.sample_count
+        mean = np.einsum("ij->j", m) / samples.sample_count
     else:
         mean = m.mean(axis=0)
     second = m.T @ m / samples.sample_count

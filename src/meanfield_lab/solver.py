@@ -43,6 +43,7 @@ from ._ascent import _EPS, _ascend, _steady
 from ._cluster import _TARGET_RESIDUAL, _eigs, _equilibrium, _keep
 from .errors import (
     DomainError,
+    LatticeTooLarge,
     NonFiniteParameter,
     NotAMaximum,
     UnsupportedDegeneracy,
@@ -56,14 +57,16 @@ _MAX_ORDER = 8
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
 _NEWTON_STEPS = 200     # and every row after this many
+_START_CAP = 2 ** 18    # Newton starts in one batch
 _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the multistart search, each checked here.  ``threads`` is accepted for
-    config compatibility and has no effect.  Newton's target residual and step cap and the
-    dedup radius are constants (``_cluster._TARGET_RESIDUAL``, ``_NEWTON_STEPS``).
+    """Knobs for the multistart search, each checked here.  At most 2^18 (``_START_CAP``)
+    starts are allowed: ``grid_points ** n``, times the J count in a phase scan; more raise
+    LatticeTooLarge.  ``threads`` is accepted and has no effect.  Newton's target residual,
+    step cap and dedup radius are constants (``_cluster._TARGET_RESIDUAL``, ``_NEWTON_STEPS``).
     """
 
     grid_points: int = 11
@@ -295,11 +298,13 @@ def _grid(axis: np.ndarray, n: int) -> np.ndarray:
     return axis[np.indices((len(axis),) * n).reshape(n, -1)].T.copy()
 
 
-def _start_grid(model: ValidatedModel, opts: SolverOptions) -> np.ndarray:
+def _start_grid(model: ValidatedModel, opts: SolverOptions, copies: int = 1) -> np.ndarray:
+    if copies * int(opts.grid_points) ** model.n > _START_CAP:
+        raise LatticeTooLarge(f"{copies} x {opts.grid_points}^{model.n} starts exceed {_START_CAP}")
     lo, hi = model.support_range
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return _grid(np.linspace(mid - 0.99 * half, mid + 0.99 * half, opts.grid_points),
-                 model.n)
+    axis = np.linspace(mid - 0.99 * half, mid + 0.99 * half, opts.grid_points)
+    return np.tile(_grid(axis, model.n), (copies, 1))
 
 
 def _map_rows(model: ValidatedModel, X: np.ndarray, B: np.ndarray, h: np.ndarray):
@@ -619,9 +624,10 @@ def cw_phase_scan(J_grid, h: float,
     # one model holds the measure and h; each row of the batch carries its own J
     model = validate_model(ModelSpec(n=1, alpha=(1.0,), J=((1.0,),), h=(float(h),)))
     opts = opts or SolverOptions()
+    starts = _start_grid(model, opts, len(J_grid))
     group = np.repeat(np.arange(len(J_grid)), opts.grid_points)     # each row's J index
     B, H = J_grid[group, None, None], np.full((len(group), 1), model.h)    # alpha = 1: B = J
-    X, res = _newton_polish(model, np.resize(_start_grid(model, opts), H.shape), B, H)
+    X, res = _newton_polish(model, starts, B, H)
     rows = _keep(X, res, group)
     X, B, group = X[rows], B[rows], group[rows]
     pressure, peaks = _equilibrium(_fbar_rows(model, X, B), _curvature(model, X, B)[0], group)

@@ -656,6 +656,17 @@ def test_sample_over_the_cap_exits_3_before_any_allocation(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_past_the_start_cap_exits_3_before_newton(tmp_path, capsys, monkeypatch):
+    # 10^18 starts: numpy refused the grid with an untyped ValueError (exit 5)
+    from meanfield_lab import solver
+    monkeypatch.setattr(solver, "_newton_polish", _raise)
+    ref3 = {"n": 3, "alpha": [0.2, 0.3, 0.5],
+            "J": [[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.0]], "h": [0.1, -0.2, 0.05]}
+    cfg = write_config(tmp_path, {"model": ref3, "solver": {"grid_points": 10 ** 6}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "LatticeTooLarge"
+
+
 @pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-row", "past-8-KB"])
 def test_invert_refuses_a_byte_that_is_not_utf8_as_a_config_error(tmp_path, capsys,
                                                                   rows_before):

@@ -1301,6 +1301,42 @@ def test_a_wide_column_of_narrow_blocks_formats_each_blocks_values_from_unique(m
     assert calls == [b.size for b in blocks]
 
 
+def test_a_narrow_column_is_formatted_once_per_file_though_each_block_brings_new_values(
+        monkeypatch, tmp_path):
+    # block k holds only the values 10k ... 10k + 9, so each block meets values no block
+    # before it had; the whole span's cells are formatted once, before the first block
+    M = 3 * exact._CHUNK
+    sums = (np.arange(M) // exact._CHUNK * 10 + np.arange(M) % 10)[:, None]
+    calls = []
+
+    def cells(v, *args, inner=exact_module._cells):
+        calls.append(v.size)
+        return inner(v, *args)
+
+    monkeypatch.setattr(exact_module, "_cells", cells)
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(sizes=np.array([100]), seed=3, sums=sums), str(path))
+    want = "# meanfield-lab samples v1\n# n=1\n# N=[100]\n# seed=3\n"
+    want += "".join(["%d\n"] * M) % tuple(sums.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+    assert calls == [30]
+
+
+def test_a_column_spanning_more_values_than_the_file_has_rows_formats_its_rows_values(
+        monkeypatch, tmp_path):
+    # 5 rows over a span of 1000 values: the first column is narrower than a block but not
+    # than the file, so its 5 values go through np.unique, not a table of 1001 cells; the
+    # second spans 4 values and takes the table
+    sums = np.array([[0, 2], [1000, -2], [500, 0], [0, 2], [1, 0]])
+    calls = _count_unique(monkeypatch)
+    path = tmp_path / "s.csv"
+    write_samples_csv(SampleSet(sizes=np.array([1000, 4]), seed=3, sums=sums), str(path))
+    want = "# meanfield-lab samples v1\n# n=2\n# N=[1000, 4]\n# seed=3\n"
+    want += "".join(["%d,%d\n"] * 5) % tuple(sums.ravel().tolist())
+    assert path.read_bytes() == want.encode()
+    assert calls == [5]
+
+
 class _Reached(Exception):
     pass
 

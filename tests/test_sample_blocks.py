@@ -68,6 +68,16 @@ def test_block_mean_has_the_whole_array_means_bits(n, M, layout):
     assert estimate_moments(sample).mean.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("M", [2, 3, _CHUNK + 1, 123_457])
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_mean_of_four_and_five_species_has_the_whole_array_means_bits(n, M):
+    rng = np.random.default_rng(10 * n + M)
+    sizes = np.array([20, 30, 50, 70, 110][:n])
+    sample = SampleSet(sizes=sizes, seed=0, sums=_valid_sums(rng, sizes, M))
+    want = sample.magnetizations().mean(axis=0)
+    assert estimate_moments(sample).mean.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("model,sizes,center,radius", [
     (make_cw(1.2, 0.0), [400], [0.5], 0.25),            # m = 0.25 and 0.75 sit on the sphere
     (make_ref2(), [100, 100], [0.36, 0.0], 0.2),

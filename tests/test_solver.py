@@ -30,6 +30,7 @@ from meanfield_lab import (
 )
 from meanfield_lab.errors import (
     DomainError,
+    LatticeTooLarge,
     NoConvergence,
     NonFiniteParameter,
     NotAMaximum,
@@ -538,6 +539,25 @@ def test_newton_polish_batch_matches_single_rows(model_fn):
             for i in range(len(starts))]
     assert pts.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
     assert res.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+
+
+def test_five_species_at_the_default_grid_start_from_every_point_of_it():
+    J = tuple(tuple(float(i == j) for j in range(5)) for i in range(5))
+    spec = ModelSpec(n=5, alpha=(0.2,) * 5, J=J, h=(0.0,) * 5)
+    starts = _start_grid(validate_model(spec), SolverOptions())
+    assert starts.shape == (11 ** 5, 5) == (161_051, 5)
+    assert len(np.unique(starts, axis=0)) == 161_051
+
+
+def test_a_phase_scan_past_the_start_cap_raises_before_newton(monkeypatch):
+    # 41 couplings x 10^4 starts = 410 000 rows, past 2^18
+    monkeypatch.setattr(solver, "_newton_polish", _never_polish)
+    with pytest.raises(LatticeTooLarge):
+        cw_phase_scan(np.linspace(0.5, 1.5, 41), 0.0, SolverOptions(grid_points=10 ** 4))
+
+
+def _never_polish(*args, **kwargs):
+    raise AssertionError("Newton ran on a start grid past the cap")
 
 
 def test_a_singular_row_falls_back_and_keeps_the_bits_of_its_lone_polish(monkeypatch):

@@ -33,7 +33,8 @@ J = diag(2 - 2e-11, 1), h = 0, and ``limits`` on cw J = 1 - 1e-12 at N = 400
 maximum is Gaussian, and x = 0 is a minimum above J = 1), ``solve`` with the
 removed solver key ``tol`` on cw J = 1.2, h = 0 at 1e-3 and on cw J = 3, h = -0.2
 at 1e-16 (a config error, exit 2: a loose target counted 7 fixed points where
-there are 3, a tight one lost the global root),
+there are 3, a tight one lost the global root), ``solve`` on ref3 at grid_points
+10^6 (10^18 starts, past the cap of 2^18: exit 3 before any array is built),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
@@ -109,7 +110,8 @@ J_SKEWED, H_SKEWED = 0.8980536560709589, -0.3138717919994247
 SKEWED2 = {"n": 2, "alpha": [0.5, 0.5], "J": [[2.0 * J_SKEWED, 0.0], [0.0, 2.0 * J_SKEWED]],
            "h": [H_SKEWED, H_SKEWED], "measure": {"atoms": [[-1.0, 0.3], [0.5, 0.5], [2.0, 0.2]]}}
 SOLVER = {"ref4": {"grid_points": 6}, "cw10-g10": {"grid_points": 10},
-          "cw12-tol": {"tol": 1e-3}, "cw3-tol": {"tol": 1e-16}}
+          "cw12-tol": {"tol": 1e-3}, "cw3-tol": {"tol": 1e-16},
+          "ref3-g1e6": {"grid_points": 10 ** 6}}
 
 
 def three_atoms(e: float, h: float) -> dict:
@@ -181,7 +183,7 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "cw3-tol": CW3, "atom3-k2": three_atoms(0.25, 0.0),
                       "atom3-k3": three_atoms(1.0 / 6.0, 0.0),
                       "atom3-k3-tilt": three_atoms(1.0 / 6.0, 1e-15), "spin1-2": SPIN1_2,
-                      "skewed2": SKEWED2}.items():
+                      "skewed2": SKEWED2, "ref3-g1e6": MODELS["ref3"]}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": SOLVER[name]} if name in SOLVER else {}
         config.write_text(json.dumps({"model": doc, **opts}))
