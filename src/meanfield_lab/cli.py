@@ -153,7 +153,7 @@ def cmd_pressure(args, doc: dict) -> int:
     # the lattice layer's rules (the split of each N, the +-1 measure) run before the solve
     ladder = [exact._prepare(m, m.species_sizes(N), "log_partition").sizes for N in n_values]
     points = solver.solve_fixed_points(m, _solver_options(doc))
-    limit = float(np.max([p.fbar_value if m.is_binary else p.f_value for p in points]))
+    limit = float(np.max(solver._ranking_values(m, points)))
     rows = []
     for N, sizes in zip(n_values, ladder):
         p_n = exact.finite_pressure(m, sizes)

@@ -16,8 +16,8 @@ pairwise marginals.  Overflowing weights (a block maximum of +inf or nan; at
 n >= 3 an axis term, cross coefficient or chunk maximum) raise DomainError.
 Every reduction runs in a fixed order, so results do not depend on scheduling.
 Each pass allocates its own buffers and nothing is kept across calls.
-``log_partition`` and ``finite_pressure`` hold a few blocks, the n >= 3 moments
-their pairwise marginals and the chunks' U factors;
+``log_partition`` and ``finite_pressure`` hold a few blocks and two floats per axis
+entry at most, the n >= 3 moments their pairwise marginals and the chunks' U factors;
 ``magnetization_law`` and the n <= 2 moments hold one lattice-sized array,
 ``exact_sample`` that array as its CDF plus a guide table of 2^12 cells
 (a draw takes the probes that cover 15/16 of the cells, or numpy's binary
@@ -393,69 +393,61 @@ class _Weights:
     evaluated with the operations of the full-array definition in its order:
     -N ln 2, the axis terms 0..n-1, then the cross terms (l, s), l < s, in
     lexicographic order; so every entry has the same bits in whichever block
-    it is evaluated.  The factors are the prefix -N ln 2 + axis_0 + ... +
-    axis_(n-2) folded on the first n - 1 axes, the last axis term, the sums
-    for the cross terms with axis 0 (formed per block) and the cross terms
-    off axis 0 on their pair grids.  Blocks are runs of whole rows of at
-    most ``_BLOCK`` points, and the factors are built once.  Where axis 0 or
-    a row holds more than ``_BLOCK`` points, each block of ``_BLOCK // 4``
-    points (a row is cut along axis 1) builds its own factors from its index
-    ranges instead, so that they and their ln k! temporaries stay within a
-    few blocks.  Iterating yields the blocks flat.  No ufunc here takes two
-    broadcast operands: on rows of up to a few thousand points numpy runs
-    those slower than a broadcast copy followed by an in-place ufunc with
-    one broadcast operand.
+    it is evaluated.  The factors are the axis terms and sums, each along its
+    own axis, and the cross terms off axis 0 on their pair grids (at most one
+    row each); every block folds -N ln 2 + axis_0 + ... + axis_(n-2) on its
+    own rows, then adds the rest.  Blocks are runs of whole rows of at most
+    ``_BLOCK`` points, which cut axis 0 of the whole lattice's factors, built
+    once.  Where axis 0 or a row holds more than ``_BLOCK`` points, each block
+    of ``_BLOCK // 4`` points (a row is cut along axis 1) builds its own
+    factors from its index ranges instead, so that they and their ln k!
+    temporaries stay within a few blocks.  Iterating yields the blocks flat.
+    No ufunc over a block takes two broadcast operands: on rows of up to a few
+    thousand points numpy runs those slower than a broadcast copy followed by
+    an in-place ufunc with one broadcast operand.
     """
 
     def __init__(self, J: np.ndarray, h: np.ndarray, lattice: MagLattice):
-        volume = lattice.volume()
         self.J, self.h, self.lattice = J, h, lattice
         shape = lattice.shape
-        per_block = max(shape[0], volume // shape[0]) > _BLOCK
+        per_block = max(shape[0], lattice.volume() // shape[0]) > _BLOCK
         self._block_points = _BLOCK // 4 if per_block else _BLOCK
-        self._size = math.prod(s.stop - s.start for s in next(self.keys()))
         self._factors = None if per_block else self._factors_on(tuple(slice(0, e) for e in shape))
-        self._W, self._t = np.empty(self._size), np.empty(self._size)
+        size = math.prod(s.stop - s.start for s in next(self.keys()))
+        self._W, self._t = np.empty(size), np.empty(size)
 
     def keys(self):
         """The blocks, C order."""
         return _blocks(self.lattice.shape, self._block_points)
 
     def _factors_on(self, key: tuple[slice, ...]):
-        """prefix, last axis term, axis 0's sums, cross factors with axis 0, cross grids on ``key``."""
+        """Axis terms and sums, each along its own axis, and cross grids off axis 0, on key."""
         n, N, J, h = self.lattice.n, self.lattice.total, self.J, self.h
         with np.errstate(over="ignore", invalid="ignore"):  # _block_max raises on inf or nan
             terms, S = zip(*(
                 [v.reshape(_along(l, n)) for v in _axis_term(self.lattice, J, h, l, k.start, k.stop)]
                 for l, k in enumerate(key)))
-            prefix = -N * LN2
-            for t in terms[:-1]:
-                prefix = prefix + t
-            return (prefix, terms[-1], S[0], [(J[0, s] / N, S[s]) for s in range(1, n)],
-                    [J[l, s] / N * (S[l] * S[s]) for l in range(1, n) for s in range(l + 1, n)])
+            return terms, S, [J[l, s] / N * (S[l] * S[s]) for l in range(1, n)
+                              for s in range(l + 1, n)]
 
     def block(self, key: tuple[slice, ...], out: np.ndarray | None = None) -> np.ndarray:
         """W[key], into ``out`` or else this pass's own block buffer; none outlives the call."""
         shape = tuple(s.stop - s.start for s in key)
         if out is None:
             out = self._W[:math.prod(shape)].reshape(shape)
-        if self._factors is None:           # the block's own factors
-            prefix, last, s0, cross0, cross = self._factors_on(key)
-            rows = slice(None)
-        else:                               # whole rows: only axis 0 is cut
-            prefix, last, s0, cross0, cross = self._factors
-            rows = key[0]
+        N = self.lattice.total
+        # the held factors with axis 0 cut to the block's rows, or else the block's own
+        rows = key[0] if self._factors else slice(None)
+        terms, S, cross = self._factors or self._factors_on(key)
+        terms, s0 = (terms[0][rows],) + terms[1:], S[0][rows]
         with np.errstate(over="ignore", invalid="ignore"):  # as in _factors_on
-            if len(shape) == 1:             # the prefix is the scalar -N ln 2
-                np.add(prefix, last[rows], out=out)
-            else:
-                np.copyto(out, prefix[rows])
-                out += last
-            for c, S_s in cross0:
-                t = self._t[:shape[0] * S_s.size].reshape((shape[0],) + S_s.shape[1:])
-                np.copyto(t, s0[rows])
-                t *= S_s
-                t *= c
+            np.copyto(out, sum(terms[:-1], -N * LN2))      # the prefix, on the block's rows
+            out += terms[-1]
+            for s in range(1, len(S)):
+                t = self._t[:shape[0] * S[s].size].reshape((shape[0],) + S[s].shape[1:])
+                np.copyto(t, s0)
+                t *= S[s]
+                t *= self.J[0, s] / N
                 out += t
             for t in cross:
                 out += t

@@ -57,7 +57,7 @@ _MAX_ORDER = 8
 # Newton stops a row whose defect has not fallen over this many steps.
 _STALL_STEPS = 30
 _NEWTON_STEPS = 200     # and every row after this many
-_START_CAP = 2 ** 18    # Newton starts in one batch
+_START_CAP = 2 ** 18    # starts in one batch, Newton's or the direct route's
 _LN2 = math.log(2.0)
 
 
@@ -569,19 +569,31 @@ def _max_f_direct(model: ValidatedModel) -> float:
     row whose step ratio holds at rho (a degenerate maximum) steps
     m = round(1/(1 - rho)) times as far; of the rows whose last Hessians were
     negative definite, only the highest in each cell of side 1e-2 climbs on.
-    A value that overflows comes back as it is (inf or nan).
+    A value that overflows comes back as it is (inf or nan); a core D J D that is not
+    positive definite, or a grid past ``_START_CAP`` starts (5^n at n >= 8), gives nan.
     """
     lo, hi = model.support_range
     axis = np.linspace(lo * 0.9, hi * 0.9, 5) if model.n > 1 else \
         np.linspace(lo * 0.99, hi * 0.99, 9)
+    try:
+        np.linalg.cholesky(model.coupling_core())
+    except np.linalg.LinAlgError:
+        return math.nan
+    if len(axis) ** model.n > _START_CAP:
+        return math.nan
     return _ascend(lambda X: _f_batch(model, X), lambda X: _grad_f_batch(model, X),
                    lambda X: _hessian_f(model, X), _grid(axis, model.n))
+
+
+def _ranking_values(model: ValidatedModel, points) -> np.ndarray:
+    """The values that rank fixed points: fbar for the +-1 measure, else f."""
+    return np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
 
 
 def _global_maxima(model: ValidatedModel, opts: SolverOptions | None):
     """Fixed points, the limit and its classified equilibrium set, stamped with their types."""
     points = solve_fixed_points(model, opts)
-    values = np.array([p.fbar_value if model.is_binary else p.f_value for p in points])
+    values = _ranking_values(model, points)
     limit, peaks = _equilibrium(values, _curvature(model, np.array([p.x for p in points]))[0])
     maxima = [classify_maximum(model, p) for p, peak in zip(points, peaks) if peak]
     types = tuple(c.k for c in maxima)
@@ -592,13 +604,8 @@ def pressure_limit(model: ValidatedModel,
                    opts: SolverOptions | None = None) -> PressureResult:
     """Thermodynamic pressure limit and the classified set of global maxima."""
     points, limit, maxima = _global_maxima(model, opts)
-    try:
-        np.linalg.cholesky(model.coupling_core())
-    except np.linalg.LinAlgError:
-        direct = math.nan
-    else:
-        direct = _max_f_direct(model)
-    # nan, no independent check: an indefinite core, or a direct value that overflowed
+    direct = _max_f_direct(model)
+    # nan, no independent check: no direct route, or a direct value that overflowed
     agreement = abs(limit - direct) if math.isfinite(direct) else math.nan
     return PressureResult(limit_value=limit, maxima=maxima,
                           method_agreement=agreement, fixed_points=points)

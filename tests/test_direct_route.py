@@ -148,3 +148,31 @@ def test_an_overflowing_direct_value_is_no_check(monkeypatch, tmp_path, capsys):
                                          "h": [1e308]}}))
     assert main(["solve", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["method_agreement"] is None
+
+
+def eight_decoupled_species():
+    """alpha = 1/8 each, J = 0.5 I, h = 0.1: eight copies of cw at J = 0.0625, h = 0.1."""
+    return {"n": 8, "alpha": [0.125] * 8, "J": (0.5 * np.eye(8)).tolist(), "h": [0.1] * 8}
+
+
+def test_a_direct_grid_past_the_start_cap_is_no_check(monkeypatch):
+    # 5^8 = 390625 starts: _ascend took them all, with 8 x 8 Hessians
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route climbed past the start cap")
+
+    cw = pressure_limit(make_cw(0.0625, 0.1)).limit_value
+    monkeypatch.setattr(solver, "_ascend", refuse)
+    doc = eight_decoupled_species()
+    model = validate_model(ModelSpec(n=8, alpha=tuple(doc["alpha"]),
+                                     J=tuple(map(tuple, doc["J"])), h=tuple(doc["h"])))
+    res = pressure_limit(model, SolverOptions(grid_points=1))
+    assert math.isnan(res.method_agreement)
+    assert abs(res.limit_value - cw) <= 1e-15
+
+
+def test_solve_with_a_direct_grid_past_the_start_cap_prints_no_agreement(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": eight_decoupled_species(),
+                               "solver": {"grid_points": 1}}))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["method_agreement"] is None

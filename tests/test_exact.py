@@ -993,6 +993,17 @@ def test_log_partition_on_rows_longer_than_a_block_holds_a_few_blocks():
     assert peak <= 3e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
 
 
+def test_three_species_log_partition_folds_each_blocks_prefix_on_its_own_rows():
+    # -N ln 2 + axis_0 + axis_1 was held over all 4001 x 201 rows of the first two axes
+    # (6.4 MB; the pass peaked at 8.65 MB)
+    sizes = [4000, 200, 1]
+    model = validate_model(ModelSpec(n=3, alpha=tuple(s / 4201 for s in sizes),
+                                     J=((2.0, 0.3, -0.2), (0.3, 1.5, 0.4), (-0.2, 0.4, 1.0)),
+                                     h=(0.1, -0.2, 0.05)))
+    peak = _peak_bytes(lambda: log_partition(model, sizes))
+    assert peak < 4e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
 @pytest.mark.parametrize("ball", [None, 0.3])
 def test_sum_law_and_its_covariance_hold_about_one_float_per_point(ball):
     # the (points, n) table and the two (points, n) temporaries of cov() took
