@@ -39,15 +39,16 @@ def _ascend(value, grad, hess, X) -> float:
 
     Each step takes the Hessian's eigenvalues as -max(|lambda|, floor), so
     every direction is an ascent direction (Nocedal & Wright, Numerical
-    Optimization, ch. 3 and sec. 3.4; at n = 1 the Hessian is its own
-    eigenvalue).  Of the rows whose last Hessians were negative definite
-    and that now share a cell of side _CELL, only the highest climbs on.  A
-    row whose step ratio holds steady at rho is crawling to a degenerate
-    maximum, a root of the gradient of multiplicity m = 1/(1 - rho), and
-    takes m steps at once.  The step is halved until the Armijo condition
-    holds; a non-finite trial ends that row's search.  A row retires once
-    its gradient vanishes, once its predicted gain G.step is at the rounding
-    of f, or once an accepted step no longer raises f measurably.
+    Optimization, ch. 3 and sec. 3.4; at n = 1 ``eigh`` returns lambda = H
+    and V = 1 exactly).  Of the rows whose last Hessians were negative
+    definite and that now share a cell of side _CELL, only the highest
+    climbs on.  A row whose step ratio holds steady at rho is crawling to a
+    degenerate maximum, a root of the gradient of multiplicity
+    m = 1/(1 - rho), and takes m steps at once.  The step is halved until
+    the Armijo condition holds; a non-finite trial ends that row's search.
+    A row retires once its gradient vanishes, once its predicted gain
+    G.step is at the rounding of f, or once an accepted step no longer
+    raises f measurably.
     """
     F = value(X)
     live = np.arange(len(X))
@@ -62,16 +63,12 @@ def _ascend(value, grad, hess, X) -> float:
         if not len(live):
             break
         H = hess(X[live])
-        if X.shape[1] == 1:
-            lam = H[:, 0]
-            step = G / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
-        else:
-            try:
-                lam, V = np.linalg.eigh(H)
-            except np.linalg.LinAlgError as exc:    # overflowing Hessian entries
-                raise DomainError(f"direct ascent on f failed: {exc}") from exc
-            coef = np.einsum("pji,pj->pi", V, G) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
-            step = np.einsum("pij,pj->pi", V, coef)
+        try:
+            lam, V = np.linalg.eigh(H)
+        except np.linalg.LinAlgError as exc:    # overflowing Hessian entries
+            raise DomainError(f"direct ascent on f failed: {exc}") from exc
+        coef = np.einsum("pji,pj->pi", V, G) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
+        step = np.einsum("pij,pj->pi", V, coef)
         peak[live] = np.all(lam < 0, axis=1)
         slope = np.einsum("pi,pi->p", G, step)
         keep = slope > 4.0 * _EPS * (1.0 + np.abs(F[live]))

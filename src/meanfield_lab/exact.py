@@ -310,7 +310,7 @@ def log_count(N_l: int, m) -> float | np.ndarray:
     m = np.asarray(m, dtype=float)
     k = N_l * (1.0 + m) / 2.0
     kr = np.rint(k)
-    if np.any(np.abs(k - kr) > 1e-9) or np.any(kr < 0) or np.any(kr > N_l):
+    if not np.all(np.abs(k - kr) <= 1e-9) or np.any(kr < 0) or np.any(kr > N_l):
         raise OffLattice(f"m is not a reachable mean of {N_l} binary spins")
     args, where = np.unique(np.stack([np.full_like(kr, N_l), kr, N_l - kr]),
                             return_inverse=True)

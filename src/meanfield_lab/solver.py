@@ -42,6 +42,7 @@ import numpy as np
 from ._ascent import _EPS, _ascend, _steady
 from ._cluster import _TARGET_RESIDUAL, _eigs, _equilibrium, _keep
 from .errors import (
+    DimensionMismatch,
     DomainError,
     LatticeTooLarge,
     NonFiniteParameter,
@@ -101,6 +102,8 @@ class HomogeneousForm:
     def __call__(self, v) -> float | np.ndarray:
         v = np.asarray(v, dtype=float)
         rays = np.asarray(self.rays)
+        if v.shape[-1:] != rays.shape[1:]:
+            raise DimensionMismatch("the last axis of v must match the rays' length")
         proj = v @ rays.T          # (..., n_rays)
         return proj ** self.degree @ np.asarray(self.coeffs)
 
@@ -245,6 +248,8 @@ def mean_field_map(model: ValidatedModel, x) -> np.ndarray:
     """Right-hand side of the self-consistency system at x."""
     model = _require_validated(model)
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
+        raise DimensionMismatch(f"x must be a point or rows of {model.n} entries")
     out = _map_rows(model, np.atleast_2d(x), *model.row_couplings())[0]
     return out[0] if x.ndim == 1 else out
 
@@ -273,6 +278,8 @@ def functional_f(model: ValidatedModel, x) -> float | np.ndarray:
     """
     model = _require_validated(model)
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
+        raise DimensionMismatch(f"x must be a point or rows of {model.n} entries")
     vals = _f_batch(model, np.atleast_2d(x))
     return float(vals[0]) if x.ndim == 1 else vals
 
@@ -512,7 +519,7 @@ def classify_maximum(model: ValidatedModel,
     (``HomogeneousForm.definiteness_fault``).  One species is the ray R = (J).
     """
     model = _require_validated(model)
-    x = np.asarray(point.x, dtype=float)
+    x = model.check_point(point.x, "point")
     eigs = _eigs(_curvature(model, x)[0])
     if eigs[0] < 0:
         raise NotAMaximum("curvature diag(1/var) - D J D has a negative eigenvalue")
@@ -624,6 +631,8 @@ def cw_phase_scan(J_grid, h: float,
     so each J keeps the bits of its own solve.
     """
     J_grid = np.asarray(J_grid, dtype=float)
+    if J_grid.ndim != 1:
+        raise DimensionMismatch("J grid must be one-dimensional")
     if not np.all(np.isfinite(J_grid)):
         raise NonFiniteParameter("J grid entries must be finite")
     if np.any(np.diff(J_grid) <= 0):

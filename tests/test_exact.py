@@ -80,6 +80,13 @@ def test_log_count_off_lattice():
         log_count(4, 1.5)
 
 
+@pytest.mark.parametrize("m", [math.nan, [0.0, math.nan]])
+def test_log_count_refuses_a_nan_mean(m):
+    # every comparison of the lattice test was False for nan, so nan came back
+    with pytest.raises(OffLattice):
+        log_count(10, m)
+
+
 def test_counting_bounds():
     # ln A <= N ln2 - N I(m) and ln A >= N ln2 - N I(m) - ln(3 sqrt(N))
     for N in [2, 3, 5, 10, 100, 487, 2000]:

@@ -37,7 +37,7 @@ from meanfield_lab.errors import (
     UnsupportedDegeneracy,
     UnsupportedMeasure,
 )
-from meanfield_lab import solver
+from meanfield_lab import _cluster, solver
 from meanfield_lab._cluster import _dedup_rows
 from meanfield_lab.solver import (
     _cumulants,
@@ -1053,6 +1053,24 @@ def test_dedup_by_group_is_each_group_deduped_alone(n):
     assert _dedup_rows(pts, res, 0.15, group).tolist() == want.tolist()
     # a lone row equal to the previous group's last is that group's point, not a repeat
     assert _dedup_rows(np.zeros((2, n)), np.zeros(2), 0.15, np.array([0, 1])).tolist() == [0, 1]
+
+
+def test_dedup_of_one_column_is_the_breadth_first_path_on_a_zero_second_column(monkeypatch):
+    # the rows and groups that the 41-coupling, 11-start phase scan hands to _dedup_rows
+    seen = []
+
+    def record(pts, res, radius, group=None):
+        seen.append((pts, res, radius, group))
+        return _dedup_rows(pts, res, radius, group)
+
+    monkeypatch.setattr(_cluster, "_dedup_rows", record)
+    cw_phase_scan(np.linspace(0.5, 1.5, 41), 0.0)
+    (pts, res, radius, group), = seen
+    assert pts.shape[1] == 1 and len(np.unique(group)) == 41
+    runs = _dedup_rows(pts, res, radius, group)
+    assert len(runs) < len(pts)
+    wide = np.column_stack([pts, np.zeros(len(pts))])
+    assert runs.tolist() == _dedup_rows(wide, res, radius, group).tolist()
 
 
 # --- two-route cross-check --------------------------------------------------------

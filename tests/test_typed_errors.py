@@ -10,6 +10,7 @@ from meanfield_lab.errors import (
     ConfigParse,
     DimensionMismatch,
     DegenerateMeasure,
+    DomainError,
     InconsistentRows,
     IoError,
     NotPositiveDefiniteResult,
@@ -43,6 +44,10 @@ from meanfield_lab.solver import (
     HomogeneousForm,
     MaximumClassification,
     StationaryPoint,
+    classify_maximum,
+    cw_phase_scan,
+    functional_f,
+    mean_field_map,
 )
 
 from conftest import make_cw, make_ref2
@@ -140,6 +145,46 @@ def test_a_bad_input_raises_its_typed_error(call, error, match):
 def test_a_form_of_odd_degree_is_not_definite():
     assert HomogeneousForm(3, (-1.0,), ((1.0,),)).definiteness_fault(1) == \
         "form degree 3 is not even"
+
+
+# numpy's untyped ValueError (a matmul or broadcast fault) came out of each of these
+WRONG_ROWS = {"three-entries": [0.1, 0.2, 0.3], "three-axes": np.zeros((2, 2, 2))}
+
+
+@pytest.mark.parametrize("x", WRONG_ROWS.values(), ids=WRONG_ROWS.keys())
+def test_the_map_refuses_x_that_is_neither_a_point_nor_rows(x):
+    with pytest.raises(DimensionMismatch, match="a point or rows of 2 entries"):
+        mean_field_map(make_ref2(), x)
+
+
+@pytest.mark.parametrize("x", WRONG_ROWS.values(), ids=WRONG_ROWS.keys())
+def test_f_refuses_x_that_is_neither_a_point_nor_rows(x):
+    with pytest.raises(DimensionMismatch, match="a point or rows of 2 entries"):
+        functional_f(make_ref2(), x)
+
+
+@pytest.mark.parametrize("x, error", [([0.1, 0.2, 0.3], DimensionMismatch),
+                                      ([np.nan, 0.0], DomainError)],
+                         ids=["wrong-length", "nan"])
+def test_classification_checks_the_point(x, error):
+    # a nan point raised UnsupportedDegeneracy ("all even terms ... vanish"), the wrong fault
+    point = StationaryPoint(x=np.array(x), residual=0.0, f_value=0.0, fbar_value=0.0)
+    with pytest.raises(error, match="point"):
+        classify_maximum(make_ref2(), point)
+
+
+@pytest.mark.parametrize("v", [[1.0, 0.0, 0.0], np.ones((4, 3)), 1.0],
+                         ids=["three-entries", "rows-of-three", "scalar"])
+def test_a_form_refuses_v_whose_last_axis_is_not_the_rays_length(v):
+    form = HomogeneousForm(4, (-1.0, -1.0), ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(DimensionMismatch, match="rays' length"):
+        form(v)
+
+
+@pytest.mark.parametrize("grid", [1.2, [[0.5, 1.0]]], ids=["scalar", "two-axes"])
+def test_the_phase_scan_refuses_a_grid_that_is_not_one_dimensional(grid):
+    with pytest.raises(DimensionMismatch, match="one-dimensional"):
+        cw_phase_scan(grid, 0.0)
 
 
 @pytest.mark.parametrize("text, error, match",
