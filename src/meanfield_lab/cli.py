@@ -151,7 +151,7 @@ def cmd_pressure(args, doc: dict) -> int:
     m = _model_from_config(doc)
     n_values = [_integer(v, "N_values entry", 1) for v in _list(doc, "N_values")]
     # the lattice layer's rules (the split of each N, the +-1 measure) run before the solve
-    ladder = [exact._prepare(m, m.species_sizes(N), "log_partition").sizes for N in n_values]
+    ladder = [exact._prepare(m, m.species_sizes(N), "pressure").sizes for N in n_values]
     points = solver.solve_fixed_points(m, _solver_options(doc))
     limit = float(np.max(solver._ranking_values(m, points)))
     rows = []

@@ -269,7 +269,9 @@ class SampleSet:
         InconsistentRows.  Each pass walks ``row_blocks``, so it holds one block's copies."""
         if self.sums.ndim != 2 or self.sums.shape[1] != self.n:
             raise InconsistentRows("sample rows do not match the species count")
-        if any(np.any(np.abs(self.sums[rows]) > self.sizes) for rows in self.row_blocks()):
+        bound = self.sizes.astype(np.uint64)    # |S| as uint64: np.abs(-2^63) is -2^63
+        if any(np.any(np.abs(self.sums[rows]).view(np.uint64) > bound)
+               for rows in self.row_blocks()):
             raise InconsistentRows("per-species sums exceed the block sizes")
         if any(np.any((self.sums[rows] + self.sizes) & 1) for rows in self.row_blocks()):
             raise InconsistentRows("per-species sums have impossible parity")

@@ -126,12 +126,15 @@ class ValidatedModel:
         return self.J * self.alpha[None, :], self.h
 
     def species_sizes(self, total: int) -> np.ndarray:
-        """Split ``total`` spins into species blocks; errors unless exact."""
+        """Split ``total`` spins into species blocks N*alpha, which must pass ``check_sizes``;
+        BadSizes for N outside [1, 2^63) or a split that is not exact."""
+        if not 1 <= total < 2 ** 63:
+            raise BadSizes(f"N={total} must be an integer in [1, 2^63)")
         raw = self.alpha * total
         sizes = np.rint(raw)
         if np.any(np.abs(raw - sizes) > 1e-9):
             raise BadSizes(f"N={total} does not split as N*alpha into integers")
-        return sizes.astype(np.int64)
+        return self.check_sizes(sizes)
 
     def check_sizes(self, sizes) -> np.ndarray:
         """``sizes`` as a fresh int64 array: positive integers in proportion alpha.
@@ -148,18 +151,21 @@ class ValidatedModel:
         kind = raw.dtype.kind
         if not (kind in "iu" or kind == "f" and np.all(
                 (raw == np.trunc(raw)) & (np.abs(raw) < 2.0 ** 63))):
-            raise BadSizes(f"species sizes must be integers, got {raw.tolist()}")
+            raise BadSizes(f"species sizes must be integers below 2^63, got {raw.tolist()}")
         sizes = raw.astype(np.int64)
         _check_fractions(sizes, self.alpha)
         return sizes
 
-    def check_point(self, x, what: str) -> np.ndarray:
-        """``x`` as a float array with one finite entry per species."""
+    def check_point(self, x, what: str, rows: bool = False) -> np.ndarray:
+        """``x`` as a float array with one finite entry per species, with ``rows`` also a (P, n)
+        batch of them; DimensionMismatch for another shape, DomainError for nan or inf."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"{what} must have one entry per species")
+        if x.ndim not in ((1, 2) if rows else (1,)) or x.shape[-1] != self.n:
+            raise DimensionMismatch(f"{what} must be a point or rows of {self.n} entries" if rows
+                                    else f"{what} must have one entry per species")
         if not np.all(np.isfinite(x)):
-            raise DomainError(f"{what} must be finite, got {x.tolist()}")
+            raise DomainError(f"{what} must be finite" + (f", got {x.tolist()}" if x.ndim == 1
+                                                          else " in every row"))
         return x
 
 
@@ -188,12 +194,13 @@ def _check_ball(center, radius: float, n: int, what: str) -> tuple[np.ndarray, f
 
 def validate_model(spec: ModelSpec) -> ValidatedModel:
     """Check all structural invariants of a model specification."""
-    alpha = np.asarray(spec.alpha, dtype=float)
-    J = np.asarray(spec.J, dtype=float)
-    h = np.asarray(spec.h, dtype=float)
-    n = spec.n
+    n, shapes = spec.n, "alpha, h must have length n and J shape (n, n)"
+    try:
+        alpha, J, h = (np.asarray(a, dtype=float) for a in (spec.alpha, spec.J, spec.h))
+    except ValueError as exc:   # a ragged J, alpha or h
+        raise DimensionMismatch(shapes) from exc
     if alpha.shape != (n,) or h.shape != (n,) or J.shape != (n, n):
-        raise DimensionMismatch("alpha, h must have length n and J shape (n, n)")
+        raise DimensionMismatch(shapes)
     if not all(np.all(np.isfinite(a)) for a in (alpha, J, h)):
         raise NonFiniteParameter("alpha, J and h must be finite")
     if np.any(alpha <= 0):

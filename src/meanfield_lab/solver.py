@@ -67,7 +67,8 @@ class SolverOptions:
     """Knobs for the multistart search, each checked here.  At most 2^18 (``_START_CAP``)
     starts are allowed: ``grid_points ** n``, times the J count in a phase scan; more raise
     LatticeTooLarge.  ``threads`` is accepted and has no effect.  Newton's target residual,
-    step cap and dedup radius are constants (``_cluster._TARGET_RESIDUAL``, ``_NEWTON_STEPS``).
+    step cap and dedup radius are constants (``_cluster._TARGET_RESIDUAL``, ``_NEWTON_STEPS``,
+    ``_cluster._DEDUP_RADIUS``).
     """
 
     grid_points: int = 11
@@ -178,7 +179,7 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
 def entropy_I(x):
     """Binary entropy rate 1/2 ((1+x)ln(1+x) + (1-x)ln(1-x)) on [-1, 1]."""
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-15):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-15):     # nan fails
         raise DomainError("entropy_I is defined on [-1, 1]")
     arr = np.clip(arr, -1.0, 1.0)
     val = 0.5 * (_xlogx(1.0 + arr) + _xlogx(1.0 - arr))
@@ -245,11 +246,9 @@ _TANH_REMAINDER = (1.0 / 3.0, -2.0 / 15.0, 17.0 / 315.0, -62.0 / 2835.0,
 
 
 def mean_field_map(model: ValidatedModel, x) -> np.ndarray:
-    """Right-hand side of the self-consistency system at x."""
-    model = _require_validated(model)
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
-        raise DimensionMismatch(f"x must be a point or rows of {model.n} entries")
+    """Right-hand side of the self-consistency system at a point x or at each row of x, read
+    through ``check_point``: DimensionMismatch for another shape, DomainError for nan or inf."""
+    x = _require_validated(model).check_point(x, "x", rows=True)
     out = _map_rows(model, np.atleast_2d(x), *model.row_couplings())[0]
     return out[0] if x.ndim == 1 else out
 
@@ -274,12 +273,10 @@ def _fbar_rows(model: ValidatedModel, X: np.ndarray, J=None) -> np.ndarray:
 def functional_f(model: ValidatedModel, x) -> float | np.ndarray:
     """Gaussian-transform functional; total on R^n.
 
-    Accepts a single point (returns a float) or a batch of rows.
+    Accepts a single point (returns a float) or a batch of rows, read through ``check_point``:
+    DimensionMismatch for another shape, DomainError for nan or inf.
     """
-    model = _require_validated(model)
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.n:
-        raise DimensionMismatch(f"x must be a point or rows of {model.n} entries")
+    x = _require_validated(model).check_point(x, "x", rows=True)
     vals = _f_batch(model, np.atleast_2d(x))
     return float(vals[0]) if x.ndim == 1 else vals
 

@@ -677,3 +677,41 @@ def test_invert_refuses_a_byte_that_is_not_utf8_as_a_config_error(tmp_path, caps
                      + b"2\n" * rows_before + b"\xff4\n0\n")
     assert main(["invert", "--config", cfg, "--samples", str(path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigParse"
+
+
+def test_invert_ball_refuses_a_sum_of_the_int64_minimum(tmp_path, capsys):
+    # np.abs(-2^63) is -2^63, so the row passed the size rule and the fit exited 0
+    cfg = write_config(tmp_path, {"model": CW12})
+    path = tmp_path / "s.csv"
+    path.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
+                    "2\n-9223372036854775808\n4\n6\n0\n8\n2\n")
+    assert main(["invert", "--config", cfg, "--samples", str(path), "--ball", "0.1,0.5"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InconsistentRows"
+
+
+def test_solve_refuses_a_ragged_coupling_matrix_as_a_dimension_mismatch(tmp_path, capsys):
+    # numpy's ValueError escaped the model check: exit 5
+    doc = {"model": {**REF2, "J": [[1.0], [1.0, 2.0]]}}
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("N", [2 ** 63 - 1, 10 ** 400], ids=["int64-max", "1e400"])
+def test_pressure_refuses_a_size_past_int64_before_the_solve(tmp_path, capsys, monkeypatch, N):
+    # 2^63 - 1 warned on the int64 cast (exit 5 under -W error); 10^400 overflowed (exit 5)
+    monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _raise)
+    cfg = write_config(tmp_path, {"model": CW12, "N_values": [N]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pressure", "--config", cfg]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "BadSizes"
+
+
+def test_pressure_names_itself_when_it_refuses_the_measure(tmp_path, capsys, monkeypatch):
+    # the refusal named log_partition, which the user never called
+    monkeypatch.setattr("meanfield_lab.solver.solve_fixed_points", _raise)
+    doc = {"model": {**CW12, "measure": {"atoms": [[-1.0, 0.25], [0.0, 0.5], [1.0, 0.25]]}},
+           "N_values": [200]}
+    assert main(["pressure", "--config", write_config(tmp_path, doc)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnsupportedMeasure" and err["message"].startswith("pressure ")

@@ -193,6 +193,15 @@ def test_species_sizes_require_exact_split():
         model.species_sizes(11)
 
 
+@pytest.mark.parametrize("N", [0, 2 ** 63 - 1, 10 ** 400], ids=["zero", "int64-max", "1e400"])
+def test_species_sizes_refuse_a_total_outside_int64_without_a_warning(N):
+    # 2^63 - 1 warned on the int64 cast, then named a block of -2^63; 10^400 overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadSizes):
+            make_cw(1.2, 0.0).species_sizes(N)
+
+
 def test_materialize_configuration_roundtrip():
     model = make_ref2()
     cfg = materialize_configuration(model, [4, 4], [2, -4])

@@ -117,6 +117,13 @@ def test_entropy_domain():
         entropy_I(1.0000001)
 
 
+@pytest.mark.parametrize("x", [np.nan, [0.5, np.nan]], ids=["scalar", "in-an-array"])
+def test_entropy_refuses_nan(x):
+    # the domain test |x| > 1 is False for nan, and nan came back
+    with pytest.raises(DomainError, match=r"\[-1, 1\]"):
+        entropy_I(x)
+
+
 @given(x=st.floats(-1.0, 1.0))
 def test_entropy_symmetric(x):
     assert entropy_I(-x) == pytest.approx(entropy_I(x), abs=1e-15)

@@ -163,6 +163,32 @@ def test_f_refuses_x_that_is_neither_a_point_nor_rows(x):
         functional_f(make_ref2(), x)
 
 
+NON_FINITE_X = {"nan-point": [np.nan, 0.0], "inf-point": [0.0, np.inf],
+                "nan-in-a-row": [[0.1, 0.2], [np.nan, 0.0]],
+                "inf-in-a-row": [[0.1, 0.2], [0.0, -np.inf]]}
+
+
+@pytest.mark.parametrize("function", [mean_field_map, functional_f], ids=["map", "f"])
+@pytest.mark.parametrize("x", NON_FINITE_X.values(), ids=NON_FINITE_X.keys())
+def test_the_map_and_f_refuse_a_non_finite_x(function, x):
+    # the map returned nan (or tanh's +-1 at inf); f warned and returned nan
+    with pytest.raises(DomainError, match="x must be finite"):
+        function(make_ref2(), x)
+
+
+def test_a_ragged_coupling_matrix_is_a_dimension_mismatch():
+    # numpy's untyped ValueError came out of the conversion of J
+    with pytest.raises(DimensionMismatch, match="J shape"):
+        validate_model(ModelSpec(n=2, alpha=(0.5, 0.5), J=((1.0,), (1.0, 2.0)), h=(0.0, 0.0)))
+
+
+def test_the_row_rule_refuses_a_sum_of_the_int64_minimum():
+    # np.abs of -2^63 is -2^63, which passed |S| <= N
+    rows = [[2], [np.iinfo(np.int64).min], [4]]
+    with pytest.raises(InconsistentRows, match="exceed the block sizes"):
+        _samples(rows, [40]).check_rows()
+
+
 @pytest.mark.parametrize("x, error", [([0.1, 0.2, 0.3], DimensionMismatch),
                                       ([np.nan, 0.0], DomainError)],
                          ids=["wrong-length", "nan"])

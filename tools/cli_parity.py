@@ -35,6 +35,7 @@ removed solver key ``tol`` on cw J = 1.2, h = 0 at 1e-3 and on cw J = 3, h = -0.
 at 1e-16 (a config error, exit 2: a loose target counted 7 fixed points where
 there are 3, a tight one lost the global root), ``solve`` on ref3 at grid_points
 10^6 (10^18 starts, past the cap of 2^18: exit 3 before any array is built),
+``solve`` on ref2 with a ragged J (rows of 1 and 2 entries: exit 3),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
@@ -46,7 +47,8 @@ N = 300 and 600 (the exact sums run over row blocks of a 3-axis lattice), on the
 two-species model alpha = (1/2, 1/2), J = ((1.5, 0.5), (0.5, 1.5)), h = 0 at
 N = 20 and 40 (its maximum x = 0 is neither type 1 nor homogeneous, which
 ``solve`` refuses) and on cw J = 1 + 1e-10, h = 0 at N = 200 and 400 (``solve``
-classifies its maxima x = +-1.7e-5 as inflections), a one-species ``sample``
+classifies its maxima x = +-1.7e-5 as inflections), ``pressure`` on cw12 at
+N = 2^63 - 1 and N = 10^400 (past int64: exit 3 before any cast), a one-species ``sample``
 then ``invert`` from a model-only config, with and without ``--ball``, and
 with ``--ball`` from alpha = [NaN] (a species fraction that fits no sample: exit 3), an
 ``invert`` from each of three hand-written sample files (one with blank and
@@ -54,9 +56,11 @@ whitespace-only lines between its rows, one with CRLF line ends and
 whitespace-only lines, which numpy's C reader refuses, so it is parsed again
 line by line, and one without a final newline), an ``invert --ball`` from a
 hand-written file whose one impossible row (S = 42 at N = 40) lies outside the
-ball (every row is checked: exit 3), a ``sample`` with M = 0 (a header-only file), a three-species
-``sample`` (ref3 at [60, 90, 150], M = 140000: three streams over a lattice of
-many row blocks) then ``invert`` on its file, and the demos.
+ball (every row is checked: exit 3), an ``invert --ball`` from a file with a row
+S = -2^63 (whose np.abs is negative; exit 3), a ``sample`` with M = 0 (a
+header-only file), a three-species ``sample`` (ref3 at [60, 90, 150],
+M = 140000: three streams over a lattice of many row blocks) then ``invert`` on
+its file, and the demos.
 Prints per
 output file "identical" or the count of moved numbers with their largest
 absolute and relative change, and for a CSV file the same per column, named
@@ -183,7 +187,8 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "cw3-tol": CW3, "atom3-k2": three_atoms(0.25, 0.0),
                       "atom3-k3": three_atoms(1.0 / 6.0, 0.0),
                       "atom3-k3-tilt": three_atoms(1.0 / 6.0, 1e-15), "spin1-2": SPIN1_2,
-                      "skewed2": SKEWED2, "ref3-g1e6": MODELS["ref3"]}.items():
+                      "skewed2": SKEWED2, "ref3-g1e6": MODELS["ref3"],
+                      "ragged-J": {**MODELS["ref2"], "J": [[1.0], [1.0, 2.0]]}}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": SOLVER[name]} if name in SOLVER else {}
         config.write_text(json.dumps({"model": doc, **opts}))
@@ -203,7 +208,9 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     for name, doc in {"ref3": {"model": MODELS["ref3"], "N_values": [300, 600]},
                       "mixed2": {"model": MIXED2, "N_values": [20, 40]},
                       "cw1-1e-10": {"model": CW1_1E10, "N_values": [200, 400]},
-                      "bip-af": {"model": BIP_AF, "N_values": [200, 400]}}.items():
+                      "bip-af": {"model": BIP_AF, "N_values": [200, 400]},
+                      "int64-max": {"model": MODELS["cw12"], "N_values": [2 ** 63 - 1]},
+                      "1e400": {"model": MODELS["cw12"], "N_values": [10 ** 400]}}.items():
         config, out = work / f"config-pressure-{name}.json", work / f"pressure-{name}.csv"
         config.write_text(json.dumps(doc))
         runs.append((["pressure", "--config", str(config), "--out", str(out)], [out]))
@@ -233,6 +240,9 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
     crlf, crlf_out = work / "sample-crlf.csv", work / "invert-crlf.json"
     crlf.write_bytes(b"# meanfield-lab samples v1\r\n# n=1\r\n# N=[40]\r\n# seed=0\r\n"
                      b"12\r\n \r\n8\r\n16\r\n\t \r\n\r\n10\r\n14\r\n-2\r\n")
+    int64_min, int64_out = work / "sample-int64-min.csv", work / "invert-int64-min-ball.json"
+    int64_min.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
+                         "2\n-9223372036854775808\n4\n6\n0\n8\n2\n")
     unended, unended_out = work / "sample-unended.csv", work / "invert-unended.json"
     unended.write_text("# meanfield-lab samples v1\n# n=1\n# N=[40]\n# seed=0\n"
                        "12\n8\n16\n10\n14\n-2")
@@ -245,7 +255,9 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
              (["invert", "--config", str(model_only), "--samples", str(unended),
                "--out", str(unended_out)], [unended_out]),
              (["invert", "--config", str(model_only), "--samples", str(impossible),
-               "--ball", "0.3,0.2", "--out", str(ball_out)], [ball_out])]
+               "--ball", "0.3,0.2", "--out", str(ball_out)], [ball_out]),
+             (["invert", "--config", str(model_only), "--samples", str(int64_min),
+               "--ball", "0.1,0.5", "--out", str(int64_out)], [int64_out])]
     config, model_only = work / "config-sample-ref3.json", work / "config-invert-ref3.json"
     config.write_text(json.dumps({"model": MODELS["ref3"], "sizes": [60, 90, 150], "M": 140_000}))
     model_only.write_text(json.dumps({"model": MODELS["ref3"]}))
