@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .exact import MagLattice, _along, _axis_term, _block_max, _blocks, _marginal
+from .exact import MagLattice, _axis_term, _block_max, _blocks, _marginal
 
 _TILT = 32.0            # bound on a chunk's exponent tilt
 _FLOATS = 1 << 14       # floats per temporary of a contraction (128 KB)
@@ -57,16 +57,15 @@ def _height(K: np.ndarray, shape: tuple[int, ...]) -> int:
 def _columns(terms, K: np.ndarray, S, key: tuple[slice, ...]) -> list[np.ndarray]:
     """W's parts on one block of axes >= 2, flat: the one free of S_0 and S_1, then the
     coefficients of S_0 and of S_1."""
-    m = len(key)
-    grids = [S[i + 2][k].reshape(_along(i, m)) for i, k in enumerate(key)]
+    grids = np.ix_(*(S[i + 2][k] for i, k in enumerate(key)))
+    tails = np.ix_(*(terms[i + 2][k] for i, k in enumerate(key)))
     free = c0 = c1 = 0.0
-    for i, k in enumerate(key):
-        free = free + terms[i + 2][k].reshape(_along(i, m))
-        for j in range(i + 1, m):
+    for i, tail in enumerate(tails):
+        free = free + tail
+        for j in range(i + 1, len(key)):
             free = free + K[i + 2, j + 2] * (grids[i] * grids[j])
         c0, c1 = c0 + K[0, i + 2] * grids[i], c1 + K[1, i + 2] * grids[i]
-    shape = tuple(k.stop - k.start for k in key)
-    return [np.broadcast_to(v, shape).reshape(-1) for v in (free, c0, c1)]
+    return [v.reshape(-1) for v in (free, c0, c1)]     # each sums a term of every axis
 
 
 @np.errstate(over="ignore", invalid="ignore")       # _block_max raises on inf or nan

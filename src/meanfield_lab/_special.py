@@ -68,8 +68,8 @@ def ndtr(x):
     """Standard normal CDF: 1/2 + erf/2 for |x| < 1, erfc/2 beyond (Cephes ndtr)."""
     x = np.asarray(x, dtype=float) * math.sqrt(0.5)
     z = np.abs(x)
-    zz = z * z
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        zz = z * z          # inf for an argument past ~1.9e154, where the CDF is 0 or 1
         erf = x * _polevl(zz, _T) / _polevl(zz, _U, monic=True)
         low = z < 8.0
         tail = (np.exp(-zz) * np.where(low, _polevl(z, _P), _polevl(z, _R))

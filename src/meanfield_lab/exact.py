@@ -28,7 +28,8 @@ plus one byte with a conditioning ball (``DiscreteLaw``).  The sample fits
 ``magnetizations`` returns one float per sum.  One cap holds
 everywhere: a lattice of more than ``LATTICE_CAP`` = 10^8 points (``MagLattice``
 refuses it when built), or a sample of more than that many sums, raises
-LatticeTooLarge (CLI exit 3) before any allocation.
+LatticeTooLarge (CLI exit 3) before any allocation.  Point tables are ``model._table``'s
+(numpy's open mesh).  ``log_count`` refuses a nan, inf or |m| > 2 mean before forming k.
 
 The binomial counts come from one vectorised ln k! kernel with no special
 function library: the exact values ln k! for k <= 11, and above that the
@@ -72,7 +73,7 @@ from .errors import (
     OffLattice,
     UnsupportedMeasure,
 )
-from .model import ValidatedModel, _check_ball, _integer, _require_validated
+from .model import ValidatedModel, _check_ball, _integer, _require_validated, _table
 
 LN2 = math.log(2.0)
 LATTICE_CAP = 10 ** 8
@@ -98,8 +99,8 @@ class MagLattice:
 
     def __post_init__(self):
         self.sizes.flags.writeable = False
-        if self.volume() > LATTICE_CAP:
-            raise LatticeTooLarge(f"lattice volume {self.volume()} exceeds the cap {LATTICE_CAP}")
+        if (volume := self.volume()) > LATTICE_CAP:
+            raise LatticeTooLarge(f"lattice volume {volume} exceeds the cap {LATTICE_CAP}")
 
     @property
     def n(self) -> int:
@@ -123,7 +124,7 @@ class MagLattice:
         return self.sum_axis(l, lo, hi) / float(self.sizes[l])
 
     def volume(self) -> int:
-        return int(np.prod([s + 1 for s in self.sizes.astype(object)]))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -310,7 +311,7 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
 def log_count(N_l: int, m) -> float | np.ndarray:
     """ln of the number of +-1 configurations of N_l spins with mean m."""
     m = np.asarray(m, dtype=float)
-    k = N_l * (1.0 + m) / 2.0
+    k = N_l * (1.0 + m) / 2.0 if np.all(np.abs(m) <= 2.0) else np.nan    # nan: refused below
     kr = np.rint(k)
     if not np.all(np.abs(k - kr) <= 1e-9) or np.any(kr < 0) or np.any(kr > N_l):
         raise OffLattice(f"m is not a reachable mean of {N_l} binary spins")
@@ -320,20 +321,6 @@ def log_count(N_l: int, m) -> float | np.ndarray:
     # grouping keeps the value bitwise symmetric under m -> -m
     out = ln_n - (ln_k + ln_rest)
     return float(out) if out.ndim == 0 else out
-
-
-def _along(l: int, n: int) -> list[int]:
-    """Broadcast shape of a vector on axis l of an n-axis lattice."""
-    return [-1 if a == l else 1 for a in range(n)]
-
-
-def _table(axes: list[np.ndarray]) -> np.ndarray:
-    """The product of per-axis vectors as a (points, n) table, C order."""
-    n = len(axes)
-    table = np.empty(tuple(len(a) for a in axes) + (n,), dtype=np.result_type(*axes))
-    for l, a in enumerate(axes):
-        table[..., l] = a.reshape(_along(l, n))
-    return table.reshape(-1, n)
 
 
 def _blocks(shape: tuple[int, ...], size: int):
@@ -426,9 +413,8 @@ class _Weights:
         """Axis terms and sums, each along its own axis, and cross grids off axis 0, on key."""
         n, N, J, h = self.lattice.n, self.lattice.total, self.J, self.h
         with np.errstate(over="ignore", invalid="ignore"):  # _block_max raises on inf or nan
-            terms, S = zip(*(
-                [v.reshape(_along(l, n)) for v in _axis_term(self.lattice, J, h, l, k.start, k.stop)]
-                for l, k in enumerate(key)))
+            terms, S = (np.ix_(*v) for v in zip(*(_axis_term(self.lattice, J, h, l, k.start, k.stop)
+                                                  for l, k in enumerate(key))))
             return terms, S, [J[l, s] / N * (S[l] * S[s]) for l in range(1, n)
                               for s in range(l + 1, n)]
 

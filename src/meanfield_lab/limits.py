@@ -341,7 +341,8 @@ def ks_distance(observed, law: LimitLaw) -> float:
     if isinstance(observed, (Gaussian, HigherOrder, DeltaMixture)):
         if observed.dim != 1:
             raise DimensionMismatch("KS comparison is one-dimensional")
-        span = 10.0 * max(_law_scale_1d(observed), _law_scale_1d(law))
+        # at most max float / 2, the widest span whose grid is finite (stop - start is)
+        span = min(10.0 * max(_law_scale_1d(observed), _law_scale_1d(law)), 8.988465674311579e307)
         grid = np.linspace(-span, span, 4001)
         return float(np.max(np.abs(law_cdf_1d(observed, grid) - law_cdf_1d(law, grid))))
     if isinstance(observed, DiscreteLaw):

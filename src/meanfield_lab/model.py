@@ -169,6 +169,15 @@ class ValidatedModel:
         return x
 
 
+def _table(axes: list[np.ndarray]) -> np.ndarray:
+    """The product of per-axis vectors as a (points, n) table, C order: the one lattice layout,
+    filled from numpy's open mesh (``np.ix_``, which would read a boolean axis as a mask)."""
+    table = np.empty(tuple(len(a) for a in axes) + (len(axes),), dtype=np.result_type(*axes))
+    for l, a in enumerate(np.ix_(*axes)):
+        table[..., l] = a
+    return table.reshape(-1, len(axes))
+
+
 def _check_fractions(sizes: np.ndarray, alpha) -> None:
     """BadSizes unless ``sizes`` holds one block >= 1 per species, in proportion ``alpha``."""
     if np.shape(alpha) != sizes.shape or np.any(sizes < 1) \

@@ -51,7 +51,7 @@ from .errors import (
     UnsupportedMeasure,
 )
 from .model import (ModelSpec, ValidatedModel, _integer, _require_validated,  # noqa: F401
-                    hamiltonian_density, validate_model)
+                    _table, hamiltonian_density, validate_model)
 
 _DERIV_TOL = 1e-9     # a Taylor term of f no larger than this vanishes
 _MAX_ORDER = 8
@@ -299,14 +299,18 @@ def _grad_f_batch(model: ValidatedModel, X: np.ndarray) -> np.ndarray:
 
 def _grid(axis: np.ndarray, n: int) -> np.ndarray:
     """Every point of axis^n as a row, in itertools.product order."""
-    return axis[np.indices((len(axis),) * n).reshape(n, -1)].T.copy()
+    return _table([axis] * n)
 
 
 def _start_grid(model: ValidatedModel, opts: SolverOptions, copies: int = 1) -> np.ndarray:
     if copies * int(opts.grid_points) ** model.n > _START_CAP:
         raise LatticeTooLarge(f"{copies} x {opts.grid_points}^{model.n} starts exceed {_START_CAP}")
     lo, hi = model.support_range
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):     # at J = 0 an inf r^2 gives nan
+        quad = 0.5 * np.float64(max(-lo, hi)) ** 2 * (model.alpha @ np.abs(model.J) @ model.alpha)
+    if not np.isfinite(quad):
+        raise DomainError(f"f's quadratic term overflows on the support hull [{lo!r}, {hi!r}]")
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
     axis = np.linspace(mid - 0.99 * half, mid + 0.99 * half, opts.grid_points)
     return np.tile(_grid(axis, model.n), (copies, 1))
 

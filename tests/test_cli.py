@@ -715,3 +715,29 @@ def test_pressure_names_itself_when_it_refuses_the_measure(tmp_path, capsys, mon
     assert main(["pressure", "--config", write_config(tmp_path, doc)]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UnsupportedMeasure" and err["message"].startswith("pressure ")
+
+
+@pytest.mark.parametrize("atom", [1e308, 1e300])
+def test_solve_refuses_a_hull_where_fs_quadratic_term_overflows(tmp_path, capsys, atom):
+    # the start grid's hull width overflowed: exit 3 NoConvergence after RuntimeWarnings,
+    # exit 5 under -W error
+    doc = {"model": {**CW12, "J": [[1.0]], "measure": {"atoms": [[-atom, 0.5], [atom, 0.5]]}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError" and "quadratic term overflows" in err["message"]
+
+
+def test_running_the_cli_module_as_main_exits_with_mains_code(tmp_path, monkeypatch):
+    import runpy
+
+    out = tmp_path / "solve.json"
+    monkeypatch.setattr(sys, "argv", ["meanfield_lab.cli", "solve", "--config",
+                                      write_config(tmp_path, {"model": CW12}), "--out", str(out)])
+    with warnings.catch_warnings():     # runpy warns that the module is already imported
+        warnings.filterwarnings("ignore", ".*found in sys.modules", RuntimeWarning)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("meanfield_lab.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert len(json.loads(out.read_text())["maxima"]) == 2

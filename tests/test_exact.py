@@ -1379,3 +1379,47 @@ def test_a_sample_file_with_a_compressed_suffix_reads_as_plain_text(tmp_path, na
     path = tmp_path / name
     path.write_text(_SAMPLE_HEAD + "1,-3\n-3,5\n")
     assert read_samples_csv(str(path)).sums.tolist() == [[1, -3], [-3, 5]]
+
+
+def test_log_count_refuses_a_non_finite_mean_without_a_warning():
+    # k - rint(k) at k = inf warned "invalid value" before OffLattice
+    for m in [math.inf, -math.inf, math.nan, [0.2, math.inf], 1e308]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OffLattice):
+                log_count(10, m)
+
+
+def _full_array_block(J, h, sizes, key):
+    """``_full_array_weights`` on one block's index ranges: the same expression per entry,
+    each axis vector laid on the block by an explicit reshape."""
+    lattice = MagLattice(np.asarray(sizes))
+    n, N = lattice.n, lattice.total
+    S = [lattice.sum_axis(l).astype(float)[k] for l, k in enumerate(key)]
+    W = np.full([len(s) for s in S], -N * math.log(2.0))
+    for l, k in enumerate(key):
+        T = _log_factorial(np.arange(sizes[l] + 1.0))
+        counts = (T[sizes[l]] - (T + T[::-1]))[k]
+        W += (counts + h[l] * S[l] + J[l, l] * S[l] ** 2 / (2.0 * N)).reshape(
+            [-1 if a == l else 1 for a in range(n)])
+    for l in range(n):
+        for s in range(l + 1, n):
+            W += ((J[l, s] / N) * np.multiply.outer(S[l], S[s])).reshape(
+                [len(S[a]) if a in (l, s) else 1 for a in range(n)])
+    return W
+
+
+def test_weight_blocks_on_held_and_cut_row_lattices_keep_the_full_array_bits():
+    # the axis terms and sums lie on numpy's open mesh (np.ix_): on ref2's held factors,
+    # cut to each block's rows, and on the per-block factors of rows cut along axis 1
+    elongated = validate_model(ModelSpec(n=2, alpha=(0.0002, 0.9998),
+                                         J=((1.0, 0.5), (0.5, 1.0)), h=(0.1, 0.0)))
+    for model, sizes, held, every in [(make_ref2(), [1600, 1600], True, 1),
+                                      (elongated, [100, 499900], False, 37)]:
+        weights = _Weights(model.J, model.h, MagLattice(np.asarray(sizes)))
+        assert (weights._factors is not None) == held
+        keys = list(weights.keys())[::every]
+        assert held or all(key[1] != slice(0, sizes[1] + 1) for key in keys)
+        for key in keys:
+            want = _full_array_block(model.J, model.h, sizes, key)
+            assert weights.block(key).tobytes() == want.tobytes()

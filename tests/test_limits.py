@@ -818,3 +818,14 @@ def test_ks_distance_skips_the_blocks_a_ball_leaves_empty():
     law = build_limit_law(model, plus, conditioned=True)
     whole = limits._ks(np.cumsum(z.probs), law_cdf_1d(law, z.points[:, 0]))
     assert ks_distance(z, law) == whole
+
+
+def test_ks_distance_of_a_point_mass_past_the_largest_grid_is_one():
+    # the grid span 10 * 1e308 was inf, so linspace warned and the statistic was nan
+    import warnings
+
+    far = DeltaMixture(points=np.array([[1e308]]), weights=np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ks_distance(far, Gaussian(cov=np.array([[1.0]]))) == 1.0
+        assert ks_distance(Gaussian(cov=np.array([[1.0]])), far) == 1.0

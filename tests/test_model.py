@@ -258,3 +258,28 @@ def test_model_json_errors():
     with pytest.raises(ConfigParse):
         model_from_json('{"n": 1, "alpha": [1.0], "J": [[1.0]], "h": [0.0], '
                         '"measure": {"atoms": "bad"}}')
+
+
+def test_the_product_table_keeps_its_axes_dtype_and_the_product_order():
+    # every lattice point table and the solver's start grid come from _table; its cells
+    # follow the axes' dtype (sum axes int64, coordinates float, formatted cells object)
+    import itertools
+
+    from meanfield_lab.exact import _cells
+    from meanfield_lab.model import _table
+
+    axes = {"int64": np.array([-3, -1, 1], dtype=np.int64),
+            "float": np.linspace(-0.99, 0.99, 4),
+            "object": _cells(np.array([0.1, -2.5]), ",")}
+    for axis in axes.values():
+        for n in range(1, 6):
+            got = _table([axis] * n)
+            want = np.array(list(itertools.product(axis.tolist(), repeat=n)), dtype=axis.dtype)
+            assert got.dtype == axis.dtype and got.flags.c_contiguous
+            assert got.shape == want.shape and got.tolist() == want.tolist()
+            if axis.dtype != object:
+                assert got.tobytes() == want.tobytes()
+    # axes of different lengths take their common dtype, the first axis slowest
+    mixed = [axes["int64"], axes["float"], np.array([7.5])]
+    want = np.array(list(itertools.product(*(a.tolist() for a in mixed))))
+    assert _table(mixed).tobytes() == want.tobytes()

@@ -35,7 +35,9 @@ removed solver key ``tol`` on cw J = 1.2, h = 0 at 1e-3 and on cw J = 3, h = -0.
 at 1e-16 (a config error, exit 2: a loose target counted 7 fixed points where
 there are 3, a tight one lost the global root), ``solve`` on ref3 at grid_points
 10^6 (10^18 starts, past the cap of 2^18: exit 3 before any array is built),
-``solve`` on ref2 with a ragged J (rows of 1 and 2 entries: exit 3),
+``solve`` on ref2 with a ragged J (rows of 1 and 2 entries: exit 3), ``solve`` on
+the atoms (-1e308, 1/2), (1e308, 1/2) at J = 1, h = 0 (f's quadratic term
+overflows on the support hull: exit 3, with no RuntimeWarning),
 ``phase`` at h = 0.05 on J = 0.5..1.5 (step 0.005), on the critical grid
 J = 1.000..1.004, at h = -0.05 on J = 1.40..1.60 (step 0.05; the largest fixed
 point is metastable there), on the uneven grid J = 1.2, 1.25, 1.4, 1.45, 1.7, at
@@ -188,7 +190,9 @@ def run_tree(tree: Path, work: Path) -> dict[str, str]:
                       "atom3-k3": three_atoms(1.0 / 6.0, 0.0),
                       "atom3-k3-tilt": three_atoms(1.0 / 6.0, 1e-15), "spin1-2": SPIN1_2,
                       "skewed2": SKEWED2, "ref3-g1e6": MODELS["ref3"],
-                      "ragged-J": {**MODELS["ref2"], "J": [[1.0], [1.0, 2.0]]}}.items():
+                      "ragged-J": {**MODELS["ref2"], "J": [[1.0], [1.0, 2.0]]},
+                      "atoms-1e308": {**MODELS["cw12"], "J": [[1.0]], "measure": {
+                          "atoms": [[-1e308, 0.5], [1e308, 0.5]]}}}.items():
         config, out = work / f"config-solve-{name}.json", work / f"solve-{name}.json"
         opts = {"solver": SOLVER[name]} if name in SOLVER else {}
         config.write_text(json.dumps({"model": doc, **opts}))
